@@ -282,8 +282,9 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
     m = float(np.max(vals))
     if m > cfg.divergence_threshold:
         return _divergent(int(np.argmax(vals)) + 1)
-    at90 = float(np.max(vals[: max(1, int(0.9 * N))]))
-    delta = m - at90
+    # stall window: the rows after the first 90% (empty when N == 1)
+    cut = max(1, int(0.9 * N))
+    delta = m - float(np.max(vals[:cut]))
     if certificate is not None:
         scale = 1.0 + abs(certificate.value if math.isfinite(certificate.value) else m)
         if certificate.mode == "limit":
@@ -295,7 +296,7 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
                 return NormResult(m, Status.TRUNCATED_CONVERGED, N,
                                   abs(certificate.value - m))
         # certificate did not verify: fall back to the heuristic statuses
-    if delta <= cfg.tol:
+    if cut < N and delta <= cfg.tol:
         return NormResult(m, Status.TRUNCATED_CONVERGED, N, delta)
     return NormResult(m, Status.TRUNCATED_LOWER_BOUND, N, delta)
 

@@ -16,14 +16,22 @@ split 1/(k+1) = sum_{j<J} (-1)**j k**(-j-1) + (-1)**J k**(-J) / (k+1), whose
 remainder is bounded by hurwitz_tail(a+J+1, n).
 
 Vectorised ``*_scaled`` variants evaluate n**p * tail(n) elementwise for scan
-loops; the scaling is folded into the exponents so no huge or tiny
-intermediates appear.
+loops.  On scattered rows the Euler-Maclaurin expansion is evaluated per row,
+with the scaling folded into the exponents so no huge or tiny intermediates
+appear.  On a contiguous increasing run n0, n0+1, ..., n1 (what every scan
+passes) the tails are reverse cumulative sums of the terms, one per block of
+_BLOCK rows, each anchored by the Euler-Maclaurin tail just past the block.
+The terms are positive and summed smallest first, so the error of a row is
+its anchor's certified error plus at most _BLOCK * 2**-53 (~4.5e-13)
+relative.  Runs whose terms k**(-s) or scales n**p would leave the normal
+float range keep the per-row path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -138,6 +146,11 @@ def m_alpha(alpha: float) -> CertifiedValue:
 # Vectorised scan helpers: n**p * tail(n) elementwise, stable for large n.
 # ---------------------------------------------------------------------------
 
+_BLOCK = 4096        # rows per reverse cumsum: _BLOCK * 2**-53 ~ 4.5e-13 relative
+_RUN_ANCHOR = 32     # runs are extended so that every anchor is >= this row
+_LOG_NORMAL = 700.0  # exp(-700) is still a normal double
+
+
 def _em_tail_scaled_vec(s: float, n: np.ndarray, p: float) -> np.ndarray:
     """n**p * sum_{k>=n} k**(-s) via pure E-M; requires all n >= 16."""
     nf = n.astype(float)
@@ -147,11 +160,64 @@ def _em_tail_scaled_vec(s: float, n: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def _shifted_em_scaled_vec(beta: float, n: np.ndarray, p: float) -> np.ndarray:
+    """n**p * sum_{k>=n} k**(-beta)/(k+1) via the geometric split; all n >= 32."""
+    acc = np.zeros(n.shape, dtype=float)
+    sign = 1.0
+    for j in range(_GEOM_J):
+        acc += sign * _em_tail_scaled_vec(beta + 1.0 + j, n, p)
+        sign = -sign
+    return acc
+
+
+def _run_bounds(n: np.ndarray, s: float, p: float) -> tuple[int, int] | None:
+    """(n0, n1) when n is n0, n0+1, ..., n1 with n0 >= 1 and the terms
+    k**(-s) and the scales k**p of the (extended) run are normal floats."""
+    if n.ndim != 1 or n.size == 0 or not np.issubdtype(n.dtype, np.integer):
+        return None
+    n0, n1 = int(n[0]), int(n[-1])
+    if n0 < 1 or n1 - n0 != n.size - 1 or not np.all(np.diff(n) == 1):
+        return None
+    log_end = math.log(max(n1, _RUN_ANCHOR) + 1.0)
+    if s * log_end >= _LOG_NORMAL or abs(p) * log_end >= _LOG_NORMAL:
+        return None
+    return n0, n1
+
+
+def _run_tails(n0: int, n1: int, p: float,
+               term: Callable[[np.ndarray], np.ndarray],
+               em_tail: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """n**p * tail(n), tail(n) = sum_{k>=n} term(k), for n = n0..n1.
+
+    The run is extended to row _RUN_ANCHOR - 1 and cut into blocks of _BLOCK
+    rows.  Inside a block the tails are one reverse cumsum of the positive,
+    decreasing terms, so they are summed smallest first (relative rounding
+    error <= _BLOCK * 2**-53); each block is anchored by the certified tail
+    ``em_tail`` at the first row past it, all anchors in one vectorised call.
+    """
+    end = max(n1, _RUN_ANCHOR - 1)
+    m = end - n0 + 1
+    nblk = -(-m // _BLOCK)
+    anchors = em_tail(np.minimum(n0 + _BLOCK * np.arange(1, nblk + 1), end + 1))
+    t = np.zeros(nblk * _BLOCK)
+    t[:m] = term(np.arange(n0, end + 1, dtype=float))
+    blocks = t.reshape(nblk, _BLOCK)[:, ::-1]
+    tails = (np.cumsum(blocks, axis=1)[:, ::-1] + anchors[:, None]).reshape(-1)
+    tails = tails[: n1 - n0 + 1]
+    if p != 0.0:
+        tails *= np.power(np.arange(n0, n1 + 1, dtype=float), p)
+    return tails
+
+
 def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0) -> np.ndarray:
     """Elementwise n**p * sum_{k>=n} k**(-s) for an integer array n (s > 1)."""
     if s <= 1.0:
         raise ValueError("hurwitz_tail_scaled requires s > 1")
     n = np.asarray(n)
+    run = _run_bounds(n, s, p)
+    if run is not None:
+        return _run_tails(*run, p, lambda k: np.power(k, -s),
+                          lambda a: _em_tail_scaled_vec(s, a, 0.0))
     out = np.empty(n.shape, dtype=float)
     small = n < 16
     if np.any(small):
@@ -169,6 +235,10 @@ def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0) -> np.ndarra
     if beta <= 0.0:
         raise ValueError("shifted_tail_scaled requires beta > 0")
     n = np.asarray(n)
+    run = _run_bounds(n, beta + 1.0, p)
+    if run is not None:
+        return _run_tails(*run, p, lambda k: np.power(k, -beta) / (k + 1.0),
+                          lambda a: _shifted_em_scaled_vec(beta, a, 0.0))
     out = np.empty(n.shape, dtype=float)
     small = n < 32
     if np.any(small):
@@ -177,10 +247,5 @@ def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0) -> np.ndarra
             out[idx] = shifted_tail(beta, ni).value * float(ni) ** p
     big = ~small
     if np.any(big):
-        acc = np.zeros(int(np.count_nonzero(big)), dtype=float)
-        sign = 1.0
-        for j in range(_GEOM_J):
-            acc += sign * _em_tail_scaled_vec(beta + 1.0 + j, n[big], p)
-            sign = -sign
-        out[big] = acc
+        out[big] = _shifted_em_scaled_vec(beta, n[big], p)
     return out

@@ -194,6 +194,13 @@ def test_statuses_on_scans():
     assert r.residual_estimate <= 1e-9
 
 
+def test_single_row_scan_is_only_a_lower_bound():
+    # with n_max = 1 the stall window is empty; the supremum 1.0588 is at n = 3
+    r = norm_cesaro(P(0.5), P(0.3), Cone.ALL, TruncConfig(n_max=1))
+    assert r.status is Status.TRUNCATED_LOWER_BOUND
+    assert r.value == pytest.approx(1.0)
+
+
 def test_trunc_config_validation():
     with pytest.raises(ValueError):
         TruncConfig(n_max=0)

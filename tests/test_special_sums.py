@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -5,24 +6,34 @@ import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from cesaro_copson.special_sums import (hurwitz_tail, hurwitz_tail_scaled,
-                                        m_alpha, shifted_tail,
-                                        shifted_tail_scaled, zeta)
+from cesaro_copson.oracle import _POWER_GRID
+from cesaro_copson.special_sums import (_BLOCK, hurwitz_tail,
+                                        hurwitz_tail_scaled, m_alpha,
+                                        shifted_tail, shifted_tail_scaled,
+                                        zeta)
 
 mp.mp.dps = 40
 
 
+@functools.lru_cache(maxsize=None)
 def ref_hurwitz(s: float, n: int) -> float:
     return float(mp.zeta(s, n))
 
 
+@functools.lru_cache(maxsize=None)
 def ref_shifted(beta: float, n: int) -> float:
     # head sum plus the alternating Hurwitz expansion of 1/(k+1), well past
     # the radius-of-convergence issues (mpmath's plain nsum mis-extrapolates
-    # these slowly convergent series)
+    # these slowly convergent series).  The expansion's terms decrease, so
+    # stopping once a term is below 1e-30 of the sum leaves an error below it.
     n0 = max(n, 40)
     head = mp.fsum(k ** mp.mpf(-beta) / (k + 1) for k in range(n, n0))
-    tail = mp.fsum((-1) ** j * mp.zeta(beta + 1 + j, n0) for j in range(80))
+    tail = mp.mpf(0)
+    for j in range(80):
+        term = mp.zeta(beta + 1 + j, n0)
+        tail += (-1) ** j * term
+        if term < mp.mpf(10) ** -30 * tail:
+            break
     return float(head + tail)
 
 
@@ -131,12 +142,64 @@ def test_brute_force_sum_lands_inside_certificate():
     assert total + lo_rest - 1e-9 <= cv.value <= total + hi_rest + 1e-9
 
 
-def test_scaled_vector_variants_match_scalars():
-    n = np.array([1, 2, 5, 15, 16, 33, 1000, 10 ** 6])
-    hv = hurwitz_tail_scaled(2.5, n, 1.5)
-    sv = shifted_tail_scaled(0.7, n, 0.7)
-    for i, ni in enumerate(n):
-        ref_h = hurwitz_tail(2.5, int(ni)).value * float(ni) ** 1.5
-        assert hv[i] == pytest.approx(ref_h, rel=1e-11)
-        ref_s = ref_shifted(0.7, int(ni)) * float(ni) ** 0.7
-        assert sv[i] == pytest.approx(ref_s, rel=1e-10)
+# Scattered rows take the Euler-Maclaurin path; contiguous runs n0..n1 take
+# the blocked reverse-sum path, checked at block ends, block ends +-1 and the
+# run ends.
+_RUN_STARTS = (1, 2, 15, 16, 31, 32, 33)
+_RUN_LENGTHS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
+_SCALED_INPUTS = [np.array([1, 2, 5, 15, 16, 33, 1000, 10 ** 6])] + [
+    np.arange(n0, n0 + length) for n0 in _RUN_STARTS for length in _RUN_LENGTHS]
+# (exponent, p): the (s, p) / (beta, p) of the scans for u_k = k**-alpha
+_HURWITZ_CASES = [(2.5, 1.5)] + [(a + 1.0, a) for a in _POWER_GRID if a > 0]
+_SHIFTED_CASES = [(0.7, 0.7)] + [(a + 1.0, a) for a in _POWER_GRID if a > -1]
+
+
+def _check_positions(n: np.ndarray) -> list[int]:
+    if not np.all(np.diff(n) == 1):
+        return list(range(n.size))
+    ends = np.arange(_BLOCK - 1, n.size, _BLOCK)
+    pos = {0, n.size - 1, *ends, *(ends - 1), *(ends + 1)}
+    return sorted(i for i in pos if 0 <= i < n.size)
+
+
+@pytest.mark.parametrize("n", _SCALED_INPUTS,
+                         ids=["scattered"] + [f"run{n[0]}+{n.size}"
+                                              for n in _SCALED_INPUTS[1:]])
+def test_scaled_vector_variants_match_scalars(n):
+    positions = _check_positions(n)
+    for s, p in _HURWITZ_CASES:
+        hv = hurwitz_tail_scaled(s, n, p)
+        assert hv.shape == n.shape
+        for i in positions:
+            ni = int(n[i])
+            assert hv[i] == pytest.approx(ref_hurwitz(s, ni) * float(ni) ** p,
+                                          rel=1e-11)
+    for beta, p in _SHIFTED_CASES:
+        sv = shifted_tail_scaled(beta, n, p)
+        assert sv.shape == n.shape
+        for i in positions:
+            ni = int(n[i])
+            assert sv[i] == pytest.approx(ref_shifted(beta, ni) * float(ni) ** p,
+                                          rel=1e-10)
+
+
+def test_long_run_matches_euler_maclaurin_path():
+    # a reversed array is not an increasing run, so it takes the E-M path;
+    # below row 32 mpmath is the referee (test above)
+    n = np.arange(1, 10 ** 6 + 1)
+    em_rows = n[31:][::-1]
+    for fn, exponent, p in ((hurwitz_tail_scaled, 1.3, 0.3),
+                            (shifted_tail_scaled, 0.3, 0.0),
+                            (shifted_tail_scaled, 1.7, 0.7)):
+        run = fn(exponent, n, p)[31:]
+        em = fn(exponent, em_rows, p)[::-1]
+        np.testing.assert_allclose(run, em, rtol=1e-12, atol=0.0)
+
+
+def test_extreme_exponents_stay_finite():
+    # terms k**-300 underflow on this run, so it must keep the folded E-M path
+    n = np.arange(32, 20032)
+    for fn, exponent in ((hurwitz_tail_scaled, 300.0), (shifted_tail_scaled, 299.0)):
+        out = fn(exponent, n, 299.0)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out, fn(exponent, n[::-1], 299.0)[::-1])
