@@ -16,13 +16,22 @@ functions evaluate the per-operator closed formulas directly and route
 matched power pairs (u and v both PowerWeight with the same alpha) to the
 closed-form branch tables.
 
+Infinite problems scan rows 1..n_max in contiguous blocks of _SCAN_BLOCK
+rows, keeping only running state between blocks, so a scan's memory does
+not depend on n_max.  ``_SeqData`` serves the blocks without tables of the
+horizon's length: power prefix sums are carried from block to block, which
+assumes requests move forward (an earlier request is recomputed from
+column 1).
+
 Truncation of the outer supremum is reported honestly in ``NormResult``:
 exact finite problems are ClosedForm; scans are TruncatedConverged only when
 a proven monotonicity certificate applies (re-verified numerically along the
 scan) or the running supremum has stalled below the tolerance, and
 TruncatedLowerBound otherwise.  Divergence is decided analytically for power
 weights (divergent inner tails, divergent closed-form branches) and by a
-threshold heuristic for general weights.
+threshold heuristic for general weights.  A finite problem is never
+Divergent: rows that overflow float64 are recomputed with the domain weight
+scaled by a power of two, and a norm that does not fit raises ValueError.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ import numpy as np
 from . import power as power_mod
 from .operators import ConePlan, OpKind, SignFlip, cone_plan, entry
 from .special_sums import hurwitz_tail_scaled, shifted_tail_scaled
-from .weights import (Cone, PowerWeight, Weight, codomain_values,
+from .weights import (Cone, ListWeight, PowerWeight, Weight, codomain_values,
                       envelope_down, envelope_up, truncation_length,
                       weight_values)
 
@@ -119,59 +128,102 @@ INV_K = "inv_k"            # kernel 1/k
 INV_K_KP1 = "inv_k_kp1"    # kernel 1/(k(k+1))
 
 
+_ENV = {Cone.ALL: "id", Cone.NONNEG: "id", Cone.NONINCR: "down", Cone.NONDECR: "up"}
+
+
 class _SeqData:
-    """Envelope-applied domain weight over columns 1..horizon, with O(1)
-    vectorised prefix sums and analytic/precomputed kernel tails."""
+    """Envelope-applied domain weight over columns 1..K: values, prefix sums
+    and kernel tails at requested columns, without any table of length K.
+
+    A ListWeight keeps its tables up to L = min(K, length): past L the
+    values are 0, so prefix sums are constant and tails are 0 there.  Power,
+    ones and zeros modes evaluate values from the formula and tails
+    analytically.  Power prefix sums are carried from one request to the
+    next: a request past the last computed end extends it by
+    cumsum([carry, terms]), which gives the same bits as one long cumsum
+    from column 1, and the carry keeps only the window the last request
+    needed (one scan block).  Precondition for O(request) cost: no prefix
+    request reaches below the start of that window, as in a scan over
+    increasing row blocks.  A request that does starts over from column 1:
+    correct, but O(end) in time and memory.
+    """
 
     def __init__(self, u: Weight, env: str, K: int):
-        self.K = K
-        self.L = truncation_length(u)
+        self._u = u
+        self._cols = K    # columns that may hold a nonzero value
         if isinstance(u, PowerWeight):
             a = u.alpha
             if env == "id" or (env == "down" and a >= 0) or (env == "up" and a <= 0):
                 self.mode, self.alpha = "power", a
+                self._p0, self._pwin = 0, np.zeros(1)   # prefix sums P[_p0..]
             elif env == "down":
                 self.mode, self.alpha = "ones", 0.0
             else:
                 self.mode, self.alpha = "zeros", 0.0
-            if self.mode == "power":
-                base = weight_values(u, K)
-            elif self.mode == "ones":
-                base = np.ones(K)
-            else:
-                base = np.zeros(K)
+            return
+        self.mode, self.alpha = "list", 0.0
+        self._cols = Lk = min(K, u.length)
+        if env == "id":
+            base = weight_values(u, Lk)
+        elif env == "down":
+            base = envelope_down(u, Lk)
         else:
-            self.mode, self.alpha = "list", 0.0
-            if env == "id":
-                base = weight_values(u, K)
-            elif env == "down":
-                base = envelope_down(u, K)
-            else:
-                base = envelope_up(u, K)
+            base = envelope_up(u, Lk)
         self._vals = base
         self._prefix = np.concatenate([[0.0], np.cumsum(base)])
-        if self.mode == "list":
-            k = np.arange(1, K + 1, dtype=float)
-            self._tail1 = np.concatenate([np.cumsum((base / k)[::-1])[::-1], [0.0]])
-            self._tail2 = np.concatenate(
-                [np.cumsum((base / (k * (k + 1.0)))[::-1])[::-1], [0.0]])
+        k = np.arange(1, Lk + 1, dtype=float)
+        self._tail1 = np.concatenate([np.cumsum((base / k)[::-1])[::-1], [0.0]])
+        self._tail2 = np.concatenate(
+            [np.cumsum((base / (k * (k + 1.0)))[::-1])[::-1], [0.0]])
 
     def vals_at(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k)
+        if self.mode == "power":
+            lo = _run_start(k)
+            if lo is not None and 1 <= lo <= self._cols - k.size + 1:
+                return weight_values(self._u, k.size, lo)   # a block of columns
         out = np.zeros(k.shape, dtype=float)
-        ok = (k >= 1) & (k <= self.K)
-        out[ok] = self._vals[k[ok] - 1]
+        ok = (k >= 1) & (k <= self._cols)
+        if self.mode == "list":
+            out[ok] = self._vals[k[ok] - 1]
+        elif self.mode == "ones":
+            out[ok] = 1.0
+        elif self.mode == "power" and np.any(ok):
+            kk = k[ok]
+            lo = int(kk.min())
+            out[ok] = weight_values(self._u, int(kk.max()) - lo + 1, lo)[kk - lo]
         return out
 
     def prefix(self, end: np.ndarray) -> np.ndarray:
-        end = np.clip(np.asarray(end), 0, self.K)
-        return self._prefix[end]
+        end = np.clip(np.asarray(end), 0, self._cols)
+        if self.mode == "list":
+            return self._prefix[end]
+        if self.mode == "ones":
+            return end.astype(float)
+        if self.mode == "zeros" or end.size == 0:
+            return np.zeros(end.shape, dtype=float)
+        first = _run_start(end)
+        lo, hi = (first, first + end.size - 1) if first is not None else (
+            int(end.min()), int(end.max()))
+        if lo < self._p0:
+            self._p0, self._pwin = 0, np.zeros(1)
+        last = self._p0 + self._pwin.size - 1
+        if hi > last:
+            run = np.cumsum(np.concatenate(
+                [self._pwin[-1:], weight_values(self._u, hi - last, last + 1)]))
+            start = min(lo, last)
+            self._pwin = np.concatenate([self._pwin[start - self._p0:-1], run])
+            self._pwin.flags.writeable = False   # slices of it are handed out
+            self._p0 = start
+        if first is not None:
+            return self._pwin[lo - self._p0:hi - self._p0 + 1]
+        return self._pwin[end - self._p0]
 
     def tail(self, kernel: str, start: np.ndarray) -> np.ndarray:
         """sum over k >= start (within the horizon) of kernel_k * value_k."""
         start = np.asarray(start)
         if self.mode == "list":
-            s = np.clip(start, 1, self.K + 1)
+            s = np.clip(start, 1, self._cols + 1)
             return (self._tail1 if kernel == INV_K else self._tail2)[s - 1]
         if self.mode == "zeros":
             return np.zeros(start.shape, dtype=float)
@@ -187,6 +239,13 @@ class _SeqData:
         if a + 1.0 <= 0:
             raise _DivergentTail
         return shifted_tail_scaled(a + 1.0, start)
+
+
+def _run_start(k: np.ndarray) -> int | None:
+    """k[0] when k is the run k[0], k[0]+1, ..., k[-1]; None otherwise."""
+    if k.ndim != 1 or k.size == 0 or not (k[1:] - k[:-1] == 1).all():
+        return None
+    return int(k[0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +292,14 @@ def _flip_signs(flip: SignFlip, n: np.ndarray) -> np.ndarray:
     return flipped
 
 
-def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, u: Weight,
-                        n: np.ndarray, K: int) -> np.ndarray:
+def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, sd: _SeqData,
+                        n: np.ndarray) -> np.ndarray:
+    """Row functional at rows n; sd is u with the cone's envelope _ENV[cone]."""
     if cone is Cone.ALL:
-        sd = _SeqData(u, "id", K)
         return _part_values(kind, "pos", sd, n) + _part_values(kind, "neg", sd, n)
     if cone is Cone.NONNEG:
-        sd = _SeqData(u, "id", K)
         return np.maximum(_part_values(kind, "pos", sd, n),
                           _part_values(kind, "neg", sd, n))
-    env = "down" if cone is Cone.NONINCR else "up"
-    sd = _SeqData(u, env, K)
     flipped = _flip_signs(plan.flip, n)
     out = np.empty(n.shape, dtype=float)
     if np.any(~flipped):
@@ -257,38 +313,98 @@ def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, u: Weight,
 # Supremum drivers
 # ---------------------------------------------------------------------------
 
-def _finite_sup(values: np.ndarray, vvals: np.ndarray,
-                analytic_tails: bool) -> NormResult:
-    prods = vvals * values
+def _finite_sup(row_values: Callable[[Weight], np.ndarray], u: Weight,
+                vvals: np.ndarray, analytic_tails: bool) -> NormResult:
+    """Supremum of v_n * F(n) over the rows of a truncated problem, where
+    ``row_values(w)`` gives F against the domain weight w, one entry per row.
+
+    A finite problem is never divergent: rows whose float evaluation
+    overflows are recomputed with u scaled by an exact power of two."""
+    prods = vvals * row_values(u)
     val = float(np.max(prods)) if prods.size else 0.0
     if not math.isfinite(val):
-        return _divergent(len(values))
+        val = _rescaled_sup(row_values, u, vvals, prods)
     residual = 1e-12 if analytic_tails else 0.0
-    return NormResult(val, Status.CLOSED_FORM, len(values), residual)
+    return NormResult(val, Status.CLOSED_FORM, len(prods), residual)
+
+
+def _rescaled_sup(row_values: Callable[[Weight], np.ndarray], u: Weight,
+                  vvals: np.ndarray, prods: np.ndarray) -> float:
+    """The supremum when some products overflowed: those rows are evaluated
+    against u * 2**-shift and scaled back.  ValueError when u is not a
+    ListWeight or the supremum does not fit in a float64."""
+    if not isinstance(u, ListWeight):
+        raise ValueError("row values overflow float64 (only a ListWeight "
+                         "domain weight is rescaled)")
+    # no row functional exceeds (2L + 2) * max(u): a positive and a negative
+    # part of at most L entries under kernels <= 1 each, or, for the
+    # two-operator rows, the envelope of k u_k under 1/(k(k+1)), at most
+    # (L + 1) * max(u).  After this shift every scaled row is below 1, so
+    # v_n times it stays finite.
+    shift = math.frexp(max(u.values))[1] + (2 * u.length + 2).bit_length()
+    scaled = ListWeight(tuple(math.ldexp(x, -shift) for x in u.values))
+    over = ~np.isfinite(prods)
+    top = float(np.max(vvals[over] * row_values(scaled)[over]))
+    try:
+        top = math.ldexp(top, shift)
+    except OverflowError:
+        raise ValueError(f"the norm overflows float64: {top!r} * 2**{shift}") from None
+    rest = prods[~over]
+    return max(top, float(np.max(rest))) if rest.size else top
+
+
+_SCAN_BLOCK = 2 ** 16   # rows per values_fn call, a multiple of special_sums._BLOCK
 
 
 def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
               certificate: power_mod.ScanCertificate | None) -> NormResult:
+    """Supremum of values_fn over rows 1..n_max, called on contiguous blocks
+    of _SCAN_BLOCK rows.  Running state across blocks (max and first argmax,
+    max up to the stall cut, most negative step, a non-finite flag) gives
+    the decision a whole-array scan would give, in O(block) memory.  Since
+    the block size is a multiple of the tails' block, every run-tail anchor
+    lands on the row a whole-array scan would use."""
     if certificate is not None and certificate.mode == "divergent":
         return _divergent()
     N = cfg.n_max
-    n = np.arange(1, N + 1, dtype=np.int64)
-    try:
-        vals = values_fn(n)
-    except _DivergentTail:
-        return _divergent()
-    if not np.all(np.isfinite(vals)):
-        return _divergent(N)
-    m = float(np.max(vals))
-    if m > cfg.divergence_threshold:
-        return _divergent(int(np.argmax(vals)) + 1)
     # stall window: the rows after the first 90% (empty when N == 1)
     cut = max(1, int(0.9 * N))
-    delta = m - float(np.max(vals[:cut]))
+    steps = certificate is not None and certificate.mode == "limit"
+    finite = True
+    m = m_cut = -math.inf
+    argmax = 0
+    min_step = math.inf   # most negative vals[n+1] - vals[n], across blocks
+    prev = None           # last value of the previous block
+    for lo in range(1, N + 1, _SCAN_BLOCK):
+        n = np.arange(lo, min(lo + _SCAN_BLOCK, N + 1), dtype=np.int64)
+        try:
+            vals = values_fn(n)
+        except _DivergentTail:
+            return _divergent()
+        if not finite or not np.all(np.isfinite(vals)):
+            finite = False
+            continue
+        top = float(np.max(vals))
+        if top > m:
+            m, argmax = top, lo + int(np.argmax(vals))
+        if lo + vals.size - 1 <= cut:
+            m_cut = max(m_cut, top)
+        elif lo <= cut:
+            m_cut = max(m_cut, float(np.max(vals[: cut - lo + 1])))
+        if steps:
+            d = np.diff(vals if prev is None else np.concatenate([[prev], vals]))
+            if d.size:
+                min_step = min(min_step, float(np.min(d)))
+            prev = vals[-1]
+    if not finite:
+        return _divergent(N)
+    if m > cfg.divergence_threshold:
+        return _divergent(argmax)
+    delta = m - m_cut
     if certificate is not None:
         scale = 1.0 + abs(certificate.value if math.isfinite(certificate.value) else m)
         if certificate.mode == "limit":
-            monotone = bool(np.all(np.diff(vals) >= -1e-9 * scale))
+            monotone = min_step >= -1e-9 * scale
             if monotone and m <= certificate.value * (1.0 + 1e-9) + 1e-12:
                 return NormResult(certificate.value, Status.TRUNCATED_CONVERGED, N, 1e-12)
         elif certificate.mode == "attained":
@@ -313,16 +429,18 @@ def _dense_norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, plan: ConePlan,
                    for kk in range(1, L_u + 1)] for nn in range(1, L_v + 1)])
     pos = np.clip(M, 0.0, None)
     neg = np.clip(-M, 0.0, None)
-    if cone is Cone.ALL:
-        rowvals = (pos + neg) @ weight_values(u, L_u)
-    elif cone is Cone.NONNEG:
-        uv = weight_values(u, L_u)
-        rowvals = np.maximum(pos @ uv, neg @ uv)
-    elif cone is Cone.NONINCR:
-        rowvals = pos @ envelope_down(u, L_u)
-    else:
-        rowvals = pos @ envelope_up(u, L_u)
-    return _finite_sup(rowvals, codomain_values(v, L_v), False)
+
+    def rows(w: Weight) -> np.ndarray:
+        if cone is Cone.ALL:
+            return (pos + neg) @ weight_values(w, L_u)
+        if cone is Cone.NONNEG:
+            uv = weight_values(w, L_u)
+            return np.maximum(pos @ uv, neg @ uv)
+        if cone is Cone.NONINCR:
+            return pos @ envelope_down(w, L_u)
+        return pos @ envelope_up(w, L_u)
+
+    return _finite_sup(rows, u, codomain_values(v, L_v), False)
 
 
 def norm_general(kind: OpKind, u: Weight, v: Weight, cone: Cone,
@@ -340,22 +458,26 @@ def norm_general(kind: OpKind, u: Weight, v: Weight, cone: Cone,
         if L_u is not None:
             return _dense_norm(kind, u, v, cone, plan, cfg)
         n = np.arange(1, L_v + 1, dtype=np.int64)
+
+        def rows(w: Weight) -> np.ndarray:
+            return _generic_row_values(kind, cone, plan,
+                                       _SeqData(w, _ENV[cone], L_v + 1), n)
+
         try:
-            vals = _generic_row_values(kind, cone, plan, u, n, L_v + 1)
+            return _finite_sup(rows, u, codomain_values(v, L_v), True)
         except _DivergentTail:
             return _divergent()
-        return _finite_sup(vals, codomain_values(v, L_v), True)
 
     alpha = matched_power_alpha(u, v)
     certificate = None
     if alpha is not None:
         certificate = power_mod.scan_certificate(kind, cone, alpha)
 
-    K = max(cfg.n_max + 1, L_u or 0)
+    sd = _SeqData(u, _ENV[cone], max(cfg.n_max + 1, L_u or 0))
 
     def values_fn(n: np.ndarray) -> np.ndarray:
-        vals = _generic_row_values(kind, cone, plan, u, n, K)
-        return codomain_values(v, len(n)) * vals
+        vals = _generic_row_values(kind, cone, plan, sd, n)
+        return codomain_values(v, len(n), int(n[0])) * vals
 
     return _scan_sup(values_fn, cfg, certificate)
 
@@ -390,26 +512,23 @@ def _specialized(kind: OpKind, u: Weight, v: Weight, cone: Cone,
         certificate = None
     K = (L_v + 1) if L_v is not None else (cfg.n_max + 1)
     K = max(K, L_u or 0)
-    row_fn = row_fn_builder(u, cone, K)
     if L_v is not None:
         n = np.arange(1, L_v + 1, dtype=np.int64)
         try:
-            vals = row_fn(n)
+            return _finite_sup(lambda w: row_fn_builder(w, cone, K)(n), u,
+                               codomain_values(v, L_v), L_u is None)
         except _DivergentTail:
             return _divergent()
-        analytic = L_u is None
-        return _finite_sup(vals, codomain_values(v, L_v), analytic)
+    row_fn = row_fn_builder(u, cone, K)
 
     def values_fn(n: np.ndarray) -> np.ndarray:
-        return codomain_values(v, len(n)) * row_fn(n)
+        return codomain_values(v, len(n), int(n[0])) * row_fn(n)
 
     return _scan_sup(values_fn, cfg, certificate)
 
 
 def _cesaro_rows(u: Weight, cone: Cone, K: int) -> Callable:
-    env = ("id" if cone in (Cone.ALL, Cone.NONNEG)
-           else "down" if cone is Cone.NONINCR else "up")
-    sd = _SeqData(u, env, K)
+    sd = _SeqData(u, _ENV[cone], K)
 
     def fn(n: np.ndarray) -> np.ndarray:
         return sd.prefix(n) / n.astype(float)
@@ -418,9 +537,7 @@ def _cesaro_rows(u: Weight, cone: Cone, K: int) -> Callable:
 
 
 def _copson_rows(u: Weight, cone: Cone, K: int) -> Callable:
-    env = "id" if cone in (Cone.ALL, Cone.NONNEG) else (
-        "down" if cone is Cone.NONINCR else "up")
-    sd = _SeqData(u, env, K)
+    sd = _SeqData(u, _ENV[cone], K)
 
     def fn(n: np.ndarray) -> np.ndarray:
         return sd.tail(INV_K, n)

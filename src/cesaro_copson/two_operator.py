@@ -174,23 +174,21 @@ def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
     L_v = truncation_length(q.v)
     K = (L_v + 1) if L_v is not None else (q.cfg.n_max + 1)
     K = max(K, truncation_length(q.u) or 0)
-    if q.direction is Direction.C_LE_CSTAR:
-        row_fn = _c_le_cstar_rows(q.u, q.cone, K)
-    else:
-        row_fn = _rows_cstar_le_c(q.u, q.cone, K)
+    rows = _c_le_cstar_rows if q.direction is Direction.C_LE_CSTAR else _rows_cstar_le_c
     if L_v is not None:
         n = np.arange(1, L_v + 1, dtype=np.int64)
         try:
-            vals = row_fn(n)
+            return _finite_sup(lambda w: rows(w, q.cone, K)(n), q.u,
+                               codomain_values(q.v, L_v),
+                               truncation_length(q.u) is None)
         except _DivergentTail:
             return _divergent()
-        return _finite_sup(vals, codomain_values(q.v, L_v),
-                           truncation_length(q.u) is None)
 
     certificate = _certificate(q.direction, q.cone, alpha) if alpha is not None else None
+    row_fn = rows(q.u, q.cone, K)
 
     def values_fn(n: np.ndarray) -> np.ndarray:
-        return codomain_values(q.v, len(n)) * row_fn(n)
+        return codomain_values(q.v, len(n), int(n[0])) * row_fn(n)
 
     return _scan_sup(values_fn, q.cfg, certificate)
 

@@ -117,7 +117,7 @@ class SeqWindow:
 
 def _power_vals(alpha: float, k: np.ndarray) -> np.ndarray:
     # libm pow is exact for integer exponents and uniformly accurate otherwise
-    return np.power(k.astype(float), -alpha)
+    return np.power(np.asarray(k, dtype=float), -alpha)
 
 
 def weight_at(w: Weight, k: int) -> float:
@@ -131,15 +131,21 @@ def weight_at(w: Weight, k: int) -> float:
     return 0.0
 
 
-def weight_values(w: Weight, K: int) -> np.ndarray:
-    """Domain values u_1..u_K as an array (ListWeight zero-padded)."""
-    k = np.arange(1, K + 1)
-    if isinstance(w, PowerWeight):
-        return _power_vals(w.alpha, k)
+def _list_vals(w: ListWeight, K: int, first: int) -> np.ndarray:
     out = np.zeros(K)
-    m = min(K, w.length)
-    out[:m] = w.values[:m]
+    lo, hi = min(first - 1, w.length), min(first - 1 + K, w.length)
+    out[: hi - lo] = w.values[lo:hi]
     return out
+
+
+def weight_values(w: Weight, K: int, first: int = 1) -> np.ndarray:
+    """Domain values u_first..u_{first+K-1} as an array (ListWeight
+    zero-padded); by default u_1..u_K."""
+    if first < 1:
+        raise ValueError("first row must be >= 1")
+    if isinstance(w, PowerWeight):
+        return _power_vals(w.alpha, np.arange(first, first + K, dtype=float))
+    return _list_vals(w, K, first)
 
 
 def codomain_weight_at(w: Weight, n: int) -> float:
@@ -153,14 +159,14 @@ def codomain_weight_at(w: Weight, n: int) -> float:
     return 0.0
 
 
-def codomain_values(w: Weight, N: int) -> np.ndarray:
-    n = np.arange(1, N + 1)
+def codomain_values(w: Weight, N: int, first: int = 1) -> np.ndarray:
+    """Codomain values v_first..v_{first+N-1} as an array (ListWeight
+    zero-padded); by default v_1..v_N."""
+    if first < 1:
+        raise ValueError("first row must be >= 1")
     if isinstance(w, PowerWeight):
-        return np.power(n.astype(float), w.alpha)
-    out = np.zeros(N)
-    m = min(N, w.length)
-    out[:m] = w.values[:m]
-    return out
+        return np.power(np.arange(first, first + N, dtype=float), w.alpha)
+    return _list_vals(w, N, first)
 
 
 def truncation_length(w: Weight) -> int | None:

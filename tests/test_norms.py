@@ -9,6 +9,7 @@ from cesaro_copson.norms import (SPECIALIZED_BY_KIND, Status, TruncConfig,
                                  norm_c_minus_sstar, norm_cesaro, norm_copson,
                                  norm_cstarsd, norm_general)
 from cesaro_copson.operators import OpKind
+from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
 from cesaro_copson.weights import Cone, ListWeight, PowerWeight
 
 P = PowerWeight
@@ -206,3 +207,30 @@ def test_trunc_config_validation():
         TruncConfig(n_max=0)
     with pytest.raises(ValueError):
         TruncConfig(tol=-1.0)
+
+
+def _c_le_cstar(u, v):
+    return best_constant(TwoOpQuery(Direction.C_LE_CSTAR, Cone.ALL, u, v))
+
+
+@pytest.mark.parametrize("call, length", [
+    (lambda u, v: norm_cesaro(u, v, Cone.ALL), 3),
+    (lambda u, v: norm_copson(u, v, Cone.ALL), 3),
+    (lambda u, v: dist_cesaro_identity(u, v, Cone.ALL), 3),
+    (lambda u, v: norm_c_minus_sstar(u, v, Cone.ALL), 3),
+    (lambda u, v: norm_general(OpKind.C, u, v, Cone.ALL), 3),
+    (_c_le_cstar, 2),
+], ids=["cesaro", "copson", "cesaro-id", "c-minus-sstar", "general-c", "c-le-cstar"])
+def test_float_overflow_on_a_finite_problem_is_not_divergence(call, length):
+    # with u = (1e308, ...) the prefix sums and tails overflow although the
+    # problem is finite: the answer is 1e308 times the all-ones answer, or a
+    # ValueError naming the overflow when that does not fit in a float64
+    ones = L(*[1.0] * length)
+    expected = 1e308 * call(ones, ones).value
+    if math.isinf(expected):
+        with pytest.raises(ValueError, match="overflow"):
+            call(L(*[1e308] * length), ones)
+        return
+    r = call(L(*[1e308] * length), ones)
+    assert r.status is Status.CLOSED_FORM
+    assert r.value == pytest.approx(expected, rel=1e-15)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesaro_copson.weights import (Cone, ListWeight, PowerWeight, SeqWindow,
-                                   codomain_weight_at, envelope_down,
+                                   codomain_values, codomain_weight_at,
+                                   envelope_down,
                                    envelope_up, quotient_norm_weighted,
                                    sup_norm_weighted, weight_at,
                                    weight_from_csv, weight_from_json,
@@ -31,6 +32,19 @@ def test_codomain_side_is_n_to_plus_alpha():
     # the same PowerWeight plays v_n = n**alpha on the codomain side
     assert codomain_weight_at(PowerWeight(1.0), 5) == 5.0
     assert codomain_weight_at(PowerWeight(-0.5), 4) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("w", [PowerWeight(0.37), PowerWeight(-1.5),
+                               ListWeight((3.0, 1.0, 2.0, 5.0))])
+@pytest.mark.parametrize("first, K", [(1, 6), (2, 3), (4, 3), (5, 2), (9, 1)])
+def test_values_from_a_first_row_are_a_slice_of_the_whole(w, first, K):
+    # scans ask for one block of rows at a time; the values must be the
+    # same bits as the corresponding slice of rows 1..first+K-1
+    end = first + K - 1
+    assert np.array_equal(weight_values(w, K, first), weight_values(w, end)[first - 1:])
+    assert np.array_equal(codomain_values(w, K, first), codomain_values(w, end)[first - 1:])
+    with pytest.raises(ValueError):
+        weight_values(w, K, 0)
 
 
 def test_validation():
