@@ -10,8 +10,11 @@ functional built from the domain weight u (or one of its monotone minorants):
     cone NONDECR  F = (B~+ u_up)_n     after admissible row flips B~
 
 The generic engine (``norm_general``) derives F from the operator structure:
-dense entry generation on fully truncated problems, and a prefix/point/tail
-decomposition with analytic tails on power-weight problems.  The specialised
+dense entry generation on fully truncated problems, and otherwise the
+positive and negative parts of each row read from the kind's row shape
+(``operators.ROW_SHAPES``: a prefix, tail or single-column block and at most
+one negative entry) against prefix sums, kernel tails and values of u, with
+analytic tails on power-weight problems.  The specialised
 functions evaluate the per-operator closed formulas directly and route
 matched power pairs (u and v both PowerWeight with the same alpha) to the
 closed-form branch tables.
@@ -44,7 +47,8 @@ from typing import Callable
 import numpy as np
 
 from . import power as power_mod
-from .operators import ConePlan, OpKind, SignFlip, cone_plan, entry
+from .operators import (INV_K, INV_K_KP1, PREFIX, ROW_SHAPES, TAIL, ConePlan,
+                        OpKind, cone_plan, entry)
 from .special_sums import hurwitz_tail_scaled, shifted_tail_scaled
 from .weights import (Cone, ListWeight, PowerWeight, Weight, codomain_values,
                       envelope_down, envelope_up, truncation_length,
@@ -124,10 +128,6 @@ class _DivergentTail(Exception):
     pass
 
 
-INV_K = "inv_k"            # kernel 1/k
-INV_K_KP1 = "inv_k_kp1"    # kernel 1/(k(k+1))
-
-
 _ENV = {Cone.ALL: "id", Cone.NONNEG: "id", Cone.NONINCR: "down", Cone.NONDECR: "up"}
 
 
@@ -172,9 +172,8 @@ class _SeqData:
         self._vals = base
         self._prefix = np.concatenate([[0.0], np.cumsum(base)])
         k = np.arange(1, Lk + 1, dtype=float)
-        self._tail1 = np.concatenate([np.cumsum((base / k)[::-1])[::-1], [0.0]])
-        self._tail2 = np.concatenate(
-            [np.cumsum((base / (k * (k + 1.0)))[::-1])[::-1], [0.0]])
+        self._tails = {kern: np.append(np.cumsum(kern(base, k)[::-1])[::-1], 0.0)
+                       for kern in (INV_K, INV_K_KP1)}
 
     def vals_at(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k)
@@ -219,20 +218,20 @@ class _SeqData:
             return self._pwin[lo - self._p0:hi - self._p0 + 1]
         return self._pwin[end - self._p0]
 
-    def tail(self, kernel: str, start: np.ndarray) -> np.ndarray:
-        """sum over k >= start (within the horizon) of kernel_k * value_k."""
+    def tail(self, kernel: Callable, start: np.ndarray) -> np.ndarray:
+        """sum over k >= start (within the horizon) of kernel_k * value_k,
+        for the tail kernels INV_K and INV_K_KP1 of ``operators``."""
         start = np.asarray(start)
         if self.mode == "list":
-            s = np.clip(start, 1, self._cols + 1)
-            return (self._tail1 if kernel == INV_K else self._tail2)[s - 1]
+            return self._tails[kernel][np.clip(start, 1, self._cols + 1) - 1]
         if self.mode == "zeros":
             return np.zeros(start.shape, dtype=float)
         if self.mode == "ones":
-            if kernel == INV_K:
+            if kernel is INV_K:
                 raise _DivergentTail
             return 1.0 / start.astype(float)  # telescoping
         a = self.alpha
-        if kernel == INV_K:
+        if kernel is INV_K:
             if a <= 0:
                 raise _DivergentTail
             return hurwitz_tail_scaled(a + 1.0, start)
@@ -253,43 +252,17 @@ def _run_start(k: np.ndarray) -> int | None:
 # ---------------------------------------------------------------------------
 
 def _part_values(kind: OpKind, part: str, sd: _SeqData, n: np.ndarray) -> np.ndarray:
-    """(B+ u~)_n or (B- u~)_n for the unflipped operator, vectorised."""
-    nf = n.astype(float)
-    pos = part == "pos"
-    if kind is OpKind.C:
-        return sd.prefix(n) / nf if pos else np.zeros(n.shape)
-    if kind is OpKind.E:
-        return sd.prefix(n) if pos else np.zeros(n.shape)
-    if kind is OpKind.CSTAR:
-        return sd.tail(INV_K, n) if pos else np.zeros(n.shape)
-    if kind is OpKind.C_MINUS_I:
-        if pos:
-            return sd.prefix(n - 1) / nf
-        return (nf - 1.0) / nf * sd.vals_at(n)
-    if kind is OpKind.CSTAR_MINUS_I:
-        if pos:
-            return sd.tail(INV_K, n + 1)
-        return (nf - 1.0) / nf * sd.vals_at(n)
-    if kind is OpKind.C_MINUS_SSTAR:
-        return sd.prefix(n) / nf if pos else sd.vals_at(n + 1)
-    if kind is OpKind.CSTARSD:
-        return sd.tail(INV_K_KP1, n) if pos else sd.vals_at(n - 1) / nf
-    if kind is OpKind.S:
-        return sd.vals_at(n - 1) if pos else np.zeros(n.shape)
-    if kind is OpKind.SSTAR:
-        return sd.vals_at(n + 1) if pos else np.zeros(n.shape)
-    if kind is OpKind.D:
-        return sd.vals_at(n) / (nf + 1.0) if pos else np.zeros(n.shape)
-    if kind is OpKind.I:
-        return sd.vals_at(n) if pos else np.zeros(n.shape)
-    raise ValueError(f"unknown kind {kind}")
-
-
-def _flip_signs(flip: SignFlip, n: np.ndarray) -> np.ndarray:
-    flipped = np.full(n.shape, flip.flip_all)
-    if flip.flip_rows:
-        flipped ^= np.isin(n, np.fromiter(flip.flip_rows, dtype=np.int64))
-    return flipped
+    """(B+ u~)_n or (B- u~)_n for the unflipped operator, vectorised, read
+    from the kind's row shape."""
+    sh = ROW_SHAPES[kind]
+    if part == "neg":
+        if sh.neg_scale is None:
+            return np.zeros(n.shape)
+        return sh.neg_scale(sd.vals_at(n + sh.neg_at), n)
+    if sh.block is TAIL:
+        return sd.tail(sh.scale, n + sh.at)
+    read = sd.prefix if sh.block is PREFIX else sd.vals_at
+    return sh.scale(read(n + sh.at), n)
 
 
 def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, sd: _SeqData,
@@ -300,7 +273,7 @@ def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, sd: _SeqData,
     if cone is Cone.NONNEG:
         return np.maximum(_part_values(kind, "pos", sd, n),
                           _part_values(kind, "neg", sd, n))
-    flipped = _flip_signs(plan.flip, n)
+    flipped = plan.flip.flipped(n)
     out = np.empty(n.shape, dtype=float)
     if np.any(~flipped):
         out[~flipped] = _part_values(kind, "pos", sd, n[~flipped])

@@ -1,9 +1,14 @@
 """Structured representations of the averaging/tail matrices.
 
-Matrices are never materialised: entries are generated lazily by (n, k)
-formula, and everything other modules need (row sign patterns, row sums,
-positive/negative decompositions, last-entry indices for extremal witnesses)
-is provided in closed form per operator kind.
+Matrices are never materialised.  ``entry`` gives b_{n,k} by its defining
+formula, written out per kind: it is the ground truth the dense engine and
+the tests read.  Everything else reads one row shape per kind
+(``ROW_SHAPES``): row n is a nonnegative block, the prefix 1..n+at, the tail
+from n+at or the single column n+at, plus at most one negative entry at
+column n+neg_at.  Dense rows, row sums and sign patterns, witness endpoints,
+``apply`` / ``apply_batch`` and the engine's part values (``norms``) are all
+derived from it, with the float operations of the formulas (x / n, not
+x * (1/n)), so each derived value has the bits a per-kind formula gives.
 
 Kinds
 -----
@@ -21,7 +26,9 @@ A :class:`SignFlip` negates a set of rows (a global toggle plus a finite
 exception set), the row-by-row preprocessing that brings a matrix into the
 shape required by the monotone-cone norm formulas.  ``cone_plan`` computes
 the canonical admissible flip for each kind/cone, or reports that the
-hypotheses cannot be satisfied.
+hypotheses cannot be satisfied.  Which flip is canonical is a policy from
+the paper, so it stays a switch per kind and cone; its row-sum checks read
+the table.
 
 A column horizon L (from a ListWeight) means the L-column principal block:
 row sums, patterns and witness endpoints are all taken within 1..L.
@@ -32,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +49,8 @@ __all__ = [
     "OpKind",
     "row_entries",
     "PRINCIPAL_KINDS",
+    "RowShape",
+    "ROW_SHAPES",
     "RowPattern",
     "RowClass",
     "SignFlip",
@@ -107,6 +117,13 @@ class SignFlip:
     def sign(self, n: int) -> float:
         return -1.0 if (self.flip_all != (n in self.flip_rows)) else 1.0
 
+    def flipped(self, n: np.ndarray) -> np.ndarray:
+        """Whether each row of the int array n is negated."""
+        out = np.full(n.shape, self.flip_all)
+        if self.flip_rows:
+            out ^= np.isin(n, np.fromiter(self.flip_rows, dtype=np.int64))
+        return out
+
 
 NO_FLIP = SignFlip()
 
@@ -153,146 +170,140 @@ def entry(kind: OpKind, n: int, k: int, flip: SignFlip = NO_FLIP) -> float:
     return flip.sign(n) * e
 
 
+# ---------------------------------------------------------------------------
+# Row shapes: the one statement of each kind's row structure
+# ---------------------------------------------------------------------------
+
+# the three block forms
+PREFIX = "prefix"   # columns 1..n+at
+TAIL = "tail"       # columns n+at, n+at+1, ...
+SINGLE = "single"   # column n+at
+
+
+# Scales and kernels: scale(x, m) is x times the factor at row or column m,
+# computed with the operations the formulas use (x / m, not x * (1 / m)).
+def _one(x, m):
+    return x
+
+
+def _over(x, m):
+    return x / m
+
+
+def _over_next(x, m):
+    return x / (m + 1.0)
+
+
+def _over_pair(x, m):
+    return x / (m * (m + 1.0))
+
+
+def _frac_prev(x, m):
+    return (m - 1.0) / m * x
+
+
+INV_K = _over            # tail kernel 1/k
+INV_K_KP1 = _over_pair   # tail kernel 1/(k(k+1))
+
+
+@dataclass(frozen=True)
+class RowShape:
+    """Row n: a nonnegative block plus at most one negative entry.
+
+    A PREFIX or SINGLE block holds scale(1, n) in each of its columns, a
+    TAIL block the kernel value scale(1, k) in column k.  The negative entry
+    is -neg_scale(1, n) at column n + neg_at; there is none when neg_scale
+    is None, or where neg_scale(1, n) is 0."""
+
+    block: str          # PREFIX, TAIL or SINGLE
+    at: int
+    scale: Callable
+    neg_at: int = 0
+    neg_scale: Callable | None = None
+
+
+ROW_SHAPES = {
+    OpKind.C: RowShape(PREFIX, 0, _over),
+    OpKind.CSTAR: RowShape(TAIL, 0, INV_K),
+    OpKind.C_MINUS_I: RowShape(PREFIX, -1, _over, 0, _frac_prev),
+    OpKind.CSTAR_MINUS_I: RowShape(TAIL, 1, INV_K, 0, _frac_prev),
+    OpKind.C_MINUS_SSTAR: RowShape(PREFIX, 0, _over, 1, _one),
+    OpKind.CSTARSD: RowShape(TAIL, 0, INV_K_KP1, -1, _over),
+    OpKind.S: RowShape(SINGLE, -1, _one),
+    OpKind.SSTAR: RowShape(SINGLE, 1, _one),
+    OpKind.D: RowShape(SINGLE, 0, _over_next),
+    OpKind.E: RowShape(PREFIX, 0, _one),
+    OpKind.I: RowShape(SINGLE, 0, _one),
+}
+
+
+def _block_cols(sh: RowShape, n: int, L: int | None) -> tuple[int, int | None]:
+    """Columns lo..hi of row n's block within 1..L: empty when lo > hi, hi
+    None for an infinite tail.  Scalar code: the oracle calls it per row."""
+    edge = n + sh.at
+    if sh.block is TAIL:
+        return edge, L
+    hi = edge if L is None else min(edge, L)
+    return (1 if sh.block is PREFIX else max(edge, 1)), hi
+
+
+def _neg_col(sh: RowShape, n: int, L: int | None) -> int:
+    """Column of row n's negative entry within 1..L, 0 if there is none."""
+    j = n + sh.neg_at
+    if (sh.neg_scale is None or j < 1 or (L is not None and j > L)
+            or sh.neg_scale(1.0, n) == 0.0):
+        return 0
+    return j
+
+
 def row_entries(kind: OpKind, n: int, K: int, flip: SignFlip = NO_FLIP) -> np.ndarray:
     """Row n as a dense vector over columns 1..K (vectorised entry())."""
-    k = np.arange(1, K + 1, dtype=float)
+    sh = ROW_SHAPES[kind]
+    lo, hi = _block_cols(sh, n, K)
+    j = _neg_col(sh, n, K)
     e = np.zeros(K)
-    if kind is OpKind.C:
-        e[: min(n, K)] = 1.0 / n
-    elif kind is OpKind.CSTAR:
-        if n <= K:
-            e[n - 1 :] = 1.0 / k[n - 1 :]
-    elif kind is OpKind.C_MINUS_I:
-        e[: min(n - 1, K)] = 1.0 / n
-        if n <= K:
-            e[n - 1] = -(n - 1.0) / n
-    elif kind is OpKind.CSTAR_MINUS_I:
-        if n < K:
-            e[n:] = 1.0 / k[n:]
-        if n <= K:
-            e[n - 1] = -(n - 1.0) / n
-    elif kind is OpKind.C_MINUS_SSTAR:
-        e[: min(n, K)] = 1.0 / n
-        if n + 1 <= K:
-            e[n] = -1.0
-    elif kind is OpKind.CSTARSD:
-        if n <= K:
-            e[n - 1 :] = 1.0 / (k[n - 1 :] * (k[n - 1 :] + 1.0))
-        if 2 <= n <= K + 1:
-            e[n - 2] = -1.0 / n
-    elif kind is OpKind.S:
-        if 2 <= n <= K + 1:
-            e[n - 2] = 1.0
-    elif kind is OpKind.SSTAR:
-        if n + 1 <= K:
-            e[n] = 1.0
-    elif kind is OpKind.D:
-        if n <= K:
-            e[n - 1] = 1.0 / (n + 1.0)
-    elif kind is OpKind.E:
-        e[: min(n, K)] = 1.0
-    elif kind is OpKind.I:
-        if n <= K:
-            e[n - 1] = 1.0
-    else:
-        raise ValueError(f"unknown kind {kind}")
-    return flip.sign(n) * e
-
-
-def _harmonic_range(a: int, b: int) -> float:
-    """sum_{k=a}^{b} 1/k (0 when a > b)."""
-    if a > b:
-        return 0.0
-    return float(np.sum(1.0 / np.arange(a, b + 1, dtype=float)))
-
-
-def _row_structure(kind: OpKind, n: int, L: int | None) -> tuple[bool, bool, float, bool]:
-    """(has_pos, has_neg, row_sum, finite) for the unflipped row, within
-    columns 1..L (L=None: the infinite row).  Row sums are closed forms."""
-    inf_cols = L is None
-
-    def within(k: int) -> bool:
-        return k >= 1 and (inf_cols or k <= L)
-
-    if kind is OpKind.C:
-        m = n if inf_cols else min(n, L)
-        return (m >= 1, False, m / n, True)
-    if kind is OpKind.CSTAR:
-        if inf_cols:
-            return (True, False, math.inf, False)
-        return (n <= L, False, _harmonic_range(n, L), True)
-    if kind is OpKind.C_MINUS_I:
-        has_diag = within(n)
-        m = (n - 1) if inf_cols else min(n - 1, L)
-        has_pos = m >= 1
-        has_neg = has_diag and n >= 2
-        s = m / n - ((n - 1.0) / n if has_diag else 0.0)
-        if n == 1:
-            return (False, False, 0.0, True)
-        return (has_pos, has_neg, s, True)
-    if kind is OpKind.CSTAR_MINUS_I:
-        has_neg = within(n) and n >= 2
-        if inf_cols:
-            return (True, has_neg, math.inf, False)
-        has_pos = n + 1 <= L
-        s = _harmonic_range(n + 1, L) - ((n - 1.0) / n if has_neg else 0.0)
-        return (has_pos, has_neg, s, True)
-    if kind is OpKind.C_MINUS_SSTAR:
-        m = n if inf_cols else min(n, L)
-        has_neg = within(n + 1)
-        s = m / n - (1.0 if has_neg else 0.0)
-        return (m >= 1, has_neg, s, True)
-    if kind is OpKind.CSTARSD:
-        has_neg = n >= 2 and within(n - 1)
-        if inf_cols:
-            tail = 1.0 / n  # telescoping sum_{k>=n} 1/(k(k+1))
-            has_pos = True
+    if lo <= hi:
+        if sh.block is TAIL:
+            e[lo - 1:hi] = sh.scale(1.0, np.arange(lo, hi + 1, dtype=float))
         else:
-            has_pos = n <= L
-            tail = (1.0 / n - 1.0 / (L + 1.0)) if n <= L else 0.0
-        s = tail - (1.0 / n if has_neg else 0.0)
-        return (has_pos, has_neg, s, True)
-    if kind is OpKind.S:
-        ok = n >= 2 and within(n - 1)
-        return (ok, False, 1.0 if ok else 0.0, True)
-    if kind is OpKind.SSTAR:
-        ok = within(n + 1)
-        return (ok, False, 1.0 if ok else 0.0, True)
-    if kind is OpKind.D:
-        ok = within(n)
-        return (ok, False, 1.0 / (n + 1.0) if ok else 0.0, True)
-    if kind is OpKind.E:
-        m = n if inf_cols else min(n, L)
-        return (m >= 1, False, float(m), True)
-    if kind is OpKind.I:
-        ok = within(n)
-        return (ok, False, 1.0 if ok else 0.0, True)
-    raise ValueError(f"unknown kind {kind}")
+            e[lo - 1:hi] = sh.scale(1.0, n)
+    if j:
+        e[j - 1] = -sh.neg_scale(1.0, n)
+    return -e if flip.sign(n) < 0 else e
 
 
 def classify_row(kind: OpKind, n: int, ncols: int | None = None,
                  flip: SignFlip = NO_FLIP) -> RowClass:
-    """Sign pattern and row sum of row n, computed in closed form.
+    """Sign pattern and row sum of row n within columns 1..ncols.
 
-    Every kind here has its positive entries contiguous against its negative
-    entries, so a mixed row is POS_BEFORE_NEG or NEG_BEFORE_POS depending on
-    which block comes first; single-signed rows satisfy both hypotheses and
-    are reported as BOTH.
+    The block and the negative entry are each contiguous, so a mixed row is
+    POS_BEFORE_NEG or NEG_BEFORE_POS depending on which comes first;
+    single-signed rows satisfy both hypotheses and are reported as BOTH.
     """
-    has_pos, has_neg, s, finite = _row_structure(kind, n, ncols)
-    if flip.sign(n) < 0:
-        has_pos, has_neg = has_neg, has_pos
-        s = -s
+    sh = ROW_SHAPES[kind]
+    lo, hi = _block_cols(sh, n, ncols)
+    j = _neg_col(sh, n, ncols)
+    has_pos, has_neg = hi is None or lo <= hi, j > 0
     if not has_pos and not has_neg:
         return RowClass(RowPattern.ALL_ZERO, 0.0, True)
+    if not has_pos:
+        s = 0.0
+    elif hi is None:   # 1/k diverges; sum_{k>=lo} 1/(k(k+1)) telescopes to 1/lo
+        s = math.inf if sh.scale is INV_K else 1.0 / lo
+    elif sh.block is TAIL:   # summed from column hi down, as apply_batch does
+        s = float(np.cumsum(sh.scale(1.0, np.arange(hi, lo - 1, -1, dtype=float)))[-1])
+    else:
+        s = sh.scale(float(hi - lo + 1), n)
+    if j:
+        s -= sh.neg_scale(1.0, n)
+    flipped = flip.sign(n) < 0
+    if flipped:
+        s = -s
     if has_pos != has_neg:
-        return RowClass(RowPattern.BOTH, s, finite)
-    # mixed row: position of the negative block is structural per kind
-    neg_first = kind in (OpKind.CSTAR_MINUS_I, OpKind.CSTARSD)
-    if flip.sign(n) < 0:
-        neg_first = not neg_first
+        return RowClass(RowPattern.BOTH, s, math.isfinite(s))
+    neg_first = (j < lo) != flipped
     pat = RowPattern.NEG_BEFORE_POS if neg_first else RowPattern.POS_BEFORE_NEG
-    return RowClass(pat, s, finite)
+    return RowClass(pat, s, math.isfinite(s))
 
 
 @dataclass(frozen=True)
@@ -303,12 +314,6 @@ class ConePlan:
     flip: SignFlip = NO_FLIP
     trivially_zero: bool = False
     reason: str = ""
-
-
-def _rows_to_check(L: int | None, max_row: int | None) -> int | None:
-    if L is None:
-        return max_row
-    return L if max_row is None else min(L, max_row)
 
 
 def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
@@ -336,12 +341,10 @@ def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
         if kind is OpKind.CSTAR_MINUS_I:
             if L is None:
                 return ConePlan(False, reason="flipped rows of C*-I have sum -inf")
-            hi = _rows_to_check(L, max_row)
-            flip_rows = frozenset(range(2, L + 1))
-            fl = SignFlip(flip_rows=flip_rows)
-            for n in range(2, hi + 1):
-                if classify_row(kind, n, L, fl).row_sum < 0:
-                    return ConePlan(False, reason=f"flipped row {n} has negative sum")
+            fl = SignFlip(flip_rows=frozenset(range(2, L + 1)))
+            n = _first_negative_row(kind, L, max_row, fl)
+            if n is not None:
+                return ConePlan(False, reason=f"flipped row {n} has negative sum")
             return ConePlan(True, fl)
         raise ValueError(f"unknown kind {kind}")
 
@@ -362,19 +365,28 @@ def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
     if kind is OpKind.CSTAR_MINUS_I:
         if L is None:
             return ConePlan(True, trivially_zero=True)
-        hi = _rows_to_check(L, max_row)
-        for n in range(2, hi + 1):
-            if classify_row(kind, n, L).row_sum < 0:
-                return ConePlan(False, reason=f"row {n} has negative sum")
+        n = _first_negative_row(kind, L, max_row)
+        if n is not None:
+            return ConePlan(False, reason=f"row {n} has negative sum")
         return ConePlan(True)
     if kind is OpKind.CSTARSD:
         if L is None:
             return ConePlan(True)
-        hi = _rows_to_check(L, max_row)
-        if any(classify_row(kind, n, L).row_sum < 0 for n in range(2, hi + 1)):
+        if _first_negative_row(kind, L, max_row) is not None:
             return ConePlan(False, reason="truncated rows of (C*-S)D have sum -1/(L+1)")
         return ConePlan(True)
     raise ValueError(f"unknown kind {kind}")
+
+
+def _first_negative_row(kind: OpKind, L: int, max_row: int | None,
+                        flip: SignFlip = NO_FLIP) -> int | None:
+    """The first row n >= 2, up to min(L, max_row), whose flipped sum within
+    columns 1..L is negative, or None.  The row sums are B applied to ones."""
+    hi = L if max_row is None else min(L, max_row)
+    n = np.arange(2, hi + 1)
+    s = apply_batch(kind, np.ones(L), hi)[0, 1:]
+    bad = np.flatnonzero(np.where(flip.flipped(n), -s, s) < 0)
+    return int(n[bad[0]]) if bad.size else None
 
 
 def last_index_of_part(kind: OpKind, n: int, L: int | None, negative: bool,
@@ -384,46 +396,11 @@ def last_index_of_part(kind: OpKind, n: int, L: int | None, negative: bool,
     ``L`` must be finite here (witnesses are built on finite windows)."""
     if L is None:
         raise ValueError("witness construction needs a finite column window")
-    want_neg_of_base = negative != (flip.sign(n) < 0)
-    idx = 0
-
-    def clamp(k: int) -> int:
-        return k if 1 <= k <= L else 0
-
-    if kind is OpKind.C:
-        idx = 0 if want_neg_of_base else clamp(min(n, L))
-    elif kind is OpKind.E:
-        idx = 0 if want_neg_of_base else clamp(min(n, L))
-    elif kind is OpKind.CSTAR:
-        idx = 0 if want_neg_of_base else (L if n <= L else 0)
-    elif kind is OpKind.C_MINUS_I:
-        if n == 1:
-            idx = 0
-        elif want_neg_of_base:
-            idx = clamp(n)
-        else:
-            idx = clamp(min(n - 1, L))
-    elif kind is OpKind.CSTAR_MINUS_I:
-        if want_neg_of_base:
-            idx = clamp(n) if n >= 2 else 0
-        else:
-            idx = L if n + 1 <= L else 0
-    elif kind is OpKind.C_MINUS_SSTAR:
-        idx = clamp(n + 1) if want_neg_of_base else clamp(min(n, L))
-    elif kind is OpKind.CSTARSD:
-        if want_neg_of_base:
-            idx = clamp(n - 1) if n >= 2 else 0
-        else:
-            idx = L if n <= L else 0
-    elif kind is OpKind.S:
-        idx = 0 if want_neg_of_base else clamp(n - 1)
-    elif kind is OpKind.SSTAR:
-        idx = 0 if want_neg_of_base else clamp(n + 1)
-    elif kind in (OpKind.D, OpKind.I):
-        idx = 0 if want_neg_of_base else clamp(n)
-    else:
-        raise ValueError(f"unknown kind {kind}")
-    return idx
+    sh = ROW_SHAPES[kind]
+    if negative != (flip.sign(n) < 0):
+        return _neg_col(sh, n, L)
+    lo, hi = _block_cols(sh, n, L)
+    return hi if lo <= hi else 0
 
 
 # ---------------------------------------------------------------------------
@@ -443,43 +420,21 @@ def _padded(x: SeqWindow, width: int) -> np.ndarray:
 def apply(kind: OpKind, x: SeqWindow, N: int) -> SeqWindow:
     """(Bx)_1..(Bx)_N for finitely supported x.  The C*-type row sums are
     finite because the support is; no truncation is involved."""
-    width = max(N + 1, x.end)
-    xf = _padded(x, width)
-    k = np.arange(1, width + 1, dtype=float)
-    n = np.arange(1, N + 1, dtype=float)
+    xf = _padded(x, max(N + 1, x.end))
+    return SeqWindow(1, tuple(apply_batch(kind, xf, N)[0]))
 
-    def prefix_mean() -> np.ndarray:
-        return np.cumsum(xf)[:N] / n
 
-    def tail_of(t: np.ndarray) -> np.ndarray:
-        return np.cumsum(t[::-1])[::-1][:N]
-
-    if kind is OpKind.C:
-        out = prefix_mean()
-    elif kind is OpKind.E:
-        out = np.cumsum(xf)[:N]
-    elif kind is OpKind.CSTAR:
-        out = tail_of(xf / k)
-    elif kind is OpKind.C_MINUS_I:
-        out = prefix_mean() - xf[:N]
-    elif kind is OpKind.CSTAR_MINUS_I:
-        out = tail_of(xf / k) - xf[:N]
-    elif kind is OpKind.C_MINUS_SSTAR:
-        out = prefix_mean() - xf[1 : N + 1]
-    elif kind is OpKind.CSTARSD:
-        shifted = np.concatenate([[0.0], xf[: N - 1]]) if N >= 1 else np.zeros(0)
-        out = tail_of(xf / (k * (k + 1.0))) - shifted / n
-    elif kind is OpKind.S:
-        out = np.concatenate([[0.0], xf[: N - 1]])
-    elif kind is OpKind.SSTAR:
-        out = xf[1 : N + 1]
-    elif kind is OpKind.D:
-        out = xf[:N] / (n + 1.0)
-    elif kind is OpKind.I:
-        out = xf[:N]
-    else:
-        raise ValueError(f"unknown kind {kind}")
-    return SeqWindow(1, tuple(out))
+def _cols(A: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Columns first, ..., first + count - 1 of A (numbered from 1), with 0
+    for those outside 1..A.shape[1]."""
+    T, K = A.shape
+    if first >= 1 and first + count - 1 <= K:
+        return A[:, first - 1:first - 1 + count]
+    out = np.zeros((T, count))
+    lo, hi = max(first, 1), min(first + count - 1, K)
+    if lo <= hi:
+        out[:, lo - first:hi - first + 1] = A[:, lo - 1:hi]
+    return out
 
 
 def apply_batch(kind: OpKind, X: np.ndarray, n_rows: int | None = None) -> np.ndarray:
@@ -489,67 +444,23 @@ def apply_batch(kind: OpKind, X: np.ndarray, n_rows: int | None = None) -> np.nd
     (T, R) with R = n_rows or K; rows past K read only the in-window columns
     (the truncated-problem convention)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    T, K = X.shape
+    K = X.shape[1]
     R = K if n_rows is None else n_rows
-    k = np.arange(1, K + 1, dtype=float)
-    n_in = np.arange(1, min(R, K) + 1, dtype=float)
-
-    def with_extra(core: np.ndarray, extra) -> np.ndarray:
-        if R <= K:
-            return core[:, :R]
-        pad = np.zeros((T, R - K))
-        fill = extra()
-        if fill is not None:
-            pad[:, :] = fill
-        return np.hstack([core, pad])
-
-    cs = np.cumsum(X, axis=1)
-    if kind is OpKind.C:
-        core = cs[:, : min(R, K)] / n_in
-        return with_extra(core, lambda: cs[:, -1:] / np.arange(K + 1, R + 1))
-    if kind is OpKind.E:
-        return with_extra(cs[:, : min(R, K)], lambda: cs[:, -1:])
-    if kind is OpKind.C_MINUS_I:
-        core = cs[:, : min(R, K)] / n_in - X[:, : min(R, K)]
-        return with_extra(core, lambda: cs[:, -1:] / np.arange(K + 1, R + 1))
-    if kind is OpKind.C_MINUS_SSTAR:
-        nxt = np.hstack([X[:, 1:], np.zeros((T, 1))])
-        core = cs[:, : min(R, K)] / n_in - nxt[:, : min(R, K)]
-        return with_extra(core, lambda: cs[:, -1:] / np.arange(K + 1, R + 1))
-    if kind is OpKind.CSTAR:
-        t = X / k
-        core = np.cumsum(t[:, ::-1], axis=1)[:, ::-1][:, : min(R, K)]
-        return with_extra(core, lambda: None)
-    if kind is OpKind.CSTAR_MINUS_I:
-        t = X / k
-        core = np.cumsum(t[:, ::-1], axis=1)[:, ::-1][:, : min(R, K)] - X[:, : min(R, K)]
-        return with_extra(core, lambda: None)
-    if kind is OpKind.CSTARSD:
-        t = X / (k * (k + 1.0))
-        tails = np.cumsum(t[:, ::-1], axis=1)[:, ::-1]
-        prev = np.hstack([np.zeros((T, 1)), X[:, :-1]])
-        core = tails[:, : min(R, K)] - prev[:, : min(R, K)] / n_in
-        if R <= K:
-            return core[:, :R]
-        pad = np.zeros((T, R - K))
-        pad[:, 0] = -X[:, -1] / (K + 1.0)  # row K+1 still sees column K
-        return np.hstack([core, pad])
-    if kind is OpKind.S:
-        prev = np.hstack([np.zeros((T, 1)), X[:, :-1]])
-        if R <= K:
-            return prev[:, :R]
-        pad = np.zeros((T, R - K))
-        pad[:, 0] = X[:, -1]
-        return np.hstack([prev, pad])
-    if kind is OpKind.SSTAR:
-        nxt = np.hstack([X[:, 1:], np.zeros((T, 1))])
-        return with_extra(nxt[:, : min(R, K)], lambda: None)
-    if kind is OpKind.D:
-        core = X[:, : min(R, K)] / (n_in + 1.0)
-        return with_extra(core, lambda: None)
-    if kind is OpKind.I:
-        return with_extra(X[:, : min(R, K)], lambda: None)
-    raise ValueError(f"unknown kind {kind}")
+    sh = ROW_SHAPES[kind]
+    n = np.arange(1, R + 1, dtype=float)
+    if sh.block is PREFIX:
+        cs = np.cumsum(X, axis=1)
+        if R > K:   # a prefix past the window is the whole window
+            cs = np.hstack([cs, np.repeat(cs[:, -1:], R - K, axis=1)])
+        out = sh.scale(_cols(cs, 1 + sh.at, R), n)
+    elif sh.block is TAIL:
+        t = sh.scale(X, np.arange(1, K + 1, dtype=float))
+        out = _cols(np.cumsum(t[:, ::-1], axis=1)[:, ::-1], 1 + sh.at, R)
+    else:
+        out = sh.scale(_cols(X, 1 + sh.at, R), n)
+    if sh.neg_scale is not None:
+        out = out - sh.neg_scale(_cols(X, 1 + sh.neg_at, R), n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +469,7 @@ def apply_batch(kind: OpKind, X: np.ndarray, n_rows: int | None = None) -> np.nd
 
 def check_identity_first(x: SeqWindow, N: int) -> float:
     """max_{n<=N} |((C - S*) C* x)_n - (C x)_n| for finitely supported x."""
-    y = apply(OpKind.CSTAR, x, N + 1)
-    yv = np.asarray(y.values)
-    n = np.arange(1, N + 1, dtype=float)
-    lhs = np.cumsum(yv[:N]) / n - yv[1 : N + 1]
+    lhs = np.asarray(apply(OpKind.C_MINUS_SSTAR, apply(OpKind.CSTAR, x, N + 1), N).values)
     rhs = np.asarray(apply(OpKind.C, x, N).values)
     return float(np.max(np.abs(lhs - rhs))) if N >= 1 else 0.0
 

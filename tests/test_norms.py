@@ -5,10 +5,11 @@ import pytest
 
 from conftest import random_list_weight
 from cesaro_copson.norms import (SPECIALIZED_BY_KIND, Status, TruncConfig,
+                                 _part_values, _SeqData,
                                  dist_cesaro_identity, dist_copson_identity,
                                  norm_c_minus_sstar, norm_cesaro, norm_copson,
                                  norm_cstarsd, norm_general)
-from cesaro_copson.operators import OpKind
+from cesaro_copson.operators import OpKind, entry
 from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
 from cesaro_copson.weights import Cone, ListWeight, PowerWeight
 
@@ -234,3 +235,41 @@ def test_float_overflow_on_a_finite_problem_is_not_divergence(call, length):
     r = call(L(*[1e308] * length), ones)
     assert r.status is Status.CLOSED_FORM
     assert r.value == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.name)
+def test_part_values_match_entry(kind, rng):
+    # the engine's positive and negative parts come from the row-shape
+    # table; check them against the dense rows of entry applied to u
+    u = random_list_weight(rng, 40)
+    n = np.arange(1, 61, dtype=np.int64)
+    M = np.array([[entry(kind, int(r), k) for k in range(1, 41)] for r in n])
+    uv = np.array(u.values)
+    for part, dense in (("pos", np.clip(M, 0.0, None)), ("neg", np.clip(-M, 0.0, None))):
+        got = _part_values(kind, part, _SeqData(u, "id", 61), n)
+        np.testing.assert_allclose(got, dense @ uv, rtol=1e-13, atol=0, err_msg=part)
+
+
+def test_power_weight_overflow_is_a_clear_error():
+    # the norm is about 1e99 (row 10: 1e-300 * (1/10) * sum_{k<=10} k^400),
+    # but k^400 already overflows in u, and only a ListWeight u is rescaled
+    with pytest.raises(ValueError, match="overflow"):
+        norm_cesaro(P(-400), L(*[0.0] * 9, 1e-300), Cone.ALL)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the stall heuristic "
+                   "claims convergence on a divergent list-u / power-v problem")
+def test_list_u_power_v_divergence_is_not_converged():
+    # past row 3 the rows are 6 * n^(1e-10), unbounded
+    r = norm_cesaro(L(1, 2, 3), P(1 + 1e-10), Cone.ALL)
+    assert r.status is Status.DIVERGENT
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the divergence "
+                   "threshold reports a finite list-u / power-v norm as Divergent")
+def test_large_finite_norm_is_not_divergent():
+    # the norm is 1e16, attained at n = 1
+    r = norm_cesaro(L(1e16), P(-0.5), Cone.ALL)
+    assert r.status is not Status.DIVERGENT
+    assert r.value == pytest.approx(1e16)
+

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cesaro_copson.operators import (OpKind, PRINCIPAL_KINDS,
+from cesaro_copson.operators import (NO_FLIP, OpKind, PRINCIPAL_KINDS,
                                      RowPattern, SignFlip, apply, apply_batch,
                                      check_identity_first,
                                      check_identity_second, classify_row,
@@ -48,6 +48,18 @@ def test_pos_neg_decomposition():
             assert np.array_equal(pos - neg, e)
             assert np.array_equal(pos + neg, np.abs(e))
             assert np.all(pos * neg == 0.0)
+
+
+def test_shape_table_matches_entry():
+    # row_entries is built from the row-shape table; entry is the ground truth
+    flips = (NO_FLIP, SignFlip(flip_all=True), SignFlip(flip_rows=frozenset({1, 3})))
+    for kind in OpKind:
+        for n in range(1, 61):
+            for K in sorted({1, n - 1, n, n + 1, 60} - {0}):
+                for flip in flips:
+                    want = [entry(kind, n, k, flip) for k in range(1, K + 1)]
+                    assert np.array_equal(row_entries(kind, n, K, flip), want), \
+                        (kind, n, K, flip)
 
 
 def test_sign_flip_negates_rows():
@@ -106,7 +118,7 @@ def test_classify_agrees_with_entry_scan():
 
 def test_classify_truncated_rows_match_scan(rng):
     for kind in OpKind:
-        for L in (1, 3, 9):
+        for L in (1, 3, 9, 60):
             for n in range(1, L + 3):
                 rc = classify_row(kind, n, ncols=L)
                 es = row_entries(kind, n, L)
@@ -196,16 +208,17 @@ def test_cone_plan_open_and_trivial_cases():
 
 
 def test_last_index_of_part_matches_scan():
+    L = 9
+    cases = [(kind, NO_FLIP, negative) for kind in OpKind for negative in (False, True)]
     for kind in PRINCIPAL_KINDS:
         for cone in (Cone.NONINCR, Cone.NONDECR):
-            L = 9
             plan = cone_plan(kind, cone, L, max_row=L)
-            if not plan.ok or plan.trivially_zero:
-                continue
-            negative = cone is Cone.NONDECR
-            for n in range(1, L + 2):
-                es = row_entries(kind, n, L, plan.flip)
-                want = es < 0 if negative else es > 0
-                expected = int(np.nonzero(want)[0][-1]) + 1 if np.any(want) else 0
-                got = last_index_of_part(kind, n, L, negative, plan.flip)
-                assert got == expected, (kind, cone, n)
+            if plan.ok and not plan.trivially_zero:
+                cases.append((kind, plan.flip, cone is Cone.NONDECR))
+    for kind, flip, negative in cases:
+        for n in range(1, L + 2):
+            es = row_entries(kind, n, L, flip)
+            want = es < 0 if negative else es > 0
+            expected = int(np.nonzero(want)[0][-1]) + 1 if np.any(want) else 0
+            got = last_index_of_part(kind, n, L, negative, flip)
+            assert got == expected, (kind, flip, negative, n)
