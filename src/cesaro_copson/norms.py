@@ -17,7 +17,10 @@ one negative entry) against prefix sums, kernel tails and values of u, with
 analytic tails on power-weight problems.  The specialised
 functions evaluate the per-operator closed formulas directly and route
 matched power pairs (u and v both PowerWeight with the same alpha) to the
-closed-form branch tables.
+closed-form branch tables.  Both, and ``two_operator.best_constant``, take
+the supremum through one driver, ``_row_sup``: ``_finite_sup`` over the rows
+of a truncated v, ``_scan_sup`` otherwise.  Only the dense path on fully
+truncated problems (``_dense_norm``) calls ``_finite_sup`` itself.
 
 Infinite problems scan rows 1..n_max in contiguous blocks of _SCAN_BLOCK
 rows, keeping only running state between blocks, so a scan's memory does
@@ -390,6 +393,30 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
     return NormResult(m, Status.TRUNCATED_LOWER_BOUND, N, delta)
 
 
+def _row_sup(rows: Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]],
+             u: Weight, v: Weight, cfg: TruncConfig,
+             certificate: power_mod.ScanCertificate | None) -> NormResult:
+    """Supremum over rows n of v_n * F(n), where ``rows(w, K)`` returns F
+    against the domain weight w on the column horizon K.  A truncated v
+    reads its rows 1..L_v exactly; otherwise rows 1..n_max are scanned."""
+    L_u = truncation_length(u)
+    L_v = truncation_length(v)
+    K = max(L_v + 1 if L_v is not None else cfg.n_max + 1, L_u or 0)
+    if L_v is not None:
+        n = np.arange(1, L_v + 1, dtype=np.int64)
+        try:
+            return _finite_sup(lambda w: rows(w, K)(n), u,
+                               codomain_values(v, L_v), L_u is None)
+        except _DivergentTail:
+            return _divergent()
+    row_fn = rows(u, K)
+
+    def values_fn(n: np.ndarray) -> np.ndarray:
+        return codomain_values(v, len(n), int(n[0])) * row_fn(n)
+
+    return _scan_sup(values_fn, cfg, certificate)
+
+
 # ---------------------------------------------------------------------------
 # The generic engine
 # ---------------------------------------------------------------------------
@@ -416,58 +443,18 @@ def _dense_norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, plan: ConePlan,
     return _finite_sup(rows, u, codomain_values(v, L_v), False)
 
 
-def norm_general(kind: OpKind, u: Weight, v: Weight, cone: Cone,
-                 cfg: TruncConfig = DEFAULT_TRUNC) -> NormResult:
-    """Norm of the operator on the given cone, from the general theorem:
-    row functionals against u, its envelopes, after admissible row flips."""
-    L_u = truncation_length(u)
-    L_v = truncation_length(v)
-    plan = cone_plan(kind, cone, L_u, max_row=L_v)
-    if not plan.ok:
-        return _unsupported(plan.reason)
-    if plan.trivially_zero:
-        return NormResult(0.0, Status.CLOSED_FORM, 0, 0.0)
-    if L_v is not None:
-        if L_u is not None:
-            return _dense_norm(kind, u, v, cone, plan, cfg)
-        n = np.arange(1, L_v + 1, dtype=np.int64)
-
-        def rows(w: Weight) -> np.ndarray:
-            return _generic_row_values(kind, cone, plan,
-                                       _SeqData(w, _ENV[cone], L_v + 1), n)
-
-        try:
-            return _finite_sup(rows, u, codomain_values(v, L_v), True)
-        except _DivergentTail:
-            return _divergent()
-
-    alpha = matched_power_alpha(u, v)
-    certificate = None
-    if alpha is not None:
-        certificate = power_mod.scan_certificate(kind, cone, alpha)
-
-    sd = _SeqData(u, _ENV[cone], max(cfg.n_max + 1, L_u or 0))
-
-    def values_fn(n: np.ndarray) -> np.ndarray:
-        vals = _generic_row_values(kind, cone, plan, sd, n)
-        return codomain_values(v, len(n), int(n[0])) * vals
-
-    return _scan_sup(values_fn, cfg, certificate)
-
-
-# ---------------------------------------------------------------------------
-# Specialised evaluators (the per-operator closed formulas)
-# ---------------------------------------------------------------------------
-
 def _closed_form_result(cf: power_mod.PowerCaseResult) -> NormResult:
     if math.isinf(cf.value):
         return _divergent()
     return NormResult(cf.value, Status.CLOSED_FORM, 0, 0.0)
 
 
-def _specialized(kind: OpKind, u: Weight, v: Weight, cone: Cone,
-                 cfg: TruncConfig,
-                 row_fn_builder: Callable[[Weight, Cone, int], Callable]) -> NormResult:
+def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
+          row_fn_builder: Callable[[Weight, Cone, int], Callable] | None = None
+          ) -> NormResult:
+    """Cone plan, then (with a per-operator row builder) the matched-pair
+    closed form, then the supremum of the builder's rows or, without one,
+    of the generic engine's rows."""
     L_u = truncation_length(u)
     L_v = truncation_length(v)
     plan = cone_plan(kind, cone, L_u, max_row=L_v)
@@ -476,29 +463,35 @@ def _specialized(kind: OpKind, u: Weight, v: Weight, cone: Cone,
     if plan.trivially_zero:
         return NormResult(0.0, Status.CLOSED_FORM, 0, 0.0)
     alpha = matched_power_alpha(u, v)
+    certificate = None
     if alpha is not None:
-        cf = power_mod.closed_form(kind, cone, alpha)
+        cf = power_mod.closed_form(kind, cone, alpha) if row_fn_builder else None
         if cf is not None:
             return _closed_form_result(cf)
         certificate = power_mod.scan_certificate(kind, cone, alpha)
-    else:
-        certificate = None
-    K = (L_v + 1) if L_v is not None else (cfg.n_max + 1)
-    K = max(K, L_u or 0)
-    if L_v is not None:
-        n = np.arange(1, L_v + 1, dtype=np.int64)
-        try:
-            return _finite_sup(lambda w: row_fn_builder(w, cone, K)(n), u,
-                               codomain_values(v, L_v), L_u is None)
-        except _DivergentTail:
-            return _divergent()
-    row_fn = row_fn_builder(u, cone, K)
+    if row_fn_builder is not None:
+        return _row_sup(lambda w, K: row_fn_builder(w, cone, K), u, v, cfg,
+                        certificate)
+    if L_u is not None and L_v is not None:
+        return _dense_norm(kind, u, v, cone, plan, cfg)
 
-    def values_fn(n: np.ndarray) -> np.ndarray:
-        return codomain_values(v, len(n), int(n[0])) * row_fn(n)
+    def rows(w: Weight, K: int) -> Callable[[np.ndarray], np.ndarray]:
+        sd = _SeqData(w, _ENV[cone], K)
+        return lambda n: _generic_row_values(kind, cone, plan, sd, n)
 
-    return _scan_sup(values_fn, cfg, certificate)
+    return _row_sup(rows, u, v, cfg, certificate)
 
+
+def norm_general(kind: OpKind, u: Weight, v: Weight, cone: Cone,
+                 cfg: TruncConfig = DEFAULT_TRUNC) -> NormResult:
+    """Norm of the operator on the given cone, from the general theorem:
+    row functionals against u, its envelopes, after admissible row flips."""
+    return _norm(kind, u, v, cone, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Specialised evaluators (the per-operator closed formulas)
+# ---------------------------------------------------------------------------
 
 def _cesaro_rows(u: Weight, cone: Cone, K: int) -> Callable:
     sd = _SeqData(u, _ENV[cone], K)
@@ -644,20 +637,20 @@ def _cstarsd_rows(u: Weight, cone: Cone, K: int) -> Callable:
 def norm_cesaro(u: Weight, v: Weight, cone: Cone,
                 cfg: TruncConfig = DEFAULT_TRUNC) -> NormResult:
     """sup_n (v_n/n) sum_{k<=n} u~_k over the requested cone."""
-    return _specialized(OpKind.C, u, v, cone, cfg, _cesaro_rows)
+    return _norm(OpKind.C, u, v, cone, cfg, _cesaro_rows)
 
 
 def norm_copson(u: Weight, v: Weight, cone: Cone,
                 cfg: TruncConfig = DEFAULT_TRUNC) -> NormResult:
     """sup_n v_n sum_{k>=n} u~_k/k; the nondecreasing cone is trivially 0 on
     infinite problems (every row sum is infinite)."""
-    return _specialized(OpKind.CSTAR, u, v, cone, cfg, _copson_rows)
+    return _norm(OpKind.CSTAR, u, v, cone, cfg, _copson_rows)
 
 
 def dist_cesaro_identity(u: Weight, v: Weight, cone: Cone,
                          cfg: TruncConfig = DEFAULT_TRUNC) -> NormResult:
     """Distance of the averaging operator to the identity on the cone."""
-    return _specialized(OpKind.C_MINUS_I, u, v, cone, cfg, _cesaro_id_rows)
+    return _norm(OpKind.C_MINUS_I, u, v, cone, cfg, _cesaro_id_rows)
 
 
 def dist_copson_identity(u: Weight, v: Weight, cone: Cone,
@@ -666,19 +659,19 @@ def dist_copson_identity(u: Weight, v: Weight, cone: Cone,
     cone is an open problem and is never computed."""
     if cone is Cone.NONINCR:
         return _unsupported("open problem: nonincreasing cone for C*-I")
-    return _specialized(OpKind.CSTAR_MINUS_I, u, v, cone, cfg, _copson_id_rows)
+    return _norm(OpKind.CSTAR_MINUS_I, u, v, cone, cfg, _copson_id_rows)
 
 
 def norm_c_minus_sstar(u: Weight, v: Weight, cone: Cone,
                        cfg: TruncConfig = DEFAULT_TRUNC) -> NormResult:
     """Norms of C - S* (and of S* - C on the nondecreasing cone)."""
-    return _specialized(OpKind.C_MINUS_SSTAR, u, v, cone, cfg, _c_minus_sstar_rows)
+    return _norm(OpKind.C_MINUS_SSTAR, u, v, cone, cfg, _c_minus_sstar_rows)
 
 
 def norm_cstarsd(u: Weight, v: Weight, cone: Cone,
                  cfg: TruncConfig = DEFAULT_TRUNC) -> NormResult:
     """Norms of (C* - S)D (and of (S - C*)D on the nonincreasing cone)."""
-    return _specialized(OpKind.CSTARSD, u, v, cone, cfg, _cstarsd_rows)
+    return _norm(OpKind.CSTARSD, u, v, cone, cfg, _cstarsd_rows)
 
 
 SPECIALIZED_BY_KIND = {

@@ -11,22 +11,19 @@ Two lower-bound paths probe the defining supremum of every norm:
   exactly; on power-weight problems it is a lower bound increasing in the
   window size N.
 
-* ``random_lower_bound`` samples sequences from the cone (deterministically,
-  one child seed per trial so trials can be distributed without changing the
-  result) and takes the best observed ratio of the two weighted norms.  It
-  is a sanity lower bound, never an equality check.
+* ``random_lower_bound`` samples a batch of sequences from the cone
+  (deterministically, one generator per seed) and takes the best observed
+  ratio of the two weighted norms.  It is a sanity lower bound, never an
+  equality check.
 
 ``verify`` runs the formula and both probes and assembles a report; the
 suite runners at the bottom drive the package-wide verification the CLI
-exposes (identities, power consistency, oracle exactness), parallelised over
-combinations with a worker cap from the NORMS_THREADS environment variable.
+exposes (identities, power consistency, oracle exactness).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -52,7 +49,6 @@ __all__ = [
     "run_power_consistency_suite",
     "run_oracle_suite",
     "run_all_suites",
-    "worker_count",
 ]
 
 
@@ -78,13 +74,6 @@ class VerifyReport:
         return d
 
 
-def worker_count() -> int:
-    env = os.environ.get("NORMS_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
-
-
 def _horizons(u: Weight, v: Weight, N: int) -> tuple[int, int]:
     L_u = truncation_length(u)
     L_v = truncation_length(v)
@@ -97,6 +86,8 @@ def extremal_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
                          N: int) -> float:
     """max over rows n <= N of v_n (B x^(n))_n with x^(n) the structure
     theory's witness for row n, evaluated by direct summation."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if kind is OpKind.CSTAR_MINUS_I and cone is Cone.NONINCR:
         raise UnsupportedConeError("open problem: nonincreasing cone for C*-I")
     L_u = truncation_length(u)
@@ -149,26 +140,29 @@ def extremal_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
     return best
 
 
-def _sample_cone(rng: np.random.Generator, cone: Cone, uvals: np.ndarray,
-                 down: np.ndarray, up: np.ndarray) -> np.ndarray:
-    K = len(uvals)
+def _sample_cone(rng: np.random.Generator, cone: Cone, trials: int,
+                 uvals: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """A (trials, K) batch of cone samples, one per row."""
+    shape = (trials, len(uvals))
     if cone is Cone.ALL:
-        return rng.uniform(-1.0, 1.0, K) * uvals
+        return rng.uniform(-1.0, 1.0, shape) * uvals
     if cone is Cone.NONNEG:
-        return rng.uniform(0.0, 1.0, K) * uvals
+        return rng.uniform(0.0, 1.0, shape) * uvals
     if cone is Cone.NONINCR:
-        raw = np.sort(rng.uniform(0.0, 1.0, K))[::-1] * (1.0 + np.max(down))
-        return np.minimum(raw, down)
-    raw = np.maximum.accumulate(rng.uniform(0.0, 1.0, K)) * (1.0 + np.max(up))
-    return np.minimum(raw, up)
+        raw = np.sort(rng.uniform(0.0, 1.0, shape), axis=1)[:, ::-1]
+        return np.minimum(raw * (1.0 + np.max(down)), down)
+    raw = np.maximum.accumulate(rng.uniform(0.0, 1.0, shape), axis=1)
+    return np.minimum(raw * (1.0 + np.max(up)), up)
 
 
 def random_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
                        N: int, trials: int, seed: int) -> float:
     """Best observed ||Bx||_{l_inf(v)} / ||x||_{d(u)} over random cone
-    samples; deterministic given the seed (one child stream per trial)."""
+    samples; deterministic given the seed (one stream for the batch)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     infinite_domain = truncation_length(u) is None
     if cone is Cone.NONDECR and infinite_domain:
         plan = cone_plan(kind, cone, None)
@@ -178,10 +172,7 @@ def random_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
     uvals = weight_values(u, cols)
     down = envelope_down(u, cols)
     up = envelope_up(u, cols)
-    X = np.empty((trials, cols))
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        X[t] = _sample_cone(rng, cone, uvals, down, up)
+    X = _sample_cone(np.random.default_rng(seed), cone, trials, uvals, down, up)
     out = apply_batch(kind, X, rows)
     if cone is Cone.NONDECR and infinite_domain:
         # a windowed nondecreasing sample stands for its constant extension:
@@ -196,12 +187,8 @@ def random_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
     ratios = np.abs(X[:, pos]) / uvals[pos]
     dens = np.max(ratios, axis=1) if np.any(pos) else np.zeros(trials)
     bad = np.any(np.abs(X[:, ~pos]) > 0, axis=1)  # nonzero over zero weight
-    best = 0.0
-    for t in range(trials):
-        if bad[t] or dens[t] <= 0.0:
-            continue
-        best = max(best, float(nums[t] / dens[t]))
-    return best
+    ok = ~bad & (dens > 0)
+    return float(np.max(nums[ok] / dens[ok], initial=0.0))
 
 
 def verify(kind: OpKind, u: Weight, v: Weight, cone: Cone,
@@ -266,8 +253,8 @@ def run_identity_suite(count: int = 1000, N: int = 50, support_max: int = 40,
 _POWER_GRID = (-2.0, -1.0, -0.5, 0.0, 0.3, 0.7, 0.99)
 
 
-def _power_consistency_case(args) -> dict:
-    kind, cone, alpha, n_max = args
+def _power_consistency_case(kind: OpKind, cone: Cone, alpha: float,
+                            n_max: int) -> dict:
     u = PowerWeight(alpha)
     cfg = TruncConfig(n_max=n_max)
     cf = power_mod.closed_form(kind, cone, alpha)
@@ -291,8 +278,8 @@ def _power_consistency_case(args) -> dict:
     return case
 
 
-def _two_op_consistency_case(args) -> dict:
-    direction, cone, alpha, n_max = args
+def _two_op_consistency_case(direction: Direction, cone: Cone, alpha: float,
+                             n_max: int) -> dict:
     u = PowerWeight(alpha)
     q = TwoOpQuery(direction, cone, u, u, TruncConfig(n_max=n_max))
     cf = best_constant(q)
@@ -317,23 +304,18 @@ def run_power_consistency_suite(n_max: int = 1_000_000,
                                 alphas: tuple = _POWER_GRID) -> list[dict]:
     """Closed forms vs the general engine over the alpha grid; infinite
     branches must be flagged analytically (or exceed 1e6 in the scan)."""
-    single = []
+    out = []
     for alpha in alphas:
         for kind in (OpKind.C, OpKind.CSTAR, OpKind.C_MINUS_I, OpKind.CSTAR_MINUS_I):
             for cone in Cone:
-                if power_mod.closed_form(kind, cone, alpha) is None:
-                    continue
-                single.append((kind, cone, alpha, n_max))
-    pairs = [(d, c, a, n_max) for a in alphas for d in Direction
-             for c in (Cone.ALL, Cone.NONNEG)]
-    with ThreadPoolExecutor(max_workers=worker_count()) as ex:
-        out = list(ex.map(_power_consistency_case, single))
-        out += list(ex.map(_two_op_consistency_case, pairs))
-    return out
+                if power_mod.closed_form(kind, cone, alpha) is not None:
+                    out.append(_power_consistency_case(kind, cone, alpha, n_max))
+    return out + [_two_op_consistency_case(d, c, a, n_max) for a in alphas
+                  for d in Direction for c in (Cone.ALL, Cone.NONNEG)]
 
 
-def _oracle_pair_case(args) -> list[dict]:
-    kind, cone, pair_idx, L, trials, seed = args
+def _oracle_pair_case(kind: OpKind, cone: Cone, pair_idx: int, L: int,
+                      trials: int, seed: int) -> dict:
     rng = np.random.default_rng([seed, 971, pair_idx])
     uu = rng.uniform(0.0, 1.0, L)
     vv = rng.uniform(0.0, 1.0, L)
@@ -344,14 +326,14 @@ def _oracle_pair_case(args) -> list[dict]:
     try:
         rep = verify(kind, u, v, cone, trials=trials, seed=seed)
     except UnsupportedConeError:
-        return [{
+        return {
             "suite": "oracle", "op": kind.value, "cone": cone.value,
             "pair": pair_idx, "skipped": True, "pass": True,
-        }]
+        }
     d = rep.to_dict()
     d.update({"suite": "oracle", "op": kind.value, "cone": cone.value,
               "pair": pair_idx, "skipped": False})
-    return [d]
+    return d
 
 
 def run_oracle_suite(pairs: int = 50, L_max: int = 20, trials: int = 500,
@@ -361,16 +343,14 @@ def run_oracle_suite(pairs: int = 50, L_max: int = 20, trials: int = 500,
     weight pairs; hypothesis-violating combinations are recorded as skips."""
     rng = np.random.default_rng([seed, 13])
     sizes = [int(x) for x in rng.integers(1, L_max + 1, size=pairs)]
-    jobs = []
+    out = []
     for kind in PRINCIPAL_KINDS:
         for cone in Cone:
             if kind is OpKind.CSTAR_MINUS_I and cone is Cone.NONINCR:
                 continue  # open problem
             for i, L in enumerate(sizes):
-                jobs.append((kind, cone, i, L, trials, seed))
-    with ThreadPoolExecutor(max_workers=worker_count()) as ex:
-        nested = list(ex.map(_oracle_pair_case, jobs))
-    return [d for sub in nested for d in sub]
+                out.append(_oracle_pair_case(kind, cone, i, L, trials, seed))
+    return out
 
 
 def run_all_suites(seed: int = 42, trials: int = 500, N: int = 50,

@@ -29,9 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import power as power_mod
-from .norms import (DEFAULT_TRUNC, NormResult, Status, TruncConfig,
-                    _DivergentTail, _divergent, _finite_sup, _scan_sup,
-                    matched_power_alpha)
+from .norms import (DEFAULT_TRUNC, NormResult, TruncConfig, _DivergentTail,
+                    _closed_form_result, _row_sup, matched_power_alpha)
 from .operators import OpKind, apply
 from .special_sums import shifted_tail_scaled
 from .weights import (Cone, PowerWeight, SeqWindow, Weight, codomain_values,
@@ -167,30 +166,11 @@ def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
             cf = power_mod.two_op_cc_power(alpha, q.cone)
         else:
             cf = power_mod.two_op_cstarc_power(alpha, q.cone)
-        if math.isinf(cf.value):
-            return _divergent()
-        return NormResult(cf.value, Status.CLOSED_FORM, 0, 0.0)
+        return _closed_form_result(cf)
 
-    L_v = truncation_length(q.v)
-    K = (L_v + 1) if L_v is not None else (q.cfg.n_max + 1)
-    K = max(K, truncation_length(q.u) or 0)
     rows = _c_le_cstar_rows if q.direction is Direction.C_LE_CSTAR else _rows_cstar_le_c
-    if L_v is not None:
-        n = np.arange(1, L_v + 1, dtype=np.int64)
-        try:
-            return _finite_sup(lambda w: rows(w, q.cone, K)(n), q.u,
-                               codomain_values(q.v, L_v),
-                               truncation_length(q.u) is None)
-        except _DivergentTail:
-            return _divergent()
-
     certificate = _certificate(q.direction, q.cone, alpha) if alpha is not None else None
-    row_fn = rows(q.u, q.cone, K)
-
-    def values_fn(n: np.ndarray) -> np.ndarray:
-        return codomain_values(q.v, len(n), int(n[0])) * row_fn(n)
-
-    return _scan_sup(values_fn, q.cfg, certificate)
+    return _row_sup(lambda w, K: rows(w, q.cone, K), q.u, q.v, q.cfg, certificate)
 
 
 def two_op_row_terms(q: TwoOpQuery, N: int) -> np.ndarray:

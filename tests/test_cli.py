@@ -129,15 +129,3 @@ def test_verify_oracle_deterministic():
     b = run(*args)
     assert a.returncode == 0
     assert a.stdout == b.stdout
-
-
-def test_worker_cap_does_not_change_output():
-    import os
-    args = ("verify", "--suite", "oracle", "--seed", "3", "--trials", "60",
-            "--pairs", "3")
-    env1 = dict(os.environ, NORMS_THREADS="1")
-    env4 = dict(os.environ, NORMS_THREADS="4")
-    a = subprocess.run(CMD + list(args), capture_output=True, text=True, env=env1)
-    b = subprocess.run(CMD + list(args), capture_output=True, text=True, env=env4)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout

@@ -1,13 +1,15 @@
+import numpy as np
 import pytest
 
 from conftest import random_list_weight
 from cesaro_copson.norms import SPECIALIZED_BY_KIND, Status, norm_cesaro
 from cesaro_copson.operators import OpKind, PRINCIPAL_KINDS
-from cesaro_copson.oracle import (UnsupportedConeError, extremal_lower_bound,
-                                  random_lower_bound, run_identity_suite,
-                                  run_oracle_suite, run_power_consistency_suite,
-                                  verify)
-from cesaro_copson.weights import Cone, ListWeight, PowerWeight
+from cesaro_copson.oracle import (UnsupportedConeError, _sample_cone,
+                                  extremal_lower_bound, random_lower_bound,
+                                  run_identity_suite, run_oracle_suite,
+                                  run_power_consistency_suite, verify)
+from cesaro_copson.weights import (Cone, ListWeight, PowerWeight, envelope_down,
+                                   envelope_up, weight_values)
 
 P = PowerWeight
 ONES4 = ListWeight((1.0,) * 4)
@@ -46,7 +48,40 @@ def test_random_search_spec_parameters():
     # below is what the deterministic search yields at these parameters
     r = random_lower_bound(OpKind.C, P(0.5), P(0.5), Cone.ALL, 10 ** 4, 10 ** 3, 42)
     assert 0.0 < r <= 2.0
-    assert r == pytest.approx(1.181483862666437, rel=1e-12)
+    assert r == pytest.approx(1.217287504109565, rel=1e-12)
+
+
+def test_random_samples_lie_in_the_cone():
+    u = ListWeight((0.5, 2.0, 0.0, 1.5, 3.0, 0.25, 1.0))
+    K = u.length
+    uvals, down, up = weight_values(u, K), envelope_down(u, K), envelope_up(u, K)
+    for cone in Cone:
+        X = _sample_cone(np.random.default_rng(3), cone, 64, uvals, down, up)
+        assert X.shape == (64, K)
+        if cone is Cone.ALL:
+            assert np.all(np.abs(X) <= uvals)
+        elif cone is Cone.NONNEG:
+            assert np.all((0.0 <= X) & (X <= uvals))
+        elif cone is Cone.NONINCR:
+            assert np.all(np.diff(X, axis=1) <= 0.0)
+            assert np.all((0.0 <= X) & (X <= down))
+        else:
+            assert np.all(np.diff(X, axis=1) >= 0.0)
+            assert np.all((0.0 <= X) & (X <= up))
+        again = _sample_cone(np.random.default_rng(3), cone, 64, uvals, down, up)
+        assert np.array_equal(X, again)
+
+
+@pytest.mark.parametrize("N", [0, -3])
+@pytest.mark.parametrize("w", [P(0.5), ListWeight((1.0, 0.5, 0.25))], ids=["power", "list"])
+@pytest.mark.parametrize("kind", [OpKind.C, OpKind.CSTAR], ids=["C", "Cstar"])
+def test_window_below_one_is_rejected(kind, w, N):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        extremal_lower_bound(kind, w, w, Cone.ALL, N)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        random_lower_bound(kind, w, w, Cone.ALL, N, 10, 1)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        verify(kind, w, w, Cone.ALL, N=N, trials=10)
 
 
 def test_exactness_on_truncated_problems(rng):
