@@ -22,20 +22,29 @@ the supremum through one driver, ``_row_sup``: ``_finite_sup`` over the rows
 of a truncated v, ``_scan_sup`` otherwise.  Only the dense path on fully
 truncated problems (``_dense_norm``) calls ``_finite_sup`` itself.
 
-Infinite problems scan rows 1..n_max in contiguous blocks of _SCAN_BLOCK
-rows, keeping only running state between blocks, so a scan's memory does
-not depend on n_max.  ``_SeqData`` serves the blocks without tables of the
-horizon's length: power prefix sums are carried from block to block, which
-assumes requests move forward (an earlier request is recomputed from
-column 1).
+Infinite problems scan rows 1..n_max in contiguous blocks (rows 1..4096,
+then up to 65,536, then _SCAN_BLOCK rows each), keeping only running state
+between blocks, so a scan's memory does not depend on n_max.  ``_SeqData``
+serves the blocks without tables of the horizon's length: power prefix sums
+are carried from block to block, which assumes requests move forward (an
+earlier request is recomputed from column 1).
+
+A scan of a pair that is not a matched power pair may stop after any block,
+at its tail (``_tail``, read from the row shapes).  For a ListWeight u
+against a PowerWeight v the rows past the column horizon are c * n**e, so
+the tail is exact.  For a power pair each part of a row is bounded by a
+decaying power of n by integral comparison, so the tail is a proven bound.
 
 Truncation of the outer supremum is reported honestly in ``NormResult``:
-exact finite problems are ClosedForm; scans are TruncatedConverged only when
-a proven monotonicity certificate applies (re-verified numerically along the
-scan) or the running supremum has stalled below the tolerance, and
-TruncatedLowerBound otherwise.  Divergence is decided analytically for power
-weights (divergent inner tails, divergent closed-form branches) and by a
-threshold heuristic for general weights.  A finite problem is never
+exact finite problems, and list-u / power-v problems closed by their exact
+tail, are ClosedForm; scans are TruncatedConverged when a power pair's tail
+bound is within the tolerance of the running supremum (residual: the gap),
+when a proven monotonicity certificate applies (re-verified numerically
+along the scan), or when the running supremum has stalled below the
+tolerance (a heuristic), and TruncatedLowerBound otherwise.  Divergence is
+decided analytically for power weights (divergent inner tails, divergent
+closed-form branches) and list-u / power-v problems (an unbounded exact
+tail), and by a threshold heuristic otherwise.  A finite problem is never
 Divergent: rows that overflow float64 are recomputed with the domain weight
 scaled by a power of two, and a norm that does not fit raises ValueError.
 """
@@ -43,6 +52,7 @@ scaled by a power of two, and a norm that does not fit raises ValueError.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -50,9 +60,10 @@ from typing import Callable
 import numpy as np
 
 from . import power as power_mod
-from .operators import (INV_K, INV_K_KP1, PREFIX, ROW_SHAPES, TAIL, ConePlan,
-                        OpKind, cone_plan, entry)
-from .special_sums import hurwitz_tail_scaled, shifted_tail_scaled
+from .operators import (INV_K, INV_K_KP1, PREFIX, ROW_SHAPES, SCALE_POWERS,
+                        SINGLE, TAIL, ConePlan, OpKind, RowShape, cone_plan,
+                        entry)
+from .special_sums import _BLOCK, hurwitz_tail_scaled, shifted_tail_scaled
 from .weights import (Cone, ListWeight, PowerWeight, Weight, codomain_values,
                       envelope_down, envelope_up, truncation_length,
                       weight_values)
@@ -89,7 +100,15 @@ class TruncConfig:
     divergence_threshold: float = 1e15
 
     def __post_init__(self) -> None:
-        if self.n_max < 1 or self.tol <= 0 or self.divergence_threshold <= 0:
+        if isinstance(self.n_max, bool):
+            raise ValueError("n_max must be an integer, not a bool")
+        try:
+            n_max = operator.index(self.n_max)
+        except TypeError:
+            raise ValueError(f"n_max must be an integer, not {self.n_max!r}") from None
+        object.__setattr__(self, "n_max", n_max)
+        # "not x > 0" also refuses NaN, which would disable every test
+        if n_max < 1 or not self.tol > 0 or not self.divergence_threshold > 0:
             raise ValueError("invalid truncation configuration")
 
 
@@ -134,6 +153,13 @@ class _DivergentTail(Exception):
 _ENV = {Cone.ALL: "id", Cone.NONNEG: "id", Cone.NONINCR: "down", Cone.NONDECR: "up"}
 
 
+def _envelope(u: Weight, env: str, K: int) -> np.ndarray:
+    """u_1..u_K with the envelope env ("id", "down" or "up") applied."""
+    if env == "id":
+        return weight_values(u, K)
+    return envelope_down(u, K) if env == "down" else envelope_up(u, K)
+
+
 class _SeqData:
     """Envelope-applied domain weight over columns 1..K: values, prefix sums
     and kernel tails at requested columns, without any table of length K.
@@ -148,7 +174,8 @@ class _SeqData:
     needed (one scan block).  Precondition for O(request) cost: no prefix
     request reaches below the start of that window, as in a scan over
     increasing row blocks.  A request that does starts over from column 1:
-    correct, but O(end) in time and memory.
+    correct, but O(end) in time and memory.  A value read keeps its
+    evaluation of u for the prefix read that follows it (``_powers``).
     """
 
     def __init__(self, u: Weight, env: str, K: int):
@@ -159,6 +186,7 @@ class _SeqData:
             if env == "id" or (env == "down" and a >= 0) or (env == "up" and a <= 0):
                 self.mode, self.alpha = "power", a
                 self._p0, self._pwin = 0, np.zeros(1)   # prefix sums P[_p0..]
+                self._w0, self._win = 1, None           # values u[_w0..]
             elif env == "down":
                 self.mode, self.alpha = "ones", 0.0
             else:
@@ -166,24 +194,36 @@ class _SeqData:
             return
         self.mode, self.alpha = "list", 0.0
         self._cols = Lk = min(K, u.length)
-        if env == "id":
-            base = weight_values(u, Lk)
-        elif env == "down":
-            base = envelope_down(u, Lk)
-        else:
-            base = envelope_up(u, Lk)
-        self._vals = base
+        self._vals = base = _envelope(u, env, Lk)
         self._prefix = np.concatenate([[0.0], np.cumsum(base)])
         k = np.arange(1, Lk + 1, dtype=float)
         self._tails = {kern: np.append(np.cumsum(kern(base, k)[::-1])[::-1], 0.0)
                        for kern in (INV_K, INV_K_KP1)}
+
+    def _powers(self, first: int, count: int, keep: bool) -> np.ndarray:
+        """u_first..u_{first+count-1} in power mode.  A value read (keep)
+        evaluates one column further on either side and keeps the window,
+        read-only, until the next prefix or tail read: the rows of C - I and
+        C - S* read the values of a block (columns n-1..n+1) and then its
+        prefix sums, and so evaluate u once.  Any other read drops it."""
+        win, w0 = self._win, self._w0
+        self._win = None
+        if win is None or first < w0 or first + count > w0 + win.size:
+            if not keep:
+                return weight_values(self._u, count, first)
+            w0 = max(first - 1, 1)
+            win = weight_values(self._u, first + count + 1 - w0, w0)
+            win.flags.writeable = False   # slices of it are handed out
+        if keep:
+            self._w0, self._win = w0, win
+        return win[first - w0:first - w0 + count]
 
     def vals_at(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k)
         if self.mode == "power":
             lo = _run_start(k)
             if lo is not None and 1 <= lo <= self._cols - k.size + 1:
-                return weight_values(self._u, k.size, lo)   # a block of columns
+                return self._powers(lo, k.size, True)   # a block of columns
         out = np.zeros(k.shape, dtype=float)
         ok = (k >= 1) & (k <= self._cols)
         if self.mode == "list":
@@ -193,7 +233,7 @@ class _SeqData:
         elif self.mode == "power" and np.any(ok):
             kk = k[ok]
             lo = int(kk.min())
-            out[ok] = weight_values(self._u, int(kk.max()) - lo + 1, lo)[kk - lo]
+            out[ok] = self._powers(lo, int(kk.max()) - lo + 1, True)[kk - lo]
         return out
 
     def prefix(self, end: np.ndarray) -> np.ndarray:
@@ -211,12 +251,15 @@ class _SeqData:
             self._p0, self._pwin = 0, np.zeros(1)
         last = self._p0 + self._pwin.size - 1
         if hi > last:
-            run = np.cumsum(np.concatenate(
-                [self._pwin[-1:], weight_values(self._u, hi - last, last + 1)]))
+            # the kept sums P[start..last], then the new terms summed in
+            # place from the carry P[last] on (no copy of the block)
             start = min(lo, last)
-            self._pwin = np.concatenate([self._pwin[start - self._p0:-1], run])
-            self._pwin.flags.writeable = False   # slices of it are handed out
-            self._p0 = start
+            win = np.concatenate([self._pwin[start - self._p0:],
+                                  self._powers(last + 1, hi - last, False)])
+            run = win[last - start:]
+            np.cumsum(run, out=run)
+            win.flags.writeable = False   # slices of it are handed out
+            self._p0, self._pwin = start, win
         if first is not None:
             return self._pwin[lo - self._p0:hi - self._p0 + 1]
         return self._pwin[end - self._p0]
@@ -233,6 +276,7 @@ class _SeqData:
             if kernel is INV_K:
                 raise _DivergentTail
             return 1.0 / start.astype(float)  # telescoping
+        self._win = None   # the tail is analytic: a kept window is not read
         a = self.alpha
         if kernel is INV_K:
             if a <= 0:
@@ -270,12 +314,15 @@ def _part_values(kind: OpKind, part: str, sd: _SeqData, n: np.ndarray) -> np.nda
 
 def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, sd: _SeqData,
                         n: np.ndarray) -> np.ndarray:
-    """Row functional at rows n; sd is u with the cone's envelope _ENV[cone]."""
-    if cone is Cone.ALL:
-        return _part_values(kind, "pos", sd, n) + _part_values(kind, "neg", sd, n)
-    if cone is Cone.NONNEG:
-        return np.maximum(_part_values(kind, "pos", sd, n),
-                          _part_values(kind, "neg", sd, n))
+    """Row functional at rows n; sd is u with the cone's envelope _ENV[cone].
+    The negative part, a value read, goes first, so that a prefix read of
+    the positive part can reuse its evaluation of u."""
+    if cone in (Cone.ALL, Cone.NONNEG):
+        if ROW_SHAPES[kind].neg_scale is None:   # F is the positive part
+            return _part_values(kind, "pos", sd, n)
+        neg = _part_values(kind, "neg", sd, n)
+        pos = _part_values(kind, "pos", sd, n)
+        return pos + neg if cone is Cone.ALL else np.maximum(pos, neg)
     flipped = plan.flip.flipped(n)
     out = np.empty(n.shape, dtype=float)
     if np.any(~flipped):
@@ -332,14 +379,41 @@ def _rescaled_sup(row_values: Callable[[Weight], np.ndarray], u: Weight,
 _SCAN_BLOCK = 2 ** 16   # rows per values_fn call, a multiple of special_sums._BLOCK
 
 
+@dataclass(frozen=True)
+class _Tail:
+    """sup over rows n > N of v_n * F(n), as ``at(N)``: that supremum itself
+    when ``exact``, otherwise a proven upper bound on it.  ``at`` returns
+    None while N is too small for it to say anything."""
+
+    at: Callable[[int], float | None]
+    exact: bool = False
+
+
+def _scan_blocks(N: int):
+    """The row blocks (lo, hi) of a scan over 1..N: rows 1.._BLOCK, then up
+    to _SCAN_BLOCK, then _SCAN_BLOCK rows each.  Every block starts one past
+    a multiple of the tails' block, so each run-tail anchor lands on the row
+    a whole-array scan would use, and a scan that a tail stops early reads
+    _BLOCK rows, not _SCAN_BLOCK."""
+    lo = 1
+    while lo <= N:
+        hi = min(N, _BLOCK if lo == 1 else (lo // _SCAN_BLOCK + 1) * _SCAN_BLOCK)
+        yield lo, hi
+        lo = hi + 1
+
+
 def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
-              certificate: power_mod.ScanCertificate | None) -> NormResult:
-    """Supremum of values_fn over rows 1..n_max, called on contiguous blocks
-    of _SCAN_BLOCK rows.  Running state across blocks (max and first argmax,
-    max up to the stall cut, most negative step, a non-finite flag) gives
-    the decision a whole-array scan would give, in O(block) memory.  Since
-    the block size is a multiple of the tails' block, every run-tail anchor
-    lands on the row a whole-array scan would use."""
+              certificate: power_mod.ScanCertificate | None,
+              tail: _Tail | None = None) -> NormResult:
+    """Supremum of values_fn over rows 1..n_max, called on the contiguous
+    blocks of ``_scan_blocks``.  Running state across blocks (max and first
+    argmax, max up to the stall cut, most negative step, a non-finite flag)
+    gives the decision a whole-array scan would give, in O(block) memory.
+
+    After each block ending at row N the tail, if any, may end the scan with
+    a proven answer: an exact tail gives ClosedForm max(m, tail) (Divergent
+    when it is infinite), a bound gives TruncatedConverged once it is within
+    tol of the running max m."""
     if certificate is not None and certificate.mode == "divergent":
         return _divergent()
     N = cfg.n_max
@@ -351,8 +425,8 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
     argmax = 0
     min_step = math.inf   # most negative vals[n+1] - vals[n], across blocks
     prev = None           # last value of the previous block
-    for lo in range(1, N + 1, _SCAN_BLOCK):
-        n = np.arange(lo, min(lo + _SCAN_BLOCK, N + 1), dtype=np.int64)
+    for lo, hi in _scan_blocks(N):
+        n = np.arange(lo, hi + 1, dtype=np.int64)
         try:
             vals = values_fn(n)
         except _DivergentTail:
@@ -363,7 +437,7 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
         top = float(np.max(vals))
         if top > m:
             m, argmax = top, lo + int(np.argmax(vals))
-        if lo + vals.size - 1 <= cut:
+        if hi <= cut:
             m_cut = max(m_cut, top)
         elif lo <= cut:
             m_cut = max(m_cut, float(np.max(vals[: cut - lo + 1])))
@@ -372,6 +446,13 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
             if d.size:
                 min_step = min(min_step, float(np.min(d)))
             prev = vals[-1]
+        t = tail.at(hi) if tail is not None else None
+        if t is not None and tail.exact:
+            if math.isinf(t):
+                return _divergent(hi)
+            return NormResult(max(m, t), Status.CLOSED_FORM, hi, 0.0)
+        if t is not None and t <= m + cfg.tol:
+            return NormResult(m, Status.TRUNCATED_CONVERGED, hi, max(0.0, t - m))
     if not finite:
         return _divergent(N)
     if m > cfg.divergence_threshold:
@@ -395,10 +476,12 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
 
 def _row_sup(rows: Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]],
              u: Weight, v: Weight, cfg: TruncConfig,
-             certificate: power_mod.ScanCertificate | None) -> NormResult:
+             certificate: power_mod.ScanCertificate | None,
+             tail: _Tail | None = None) -> NormResult:
     """Supremum over rows n of v_n * F(n), where ``rows(w, K)`` returns F
     against the domain weight w on the column horizon K.  A truncated v
-    reads its rows 1..L_v exactly; otherwise rows 1..n_max are scanned."""
+    reads its rows 1..L_v exactly; otherwise rows 1..n_max are scanned, up
+    to the first block the tail closes."""
     L_u = truncation_length(u)
     L_v = truncation_length(v)
     K = max(L_v + 1 if L_v is not None else cfg.n_max + 1, L_u or 0)
@@ -414,7 +497,110 @@ def _row_sup(rows: Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]],
     def values_fn(n: np.ndarray) -> np.ndarray:
         return codomain_values(v, len(n), int(n[0])) * row_fn(n)
 
-    return _scan_sup(values_fn, cfg, certificate)
+    return _scan_sup(values_fn, cfg, certificate, tail)
+
+
+# ---------------------------------------------------------------------------
+# Tails that end a scan early, read from the row shapes
+# ---------------------------------------------------------------------------
+
+def _tail(kind: OpKind, cone: Cone, plan: ConePlan, u: Weight,
+          v: Weight) -> _Tail | None:
+    """The tail of sup_n v_n F(n) past row N, for a PowerWeight v: exact for
+    a ListWeight u, an integral-comparison bound for a PowerWeight u; None
+    when v is truncated or no bound is derived."""
+    if not isinstance(v, PowerWeight):
+        return None
+    if isinstance(u, ListWeight):
+        return _list_tail(ROW_SHAPES[kind], plan, u, _ENV[cone], v.alpha)
+    env = _ENV[cone]
+    if env == "up" and u.alpha > 0:   # the envelope is 0, and so is every row
+        return _Tail(lambda N: 0.0)
+    alpha = max(u.alpha, 0.0) if env == "down" else u.alpha
+    return _power_tail(ROW_SHAPES[kind], alpha, v.alpha,
+                       sum if cone is Cone.ALL else max)
+
+
+def _list_tail(sh: RowShape, plan: ConePlan, u: ListWeight, env: str,
+               b: float) -> _Tail | None:
+    """Exact tail for u_1..u_L against v_n = n**b.  Past row L + 1 and the
+    last listed flip (every offset in the row shapes is at least -1), no
+    row reaches a column of u but an unflipped prefix, which reads the
+    whole envelope: such rows are c * n**b * scale(1, n) = c * n**e, and
+    every other row is 0."""
+    start = max(u.length + 1, max(plan.flip.flip_rows, default=0))
+    c, e = 0.0, 0.0
+    if sh.block is PREFIX and not plan.flip.flip_all:
+        q, exact = SCALE_POWERS[sh.scale]
+        if not exact:
+            return None
+        c = float(np.cumsum(_envelope(u, env, u.length))[-1])   # as the prefix sums
+        e = b + q
+
+    def at(N: int) -> float | None:
+        if N < start:
+            return None
+        if c == 0.0:
+            return 0.0
+        if e < 0:
+            return c * (N + 1.0) ** e   # n**e decreases: its sup is at N + 1
+        return c if e == 0 else math.inf
+
+    return _Tail(at, exact=True)
+
+
+# A part of row n >= 2 is at most n**p * f(n), f positive and nonincreasing,
+# from k**-alpha against an integral; times v_n = n**b the bound decreases
+# when p + b < 0, so its sup over n > N is its value at N + 1.
+
+def _entry_envelope(scale: Callable, at: int, alpha: float):
+    """(p, f) for the single entry scale(u_{n+at}, n): u_{n+at} is
+    n**-alpha (1 + at/n)**-alpha, and that factor is <= 1 when at * alpha
+    > 0 and nonincreasing otherwise."""
+    if abs(at) > 1:
+        return None
+    e = -alpha if at * alpha <= 0 else 0.0
+    return SCALE_POWERS[scale][0] - alpha, lambda n: (1.0 + at / n) ** e
+
+
+def _block_envelope(sh: RowShape, alpha: float):
+    """(p, f) for the positive block of the row shape sh, or None."""
+    q = SCALE_POWERS[sh.scale][0]
+    if sh.block is SINGLE:
+        return _entry_envelope(sh.scale, sh.at, alpha)
+    if sh.block is PREFIX:
+        # sum_{k<=n} k**-alpha <= n**(1-alpha)/(1-alpha) for 0 <= alpha < 1,
+        # and <= n * n**-alpha for alpha < 0
+        if sh.at > 0 or alpha >= 1:
+            return None
+        c = 1.0 / (1.0 - alpha) if alpha >= 0 else 1.0
+        return q + 1.0 - alpha, lambda n: c
+    # a tail under the kernel k**q: sum_{k>=n} k**-s <= n**-s + n**(1-s)/(s-1)
+    s = alpha - q
+    if sh.at < 0 or s <= 1:
+        return None
+    return 1.0 - s, lambda n: 1.0 / (s - 1.0) + 1.0 / n
+
+
+def _power_tail(sh: RowShape, alpha: float, b: float,
+                join: Callable) -> _Tail | None:
+    """Bound for u_k = k**-alpha (the envelope's exponent) against
+    v_n = n**b: the part bounds summed (cone ALL) or their max (every other
+    cone, whatever the flips), rounded up."""
+    parts = [_block_envelope(sh, alpha)]
+    if sh.neg_scale is not None:
+        parts.append(_entry_envelope(sh.neg_scale, sh.neg_at, alpha))
+    if any(part is None or part[0] + b >= 0 for part in parts):
+        return None
+
+    def at(N: int) -> float:
+        n = N + 1.0
+        try:
+            return join(n ** (p + b) * f(n) for p, f in parts) * (1.0 + 1e-12)
+        except OverflowError:   # a factor past float range: no stop here
+            return math.inf
+
+    return _Tail(at)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +640,8 @@ def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
           ) -> NormResult:
     """Cone plan, then (with a per-operator row builder) the matched-pair
     closed form, then the supremum of the builder's rows or, without one,
-    of the generic engine's rows."""
+    of the generic engine's rows.  A matched pair's scan is certified by
+    the power theorems; any other scan may stop at its tail."""
     L_u = truncation_length(u)
     L_v = truncation_length(v)
     plan = cone_plan(kind, cone, L_u, max_row=L_v)
@@ -463,23 +650,30 @@ def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
     if plan.trivially_zero:
         return NormResult(0.0, Status.CLOSED_FORM, 0, 0.0)
     alpha = matched_power_alpha(u, v)
-    certificate = None
+    certificate = tail = None
     if alpha is not None:
         cf = power_mod.closed_form(kind, cone, alpha) if row_fn_builder else None
         if cf is not None:
             return _closed_form_result(cf)
         certificate = power_mod.scan_certificate(kind, cone, alpha)
+    else:
+        tail = _tail(kind, cone, plan, u, v)
     if row_fn_builder is not None:
         return _row_sup(lambda w, K: row_fn_builder(w, cone, K), u, v, cfg,
-                        certificate)
+                        certificate, tail)
     if L_u is not None and L_v is not None:
         return _dense_norm(kind, u, v, cone, plan, cfg)
+    return _row_sup(_engine_rows(kind, cone, plan), u, v, cfg, certificate, tail)
 
+
+def _engine_rows(kind: OpKind, cone: Cone, plan: ConePlan
+                 ) -> Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]]:
+    """The generic engine's rows in the form ``_row_sup`` takes."""
     def rows(w: Weight, K: int) -> Callable[[np.ndarray], np.ndarray]:
         sd = _SeqData(w, _ENV[cone], K)
         return lambda n: _generic_row_values(kind, cone, plan, sd, n)
 
-    return _row_sup(rows, u, v, cfg, certificate)
+    return rows
 
 
 def norm_general(kind: OpKind, u: Weight, v: Weight, cone: Cone,
@@ -575,9 +769,8 @@ def _c_minus_sstar_rows(u: Weight, cone: Cone, K: int) -> Callable:
         sd = _SeqData(u, "id", K)
 
         def fn(n: np.ndarray) -> np.ndarray:
-            nf = n.astype(float)
-            mean = sd.prefix(n) / nf
-            nxt = sd.vals_at(n + 1)
+            nxt = sd.vals_at(n + 1)   # first: the prefix read reuses it
+            mean = sd.prefix(n) / n.astype(float)
             return mean + nxt if cone is Cone.ALL else np.maximum(mean, nxt)
 
         return fn

@@ -51,6 +51,7 @@ __all__ = [
     "PRINCIPAL_KINDS",
     "RowShape",
     "ROW_SHAPES",
+    "SCALE_POWERS",
     "RowPattern",
     "RowClass",
     "SignFlip",
@@ -204,6 +205,11 @@ def _frac_prev(x, m):
 
 INV_K = _over            # tail kernel 1/k
 INV_K_KP1 = _over_pair   # tail kernel 1/(k(k+1))
+
+# Each scale as a power of m: scale(1, m) <= m**q for m >= 1, with equality
+# where exact.  The tail bounds of ``norms`` read it.
+SCALE_POWERS = {_one: (0, True), _over: (-1, True), _over_next: (-1, False),
+                _over_pair: (-2, False), _frac_prev: (0, False)}
 
 
 @dataclass(frozen=True)

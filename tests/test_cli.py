@@ -21,6 +21,14 @@ def test_norm_power_pair_closed_form():
     assert set(doc) == {"op", "cone", "value", "status", "n_used", "residual"}
 
 
+def test_norm_n_max_option():
+    r = run("norm", "--op", "cesaro", "--cone", "all", "--u", "power:0.5",
+            "--v", "power:0.3", "--n-max", "3000")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["n_used"] == 3000 and doc["status"] == "TruncatedConverged"
+
+
 def test_norm_open_problem_exits_2():
     r = run("norm", "--op", "copson-minus-identity", "--cone", "nonincr",
             "--u", "power:1", "--v", "power:1")

@@ -181,9 +181,9 @@ def test_scaling_homogeneity(rng):
 
 
 def test_statuses_on_scans():
-    # heuristic convergence for an unmatched power pair that stalls
+    # an unmatched power pair stops where its proven tail bound closes
     r = norm_cesaro(P(0.5), P(0.3), Cone.ALL, TruncConfig(n_max=50000))
-    assert r.status in (Status.TRUNCATED_CONVERGED, Status.TRUNCATED_LOWER_BOUND)
+    assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == 4096
     # threshold divergence for a rapidly growing unmatched pair
     r = norm_cesaro(P(-1.0), P(3.0), Cone.ALL,
                     TruncConfig(n_max=100000, divergence_threshold=1e9))
@@ -208,6 +208,24 @@ def test_trunc_config_validation():
         TruncConfig(n_max=0)
     with pytest.raises(ValueError):
         TruncConfig(tol=-1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_max": 1e5}, {"n_max": True}, {"n_max": False}, {"n_max": "10"},
+    {"tol": math.nan}, {"divergence_threshold": math.nan},
+    {"divergence_threshold": 0.0},
+], ids=repr)
+def test_trunc_config_rejects_values_that_break_later(kwargs):
+    # a float n_max used to fail deep inside the scan, True came back as
+    # n_used=True, and NaN tolerances disabled every convergence test
+    with pytest.raises(ValueError):
+        TruncConfig(**kwargs)
+
+
+def test_trunc_config_takes_numpy_integers():
+    cfg = TruncConfig(n_max=np.int64(5000))
+    assert cfg.n_max == 5000 and type(cfg.n_max) is int
+    assert norm_cesaro(P(0.5), P(0.3), Cone.ALL, cfg).n_used == 4096
 
 
 def _c_le_cstar(u, v):
@@ -257,16 +275,12 @@ def test_power_weight_overflow_is_a_clear_error():
         norm_cesaro(P(-400), L(*[0.0] * 9, 1e-300), Cone.ALL)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the stall heuristic "
-                   "claims convergence on a divergent list-u / power-v problem")
 def test_list_u_power_v_divergence_is_not_converged():
     # past row 3 the rows are 6 * n^(1e-10), unbounded
     r = norm_cesaro(L(1, 2, 3), P(1 + 1e-10), Cone.ALL)
     assert r.status is Status.DIVERGENT
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the divergence "
-                   "threshold reports a finite list-u / power-v norm as Divergent")
 def test_large_finite_norm_is_not_divergent():
     # the norm is 1e16, attained at n = 1
     r = norm_cesaro(L(1e16), P(-0.5), Cone.ALL)

@@ -1,5 +1,5 @@
 """The blocked supremum scan: block edges against a whole-array reference,
-and memory that does not grow with n_max."""
+memory that does not grow with n_max, and the tails that stop a scan early."""
 
 import math
 import tracemalloc
@@ -7,17 +7,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cesaro_copson import norms
-from cesaro_copson.norms import (NormResult, Status, TruncConfig, _divergent,
-                                 _DivergentTail, _scan_sup, dist_cesaro_identity,
-                                 norm_copson, norm_cstarsd, norm_general)
-from cesaro_copson.operators import OpKind
+from cesaro_copson import norms, weights
+from cesaro_copson.norms import (SPECIALIZED_BY_KIND, NormResult, Status,
+                                 TruncConfig, _divergent, _DivergentTail,
+                                 _engine_rows, _row_sup, _scan_sup, _tail,
+                                 dist_cesaro_identity, norm_c_minus_sstar,
+                                 norm_cesaro, norm_copson, norm_cstarsd,
+                                 norm_general)
+from cesaro_copson.operators import PRINCIPAL_KINDS, OpKind, cone_plan
 from cesaro_copson.power import ScanCertificate
+from cesaro_copson.special_sums import _BLOCK as F
 from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
 from cesaro_copson.weights import Cone, ListWeight, PowerWeight
 
 B = norms._SCAN_BLOCK
 P = PowerWeight
+EDGES = (F, B, 2 * B)   # the first three block ends of a long scan
 
 
 def whole_array_scan(values_fn, cfg, certificate):
@@ -89,19 +94,21 @@ def _compare(vals, cfg, certificate):
 
     got = _scan_sup(values_fn, cfg, certificate)
     assert repr(got) == repr(whole_array_scan(lambda n: vals[n - 1], cfg, certificate))
-    # contiguous blocks of B rows, in order, covering 1..N once
+    # contiguous blocks in order, covering 1..N once: rows 1..F, then up to
+    # B, then B rows each
     N = cfg.n_max
-    assert calls == [(lo, min(lo + B - 1, N), min(B, N - lo + 1))
-                     for lo in range(1, N + 1, B)]
+    ends = [e for e in (F, *range(B, N + B, B)) if e < N] + [N]
+    assert calls == [(lo, hi, hi - lo + 1)
+                     for lo, hi in zip([1] + [e + 1 for e in ends[:-1]], ends)]
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("feature", ["max", "tie", "huge", "nan", "dip", "small-dip"])
-@pytest.mark.parametrize("N", [1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("N", [1, F - 1, F, F + 1, B - 1, B, B + 1, 2 * B + 3])
 def test_block_edges_match_whole_array_scan(N, feature, offset):
     # the feature sits next to every block edge inside 1..N (at row N when
     # there is none)
-    rows = [k * B + offset for k in (1, 2) if 1 <= k * B + offset <= N] or [N]
+    rows = [e + offset for e in EDGES if 1 <= e + offset <= N] or [N]
     vals, certificate = _rows(N, feature, rows)
     _compare(vals, TruncConfig(n_max=N), certificate)
 
@@ -121,16 +128,27 @@ def test_stall_cut_at_a_block_edge(offset):
         _compare(vals, TruncConfig(n_max=N, tol=tol), None)
 
 
+# name: (call, stops early).  The three that stop at a tail are still held
+# to the memory bound, and each scan kernel keeps a case that reads the
+# whole horizon.
 MEMORY_CASES = {
-    "cstarsd-power": lambda cfg: norm_cstarsd(P(.5), P(.3), Cone.ALL, cfg),
-    "cesaro-id-nondecr": lambda cfg: dist_cesaro_identity(P(.5), P(.3), Cone.NONDECR, cfg),
-    "copson-list-u": lambda cfg: norm_copson(
-        ListWeight(tuple(float(k) for k in range(1, 300))), P(.3), Cone.ALL, cfg),
-    "general-cstar-minus-i": lambda cfg: norm_general(
-        OpKind.CSTAR_MINUS_I, P(.6), P(.6), Cone.ALL, cfg),
-    "cstar-le-c-scan": lambda cfg: best_constant(
+    "cstarsd-power": (lambda cfg: norm_cstarsd(P(.5), P(.3), Cone.ALL, cfg), True),
+    "cesaro-id-nondecr": (lambda cfg: dist_cesaro_identity(
+        P(.5), P(.3), Cone.NONDECR, cfg), True),
+    "copson-list-u": (lambda cfg: norm_copson(
+        ListWeight(tuple(float(k) for k in range(1, 300))), P(.3), Cone.ALL, cfg), True),
+    "general-cstarsd-matched": (lambda cfg: norm_general(
+        OpKind.CSTARSD, P(.5), P(.5), Cone.ALL, cfg), False),
+    "general-cesaro-id-nondecr-matched": (lambda cfg: norm_general(
+        OpKind.C_MINUS_I, P(-.5), P(-.5), Cone.NONDECR, cfg), False),
+    "cstar-le-c-list-u": (lambda cfg: best_constant(TwoOpQuery(
+        Direction.CSTAR_LE_C, Cone.ALL,
+        ListWeight(tuple(float(k) for k in range(1, 300))), P(.3), cfg)), False),
+    "general-cstar-minus-i": (lambda cfg: norm_general(
+        OpKind.CSTAR_MINUS_I, P(.6), P(.6), Cone.ALL, cfg), False),
+    "cstar-le-c-scan": (lambda cfg: best_constant(
         TwoOpQuery(Direction.CSTAR_LE_C, Cone.ALL, P(.6), P(.6), cfg),
-        use_closed_forms=False),
+        use_closed_forms=False), False),
 }
 
 
@@ -139,12 +157,127 @@ def test_scan_memory_does_not_grow_with_n_max(case):
     # a whole-array scan of 4e6 rows allocates 244-305 MB here; numpy
     # reports its buffers to tracemalloc
     cfg = TruncConfig(n_max=4 * 10 ** 6)
+    call, stops = MEMORY_CASES[case]
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        r = MEMORY_CASES[case](cfg)
+        r = call(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert r.status is not Status.DIVERGENT and r.n_used == cfg.n_max
+    assert r.status is not Status.DIVERGENT
+    if stops:
+        assert r.n_used <= B and r.status in (Status.TRUNCATED_CONVERGED,
+                                              Status.CLOSED_FORM)
+    else:
+        assert r.n_used == cfg.n_max
     assert peak <= 16 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# Tails that stop a scan
+# ---------------------------------------------------------------------------
+
+GRID = [(.85, .75), (.15, .05), (.5, .1), (-.15, -.25), (-.85, -.95), (.85, .45)]
+CLOSE = [(a, a - 1e-3) for a, _ in GRID]   # rows that barely decay
+SPAN = 2 ** 17
+
+
+def _plans():
+    for kind in PRINCIPAL_KINDS:
+        for cone in Cone:
+            plan = cone_plan(kind, cone)
+            if plan.ok and not plan.trivially_zero:
+                yield kind, cone, plan
+
+
+@pytest.mark.parametrize("a, b", GRID + CLOSE)
+def test_tail_bound_is_sound(a, b):
+    # the bound at N is at least every true row in N+1..N+2^17
+    Ns = (1, 64, F, B)
+    n = np.arange(1, B + SPAN + 1, dtype=np.int64)
+    bounded = 0
+    for kind, cone, plan in _plans():
+        tail = _tail(kind, cone, plan, P(a), P(b))
+        if tail is None:
+            continue
+        assert not tail.exact
+        vals = n.astype(float) ** b * _engine_rows(kind, cone, plan)(P(a), n.size + 1)(n)
+        for N in Ns:
+            assert tail.at(N) >= np.max(vals[N:N + SPAN]), (kind, cone, N)
+        bounded += 1
+    # every kind has a bound on the whole space when b < a
+    assert bounded >= len(PRINCIPAL_KINDS)
+
+
+@pytest.mark.parametrize("a, b", GRID)
+def test_early_stop_matches_full_scan(a, b):
+    cfg = TruncConfig(n_max=2 ** 18)
+    u, v = P(a), P(b)
+    for kind, cone, plan in _plans():
+        if _tail(kind, cone, plan, u, v) is None:
+            continue
+        full = _row_sup(_engine_rows(kind, cone, plan), u, v, cfg, None, tail=None)
+        for r in (norm_general(kind, u, v, cone, cfg),
+                  SPECIALIZED_BY_KIND[kind](u, v, cone, cfg)):
+            assert r.status is Status.TRUNCATED_CONVERGED, (kind, cone)
+            assert r.n_used <= B
+            assert r.value == pytest.approx(full.value, rel=1e-12, abs=0)
+
+
+def _full_list_scan(kind, cone, u, v):
+    plan = cone_plan(kind, cone, u.length)
+    return _row_sup(_engine_rows(kind, cone, plan), u, v,
+                    TruncConfig(n_max=2 ** 18), None, tail=None)
+
+
+@pytest.mark.parametrize("kind", PRINCIPAL_KINDS, ids=lambda k: k.name)
+@pytest.mark.parametrize("cone", list(Cone), ids=lambda c: c.name)
+def test_list_u_power_v_tail_is_exact(kind, cone, rng):
+    # b < 1: past the column horizon the rows decay, so the exact tail
+    # closes the first block and the answer is the supremum a long scan
+    # finds, to the bit
+    u = ListWeight(tuple(rng.uniform(0.5, 1.0, 7)))
+    v = P(0.6)
+    r = SPECIALIZED_BY_KIND[kind](u, v, cone)
+    if r.status is Status.UNSUPPORTED:
+        return
+    assert r.status is Status.CLOSED_FORM and r.n_used <= F
+    assert r.value == _full_list_scan(kind, cone, u, v).value
+
+
+def test_list_u_power_v_limit_and_divergence():
+    u = ListWeight((1.0, 2.0, 3.0))
+    # b = 1: every row past the horizon is 6/n * n, so the supremum is 6
+    # (the scanned rows round n * (6/n) up by an ulp at some n)
+    r = norm_cesaro(u, P(1.0), Cone.ALL)
+    assert r.status is Status.CLOSED_FORM
+    assert r.value == pytest.approx(6.0, rel=1e-15, abs=0)
+    # b = 1 + 1e-10: those rows grow like 6 n^(1e-10), without bound
+    r = norm_cesaro(u, P(1 + 1e-10), Cone.ALL)
+    assert r.status is Status.DIVERGENT and r.value == math.inf
+
+
+@pytest.mark.parametrize("fn", [
+    lambda u, v, cone, cfg: norm_general(OpKind.C_MINUS_I, u, v, cone, cfg),
+    dist_cesaro_identity,
+    lambda u, v, cone, cfg: norm_general(OpKind.C_MINUS_SSTAR, u, v, cone, cfg),
+    norm_c_minus_sstar,
+], ids=["general-c-minus-i", "c-minus-i", "general-c-minus-sstar", "c-minus-sstar"])
+@pytest.mark.parametrize("cone", [Cone.ALL, Cone.NONNEG], ids=lambda c: c.name)
+def test_one_power_evaluation_per_block(fn, cone, monkeypatch):
+    # these rows read u at columns n-1..n+1 and in the prefix sums: one
+    # evaluation of k^-a per block serves both reads
+    calls = []
+    power_vals = weights._power_vals
+
+    def counting(alpha, k):
+        if alpha == 0.5:
+            calls.append(np.size(k))
+        return power_vals(alpha, k)
+
+    monkeypatch.setattr(weights, "_power_vals", counting)
+    # v_n = n^0.7 grows faster than the rows decay: no tail, three blocks
+    r = fn(P(0.5), P(0.7), cone, TruncConfig(n_max=B + 100))
+    assert r.n_used == B + 100
+    assert len(calls) == 3
