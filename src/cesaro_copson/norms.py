@@ -27,13 +27,22 @@ then up to 65,536, then _SCAN_BLOCK rows each), keeping only running state
 between blocks, so a scan's memory does not depend on n_max.  ``_SeqData``
 serves the blocks without tables of the horizon's length: power prefix sums
 are carried from block to block, which assumes requests move forward (an
-earlier request is recomputed from column 1).
+earlier request is recomputed from column 1).  Every per-block array of a
+scan (row indices, v_n, the row parts, the value and prefix windows, the
+tails) is written with ``out=`` into block buffers (``_Buffers``) that the
+later blocks reuse, with the same operations in the same order as a fresh
+array would get, so a scan allocates a few arrays instead of some twenty
+per block, and the allocator does not hand memory back to the kernel and
+fault it in again between blocks.  What a row function or ``_SeqData``
+returns is valid only until its next call.
 
 A scan of a pair that is not a matched power pair may stop after any block,
 at its tail (``_tail``, read from the row shapes).  For a ListWeight u
 against a PowerWeight v the rows past the column horizon are c * n**e, so
 the tail is exact.  For a power pair each part of a row is bounded by a
 decaying power of n by integral comparison, so the tail is a proven bound.
+The best constants of ``two_operator`` take the exact tail the same way for
+a ListWeight u against a PowerWeight v.
 
 Truncation of the outer supremum is reported honestly in ``NormResult``:
 exact finite problems, and list-u / power-v problems closed by their exact
@@ -61,12 +70,13 @@ import numpy as np
 
 from . import power as power_mod
 from .operators import (INV_K, INV_K_KP1, PREFIX, ROW_SHAPES, SCALE_POWERS,
-                        SINGLE, TAIL, ConePlan, OpKind, RowShape, cone_plan,
-                        entry)
-from .special_sums import _BLOCK, hurwitz_tail_scaled, shifted_tail_scaled
-from .weights import (Cone, ListWeight, PowerWeight, Weight, codomain_values,
-                      envelope_down, envelope_up, truncation_length,
-                      weight_values)
+                        SINGLE, TAIL, ConePlan, OpKind, RowShape, SignFlip,
+                        cone_plan, entry)
+from .special_sums import (_BLOCK, _run_start, hurwitz_tail_scaled,
+                           shifted_tail_scaled)
+from .weights import (Cone, ListWeight, PowerWeight, Weight, _fill_range,
+                      codomain_values, envelope_down, envelope_up,
+                      truncation_length, weight_values)
 
 __all__ = [
     "Status",
@@ -160,6 +170,36 @@ def _envelope(u: Weight, env: str, K: int) -> np.ndarray:
     return envelope_down(u, K) if env == "down" else envelope_up(u, K)
 
 
+_SCAN_BLOCK = 2 ** 16   # rows per values_fn call, a multiple of special_sums._BLOCK
+
+
+class _Buffers:
+    """Named block buffers of one scan.  ``take(name, size)`` returns the
+    first ``size`` entries of that buffer, allocated again only when a block
+    is longer than any before it, so a scan's blocks reuse the same memory.
+    What a take returns is overwritten by the next take of the same name.
+
+    Past its first block of _BLOCK rows a scan reads blocks of up to
+    _SCAN_BLOCK rows, and a window adds two columns to a block: a longer
+    request gets a buffer of at least that size at once, not a second one
+    at the third block."""
+
+    def __init__(self) -> None:
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, size: int, dtype=float) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            cap = size if size <= _BLOCK + 2 else max(size, _SCAN_BLOCK + 2)
+            buf = self._bufs[name] = np.empty(cap, dtype)
+        return buf[:size]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class _SeqData:
     """Envelope-applied domain weight over columns 1..K: values, prefix sums
     and kernel tails at requested columns, without any table of length K.
@@ -175,7 +215,14 @@ class _SeqData:
     request reaches below the start of that window, as in a scan over
     increasing row blocks.  A request that does starts over from column 1:
     correct, but O(end) in time and memory.  A value read keeps its
-    evaluation of u for the prefix read that follows it (``_powers``).
+    evaluation of u for the prefix read that follows it (``_values``).
+
+    In power mode the windows live in block buffers (``_Buffers``): the
+    value window is refilled by each value read, and the prefix window by
+    each prefix read that extends it, its carry moved to the front.  A
+    slice handed out for a run of columns is a read-only view of such a
+    buffer: it is valid only until the next request to this object, so
+    copy it or use it before asking for anything else.
     """
 
     def __init__(self, u: Weight, env: str, K: int):
@@ -185,6 +232,7 @@ class _SeqData:
             a = u.alpha
             if env == "id" or (env == "down" and a >= 0) or (env == "up" and a <= 0):
                 self.mode, self.alpha = "power", a
+                self._bufs = _Buffers()
                 self._p0, self._pwin = 0, np.zeros(1)   # prefix sums P[_p0..]
                 self._w0, self._win = 1, None           # values u[_w0..]
             elif env == "down":
@@ -200,30 +248,36 @@ class _SeqData:
         self._tails = {kern: np.append(np.cumsum(kern(base, k)[::-1])[::-1], 0.0)
                        for kern in (INV_K, INV_K_KP1)}
 
-    def _powers(self, first: int, count: int, keep: bool) -> np.ndarray:
-        """u_first..u_{first+count-1} in power mode.  A value read (keep)
-        evaluates one column further on either side and keeps the window,
-        read-only, until the next prefix or tail read: the rows of C - I and
-        C - S* read the values of a block (columns n-1..n+1) and then its
-        prefix sums, and so evaluate u once.  Any other read drops it."""
+    def _values(self, first: int, count: int) -> np.ndarray:
+        """u_first..u_{first+count-1} in power mode, from a window that
+        reaches one column further on either side and is kept until the
+        next prefix or tail read: the rows of C - I and C - S* read the
+        values of a block (columns n-1..n+1) and then its prefix sums, and
+        so evaluate u once."""
+        win, w0 = self._win, self._w0
+        if win is None or first < w0 or first + count > w0 + win.size:
+            w0 = max(first - 1, 1)
+            size = first + count + 1 - w0
+            win = weight_values(self._u, size, w0, out=self._bufs.take("values", size))
+        self._w0, self._win = w0, win
+        return _read_only(win[first - w0:first - w0 + count])
+
+    def _powers_into(self, first: int, count: int, out: np.ndarray) -> None:
+        """u_first..u_{first+count-1} written into out, from the kept value
+        window when it covers them; the window is dropped."""
         win, w0 = self._win, self._w0
         self._win = None
-        if win is None or first < w0 or first + count > w0 + win.size:
-            if not keep:
-                return weight_values(self._u, count, first)
-            w0 = max(first - 1, 1)
-            win = weight_values(self._u, first + count + 1 - w0, w0)
-            win.flags.writeable = False   # slices of it are handed out
-        if keep:
-            self._w0, self._win = w0, win
-        return win[first - w0:first - w0 + count]
+        if win is not None and w0 <= first and first + count <= w0 + win.size:
+            out[...] = win[first - w0:first - w0 + count]
+        else:
+            weight_values(self._u, count, first, out=out)
 
     def vals_at(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k)
         if self.mode == "power":
             lo = _run_start(k)
             if lo is not None and 1 <= lo <= self._cols - k.size + 1:
-                return self._powers(lo, k.size, True)   # a block of columns
+                return self._values(lo, k.size)   # a block of columns
         out = np.zeros(k.shape, dtype=float)
         ok = (k >= 1) & (k <= self._cols)
         if self.mode == "list":
@@ -233,102 +287,121 @@ class _SeqData:
         elif self.mode == "power" and np.any(ok):
             kk = k[ok]
             lo = int(kk.min())
-            out[ok] = self._powers(lo, int(kk.max()) - lo + 1, True)[kk - lo]
+            out[ok] = self._values(lo, int(kk.max()) - lo + 1)[kk - lo]
         return out
 
     def prefix(self, end: np.ndarray) -> np.ndarray:
-        end = np.clip(np.asarray(end), 0, self._cols)
+        end = np.asarray(end)
+        # a run of columns inside 0..K needs no clipping
+        first = _run_start(end) if self.mode == "power" else None
+        if first is None or first < 0 or first + end.size - 1 > self._cols:
+            end, first = np.clip(end, 0, self._cols), None
         if self.mode == "list":
             return self._prefix[end]
         if self.mode == "ones":
             return end.astype(float)
         if self.mode == "zeros" or end.size == 0:
             return np.zeros(end.shape, dtype=float)
-        first = _run_start(end)
         lo, hi = (first, first + end.size - 1) if first is not None else (
             int(end.min()), int(end.max()))
         if lo < self._p0:
             self._p0, self._pwin = 0, np.zeros(1)
         last = self._p0 + self._pwin.size - 1
         if hi > last:
-            # the kept sums P[start..last], then the new terms summed in
-            # place from the carry P[last] on (no copy of the block)
+            # the kept sums P[start..last] moved to the front of the
+            # buffer, then the new terms summed in place from the carry
+            # P[last] on
             start = min(lo, last)
-            win = np.concatenate([self._pwin[start - self._p0:],
-                                  self._powers(last + 1, hi - last, False)])
-            run = win[last - start:]
+            keep = last - start + 1
+            win = self._bufs.take("prefix", hi - start + 1)
+            win[:keep] = self._pwin[start - self._p0:]
+            self._powers_into(last + 1, hi - last, win[keep:])
+            run = win[keep - 1:]
             np.cumsum(run, out=run)
-            win.flags.writeable = False   # slices of it are handed out
             self._p0, self._pwin = start, win
         if first is not None:
-            return self._pwin[lo - self._p0:hi - self._p0 + 1]
+            return _read_only(self._pwin[lo - self._p0:hi - self._p0 + 1])
         return self._pwin[end - self._p0]
 
-    def tail(self, kernel: Callable, start: np.ndarray) -> np.ndarray:
+    def tail(self, kernel: Callable, start: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
         """sum over k >= start (within the horizon) of kernel_k * value_k,
-        for the tail kernels INV_K and INV_K_KP1 of ``operators``."""
+        for the tail kernels INV_K and INV_K_KP1 of ``operators``, written
+        into the float array out of start's shape when given."""
         start = np.asarray(start)
-        if self.mode == "list":
-            return self._tails[kernel][np.clip(start, 1, self._cols + 1) - 1]
+        out = np.empty(start.shape) if out is None else out
+        if self.mode == "list":   # columns clipped to 1..L+1, where the tail is 0
+            return np.take(self._tails[kernel], start - 1, out=out, mode="clip")
         if self.mode == "zeros":
-            return np.zeros(start.shape, dtype=float)
+            out[...] = 0.0
+            return out
         if self.mode == "ones":
             if kernel is INV_K:
                 raise _DivergentTail
-            return 1.0 / start.astype(float)  # telescoping
+            return np.divide(1.0, start, out=out)   # telescoping
         self._win = None   # the tail is analytic: a kept window is not read
         a = self.alpha
         if kernel is INV_K:
             if a <= 0:
                 raise _DivergentTail
-            return hurwitz_tail_scaled(a + 1.0, start)
+            return hurwitz_tail_scaled(a + 1.0, start, out=out)
         if a + 1.0 <= 0:
             raise _DivergentTail
-        return shifted_tail_scaled(a + 1.0, start)
-
-
-def _run_start(k: np.ndarray) -> int | None:
-    """k[0] when k is the run k[0], k[0]+1, ..., k[-1]; None otherwise."""
-    if k.ndim != 1 or k.size == 0 or not (k[1:] - k[:-1] == 1).all():
-        return None
-    return int(k[0])
+        return shifted_tail_scaled(a + 1.0, start, out=out)
 
 
 # ---------------------------------------------------------------------------
 # Generic row functional from the operator structure (Theorem engine)
 # ---------------------------------------------------------------------------
 
-def _part_values(kind: OpKind, part: str, sd: _SeqData, n: np.ndarray) -> np.ndarray:
-    """(B+ u~)_n or (B- u~)_n for the unflipped operator, vectorised, read
-    from the kind's row shape."""
+def _columns(n: np.ndarray, at: int, bufs: _Buffers) -> np.ndarray:
+    """Columns n + at of the rows n (n itself when at is 0)."""
+    return n if at == 0 else np.add(n, at, out=bufs.take("cols", n.size, np.int64))
+
+
+def _part_values(kind: OpKind, part: str, sd: _SeqData, n: np.ndarray,
+                 bufs: _Buffers | None = None) -> np.ndarray:
+    """(B+ u~)_n or (B- u~)_n for the unflipped operator at the 1-D rows n,
+    vectorised, read from the kind's row shape, into the buffer named after
+    the part."""
+    bufs = _Buffers() if bufs is None else bufs
     sh = ROW_SHAPES[kind]
+    out = bufs.take(part, n.size)
     if part == "neg":
         if sh.neg_scale is None:
-            return np.zeros(n.shape)
-        return sh.neg_scale(sd.vals_at(n + sh.neg_at), n)
+            out[...] = 0.0
+            return out
+        return sh.neg_scale(sd.vals_at(_columns(n, sh.neg_at, bufs)), n, out)
+    cols = _columns(n, sh.at, bufs)
     if sh.block is TAIL:
-        return sd.tail(sh.scale, n + sh.at)
+        return sd.tail(sh.scale, cols, out)
     read = sd.prefix if sh.block is PREFIX else sd.vals_at
-    return sh.scale(read(n + sh.at), n)
+    return sh.scale(read(cols), n, out)
 
 
 def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, sd: _SeqData,
-                        n: np.ndarray) -> np.ndarray:
+                        n: np.ndarray, bufs: _Buffers | None = None) -> np.ndarray:
     """Row functional at rows n; sd is u with the cone's envelope _ENV[cone].
     The negative part, a value read, goes first, so that a prefix read of
-    the positive part can reuse its evaluation of u."""
+    the positive part can reuse its evaluation of u.  The result is one of
+    the buffers of bufs when it is given."""
+    bufs = _Buffers() if bufs is None else bufs
     if cone in (Cone.ALL, Cone.NONNEG):
         if ROW_SHAPES[kind].neg_scale is None:   # F is the positive part
-            return _part_values(kind, "pos", sd, n)
-        neg = _part_values(kind, "neg", sd, n)
-        pos = _part_values(kind, "pos", sd, n)
-        return pos + neg if cone is Cone.ALL else np.maximum(pos, neg)
+            return _part_values(kind, "pos", sd, n, bufs)
+        neg = _part_values(kind, "neg", sd, n, bufs)
+        pos = _part_values(kind, "pos", sd, n, bufs)
+        if cone is Cone.ALL:
+            return np.add(pos, neg, out=pos)
+        return np.maximum(pos, neg, out=pos)
     flipped = plan.flip.flipped(n)
+    if not flipped.any():   # a block of unflipped rows, or of flipped ones
+        return _part_values(kind, "pos", sd, n, bufs)
+    if flipped.all():
+        return _part_values(kind, "neg", sd, n, bufs)
     out = np.empty(n.shape, dtype=float)
-    if np.any(~flipped):
-        out[~flipped] = _part_values(kind, "pos", sd, n[~flipped])
-    if np.any(flipped):
-        out[flipped] = _part_values(kind, "neg", sd, n[flipped])
+    out[~flipped] = _part_values(kind, "pos", sd, n[~flipped], bufs)
+    out[flipped] = _part_values(kind, "neg", sd, n[flipped], bufs)
     return out
 
 
@@ -376,9 +449,6 @@ def _rescaled_sup(row_values: Callable[[Weight], np.ndarray], u: Weight,
     return max(top, float(np.max(rest))) if rest.size else top
 
 
-_SCAN_BLOCK = 2 ** 16   # rows per values_fn call, a multiple of special_sums._BLOCK
-
-
 @dataclass(frozen=True)
 class _Tail:
     """sup over rows n > N of v_n * F(n), as ``at(N)``: that supremum itself
@@ -407,33 +477,36 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
               tail: _Tail | None = None) -> NormResult:
     """Supremum of values_fn over rows 1..n_max, called on the contiguous
     blocks of ``_scan_blocks``.  Running state across blocks (max and first
-    argmax, max up to the stall cut, most negative step, a non-finite flag)
-    gives the decision a whole-array scan would give, in O(block) memory.
+    argmax, max up to the stall cut, most negative step) gives the decision
+    a whole-array scan would give, in O(block) memory; the per-block arrays
+    live in block buffers.  values_fn may return a buffer of its own that
+    its next call overwrites: nothing of a block is kept but scalars.
 
-    After each block ending at row N the tail, if any, may end the scan with
-    a proven answer: an exact tail gives ClosedForm max(m, tail) (Divergent
-    when it is infinite), a bound gives TruncatedConverged once it is within
-    tol of the running max m."""
+    A non-finite row ends the scan as Divergent at once, as the whole-array
+    scan would end.  After each block ending at row N the tail, if any, may
+    end the scan with a proven answer: an exact tail gives ClosedForm
+    max(m, tail) (Divergent when it is infinite), a bound gives
+    TruncatedConverged once it is within tol of the running max m."""
     if certificate is not None and certificate.mode == "divergent":
         return _divergent()
     N = cfg.n_max
     # stall window: the rows after the first 90% (empty when N == 1)
     cut = max(1, int(0.9 * N))
     steps = certificate is not None and certificate.mode == "limit"
-    finite = True
     m = m_cut = -math.inf
     argmax = 0
     min_step = math.inf   # most negative vals[n+1] - vals[n], across blocks
     prev = None           # last value of the previous block
+    bufs = _Buffers()
     for lo, hi in _scan_blocks(N):
-        n = np.arange(lo, hi + 1, dtype=np.int64)
+        size = hi - lo + 1
+        n = _fill_range(bufs.take("rows", size, np.int64), lo)
         try:
             vals = values_fn(n)
         except _DivergentTail:
             return _divergent()
-        if not finite or not np.all(np.isfinite(vals)):
-            finite = False
-            continue
+        if not np.isfinite(vals, out=bufs.take("finite", size, bool)).all():
+            return _divergent(N)
         top = float(np.max(vals))
         if top > m:
             m, argmax = top, lo + int(np.argmax(vals))
@@ -442,8 +515,10 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
         elif lo <= cut:
             m_cut = max(m_cut, float(np.max(vals[: cut - lo + 1])))
         if steps:
-            d = np.diff(vals if prev is None else np.concatenate([[prev], vals]))
-            if d.size:
+            if prev is not None:   # the step across the block edge
+                min_step = min(min_step, float(vals[0] - prev))
+            if size > 1:
+                d = np.subtract(vals[1:], vals[:-1], out=bufs.take("steps", size - 1))
                 min_step = min(min_step, float(np.min(d)))
             prev = vals[-1]
         t = tail.at(hi) if tail is not None else None
@@ -453,8 +528,6 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
             return NormResult(max(m, t), Status.CLOSED_FORM, hi, 0.0)
         if t is not None and t <= m + cfg.tol:
             return NormResult(m, Status.TRUNCATED_CONVERGED, hi, max(0.0, t - m))
-    if not finite:
-        return _divergent(N)
     if m > cfg.divergence_threshold:
         return _divergent(argmax)
     delta = m - m_cut
@@ -493,9 +566,11 @@ def _row_sup(rows: Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]],
         except _DivergentTail:
             return _divergent()
     row_fn = rows(u, K)
+    bufs = _Buffers()
 
     def values_fn(n: np.ndarray) -> np.ndarray:
-        return codomain_values(v, len(n), int(n[0])) * row_fn(n)
+        vals = codomain_values(v, len(n), int(n[0]), out=bufs.take("v", len(n)))
+        return np.multiply(vals, row_fn(n), out=vals)
 
     return _scan_sup(values_fn, cfg, certificate, tail)
 
@@ -512,7 +587,7 @@ def _tail(kind: OpKind, cone: Cone, plan: ConePlan, u: Weight,
     if not isinstance(v, PowerWeight):
         return None
     if isinstance(u, ListWeight):
-        return _list_tail(ROW_SHAPES[kind], plan, u, _ENV[cone], v.alpha)
+        return _list_tail(ROW_SHAPES[kind], plan.flip, u, _ENV[cone], v.alpha)
     env = _ENV[cone]
     if env == "up" and u.alpha > 0:   # the envelope is 0, and so is every row
         return _Tail(lambda N: 0.0)
@@ -521,16 +596,16 @@ def _tail(kind: OpKind, cone: Cone, plan: ConePlan, u: Weight,
                        sum if cone is Cone.ALL else max)
 
 
-def _list_tail(sh: RowShape, plan: ConePlan, u: ListWeight, env: str,
+def _list_tail(sh: RowShape, flip: SignFlip, u: ListWeight, env: str,
                b: float) -> _Tail | None:
     """Exact tail for u_1..u_L against v_n = n**b.  Past row L + 1 and the
     last listed flip (every offset in the row shapes is at least -1), no
     row reaches a column of u but an unflipped prefix, which reads the
     whole envelope: such rows are c * n**b * scale(1, n) = c * n**e, and
     every other row is 0."""
-    start = max(u.length + 1, max(plan.flip.flip_rows, default=0))
+    start = max(u.length + 1, max(flip.flip_rows, default=0))
     c, e = 0.0, 0.0
-    if sh.block is PREFIX and not plan.flip.flip_all:
+    if sh.block is PREFIX and not flip.flip_all:
         q, exact = SCALE_POWERS[sh.scale]
         if not exact:
             return None
@@ -671,7 +746,8 @@ def _engine_rows(kind: OpKind, cone: Cone, plan: ConePlan
     """The generic engine's rows in the form ``_row_sup`` takes."""
     def rows(w: Weight, K: int) -> Callable[[np.ndarray], np.ndarray]:
         sd = _SeqData(w, _ENV[cone], K)
-        return lambda n: _generic_row_values(kind, cone, plan, sd, n)
+        bufs = _Buffers()
+        return lambda n: _generic_row_values(kind, cone, plan, sd, n, bufs)
 
     return rows
 
@@ -765,20 +841,25 @@ def _copson_id_rows(u: Weight, cone: Cone, K: int) -> Callable:
 
 def _c_minus_sstar_rows(u: Weight, cone: Cone, K: int) -> Callable:
     L = truncation_length(u)
+    bufs = _Buffers()
     if cone in (Cone.ALL, Cone.NONNEG):
         sd = _SeqData(u, "id", K)
 
         def fn(n: np.ndarray) -> np.ndarray:
-            nxt = sd.vals_at(n + 1)   # first: the prefix read reuses it
-            mean = sd.prefix(n) / n.astype(float)
-            return mean + nxt if cone is Cone.ALL else np.maximum(mean, nxt)
+            # the value read first, copied out: the prefix read reuses it
+            nxt = bufs.take("next", n.size)
+            nxt[...] = sd.vals_at(_columns(n, 1, bufs))
+            mean = np.divide(sd.prefix(n), n, out=bufs.take("mean", n.size))
+            if cone is Cone.ALL:
+                return np.add(mean, nxt, out=mean)
+            return np.maximum(mean, nxt, out=mean)
 
         return fn
     if cone is Cone.NONINCR:
         sd = _SeqData(u, "down", K)
 
         def fn(n: np.ndarray) -> np.ndarray:
-            return sd.prefix(n) / n.astype(float)
+            return np.divide(sd.prefix(n), n, out=bufs.take("mean", n.size))
 
         return fn
     sd = _SeqData(u, "up", K)

@@ -181,26 +181,35 @@ TAIL = "tail"       # columns n+at, n+at+1, ...
 SINGLE = "single"   # column n+at
 
 
-# Scales and kernels: scale(x, m) is x times the factor at row or column m,
-# computed with the operations the formulas use (x / m, not x * (1 / m)).
-def _one(x, m):
-    return x
+# Scales and kernels: scale(x, m, out) is x times the factor at row or column
+# m, computed with the operations the formulas use (x / m, not x * (1 / m)).
+# Given out (which must not be x), the same operations are ufuncs written
+# into it; without, they stay plain operators, as the oracle calls them per
+# row on Python numbers, where a ufunc call costs ~1 us.
+def _one(x, m, out=None):
+    return x if out is None else np.positive(x, out=out)
 
 
-def _over(x, m):
-    return x / m
+def _over(x, m, out=None):
+    return x / m if out is None else np.divide(x, m, out=out)
 
 
-def _over_next(x, m):
-    return x / (m + 1.0)
+def _over_next(x, m, out=None):
+    if out is None:
+        return x / (m + 1.0)
+    return np.divide(x, np.add(m, 1.0, out=out), out=out)
 
 
-def _over_pair(x, m):
-    return x / (m * (m + 1.0))
+def _over_pair(x, m, out=None):
+    if out is None:
+        return x / (m * (m + 1.0))
+    return np.divide(x, np.multiply(m, np.add(m, 1.0, out=out), out=out), out=out)
 
 
-def _frac_prev(x, m):
-    return (m - 1.0) / m * x
+def _frac_prev(x, m, out=None):
+    if out is None:
+        return (m - 1.0) / m * x
+    return np.multiply(np.divide(np.subtract(m, 1.0, out=out), m, out=out), x, out=out)
 
 
 INV_K = _over            # tail kernel 1/k

@@ -170,55 +170,87 @@ def _shifted_em_scaled_vec(beta: float, n: np.ndarray, p: float) -> np.ndarray:
     return acc
 
 
+def _run_start(n: np.ndarray) -> int | None:
+    """n[0] when the integer array n is the run n[0], n[0]+1, ..., n[-1],
+    None otherwise.  Strictly increasing integers that span n.size - 1 form
+    a run: one comparison pass, and no array of differences."""
+    if (n.ndim != 1 or n.size == 0 or not np.issubdtype(n.dtype, np.integer)
+            or int(n[-1]) - int(n[0]) != n.size - 1
+            or not (n[1:] > n[:-1]).all()):
+        return None
+    return int(n[0])
+
+
 def _run_bounds(n: np.ndarray, s: float, p: float) -> tuple[int, int] | None:
     """(n0, n1) when n is n0, n0+1, ..., n1 with n0 >= 1 and the terms
     k**(-s) and the scales k**p of the (extended) run are normal floats."""
-    if n.ndim != 1 or n.size == 0 or not np.issubdtype(n.dtype, np.integer):
+    n0 = _run_start(n)
+    if n0 is None or n0 < 1:
         return None
-    n0, n1 = int(n[0]), int(n[-1])
-    if n0 < 1 or n1 - n0 != n.size - 1 or not np.all(np.diff(n) == 1):
-        return None
+    n1 = n0 + n.size - 1
     log_end = math.log(max(n1, _RUN_ANCHOR) + 1.0)
     if s * log_end >= _LOG_NORMAL or abs(p) * log_end >= _LOG_NORMAL:
         return None
     return n0, n1
 
 
-def _run_tails(n0: int, n1: int, p: float,
-               term: Callable[[np.ndarray], np.ndarray],
-               em_tail: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """n**p * tail(n), tail(n) = sum_{k>=n} term(k), for n = n0..n1.
+def _run_tails(n: np.ndarray, n0: int, n1: int, p: float,
+               term: Callable[[np.ndarray, np.ndarray], object],
+               em_tail: Callable[[np.ndarray], np.ndarray],
+               out: np.ndarray) -> np.ndarray:
+    """n**p * tail(n), tail(n) = sum_{k>=n} term(k), for the run n = n0..n1,
+    written into out.
 
     The run is extended to row _RUN_ANCHOR - 1 and cut into blocks of _BLOCK
     rows.  Inside a block the tails are one reverse cumsum of the positive,
     decreasing terms, so they are summed smallest first (relative rounding
     error <= _BLOCK * 2**-53); each block is anchored by the certified tail
     ``em_tail`` at the first row past it, all anchors in one vectorised call.
+    ``term(k, t)`` writes the terms at the run k into t.  The terms, sums
+    and anchors are formed in place in out, unless the run is extended.
     """
     end = max(n1, _RUN_ANCHOR - 1)
     m = end - n0 + 1
-    nblk = -(-m // _BLOCK)
-    anchors = em_tail(np.minimum(n0 + _BLOCK * np.arange(1, nblk + 1), end + 1))
-    t = np.zeros(nblk * _BLOCK)
-    t[:m] = term(np.arange(n0, end + 1, dtype=float))
-    blocks = t.reshape(nblk, _BLOCK)[:, ::-1]
-    tails = (np.cumsum(blocks, axis=1)[:, ::-1] + anchors[:, None]).reshape(-1)
-    tails = tails[: n1 - n0 + 1]
+    t, k = (out, n) if end == n1 else (np.empty(m), np.arange(n0, end + 1))
+    term(k, t)
+    anchors = em_tail(np.minimum(n0 + _BLOCK * np.arange(1, -(-m // _BLOCK) + 1),
+                                 end + 1))
+    # whole blocks, then the last short one (the zeros a padded block would
+    # add first change no sum)
+    full = m - m % _BLOCK
+    for seg, anc in ((t[:full].reshape(-1, _BLOCK), anchors[:full // _BLOCK]),
+                     (t[full:].reshape(1, -1), anchors[full // _BLOCK:])):
+        if seg.size:
+            rev = seg[:, ::-1]
+            np.cumsum(rev, axis=1, out=rev)
+            np.add(seg, anc[:, None], out=seg)
+    if t is not out:
+        out[...] = t[: n1 - n0 + 1]
     if p != 0.0:
-        tails *= np.power(np.arange(n0, n1 + 1, dtype=float), p)
-    return tails
+        out *= np.power(np.arange(n0, n1 + 1, dtype=float), p)
+    return out
 
 
-def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0) -> np.ndarray:
-    """Elementwise n**p * sum_{k>=n} k**(-s) for an integer array n (s > 1)."""
+def _shifted_terms(beta: float, k: np.ndarray, t: np.ndarray) -> None:
+    """k**-beta / (k + 1) written into t: on the run k, k + 1 is k one
+    place on."""
+    np.power(k, -beta, out=t, dtype=float)
+    np.divide(t[:-1], k[1:], out=t[:-1], dtype=float)
+    t[-1] /= k[-1] + 1.0
+
+
+def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise n**p * sum_{k>=n} k**(-s) for an integer array n (s > 1),
+    written into the float array out of n's shape when given."""
     if s <= 1.0:
         raise ValueError("hurwitz_tail_scaled requires s > 1")
     n = np.asarray(n)
+    out = np.empty(n.shape) if out is None else out
     run = _run_bounds(n, s, p)
     if run is not None:
-        return _run_tails(*run, p, lambda k: np.power(k, -s),
-                          lambda a: _em_tail_scaled_vec(s, a, 0.0))
-    out = np.empty(n.shape, dtype=float)
+        return _run_tails(n, *run, p, lambda k, t: np.power(k, -s, out=t, dtype=float),
+                          lambda a: _em_tail_scaled_vec(s, a, 0.0), out)
     small = n < 16
     if np.any(small):
         for idx in np.nonzero(small)[0]:
@@ -230,16 +262,18 @@ def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0) -> np.ndarray:
     return out
 
 
-def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0) -> np.ndarray:
-    """Elementwise n**p * sum_{k>=n} k**(-beta)/(k+1) (beta > 0)."""
+def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise n**p * sum_{k>=n} k**(-beta)/(k+1) (beta > 0), written
+    into the float array out of n's shape when given."""
     if beta <= 0.0:
         raise ValueError("shifted_tail_scaled requires beta > 0")
     n = np.asarray(n)
+    out = np.empty(n.shape) if out is None else out
     run = _run_bounds(n, beta + 1.0, p)
     if run is not None:
-        return _run_tails(*run, p, lambda k: np.power(k, -beta) / (k + 1.0),
-                          lambda a: _shifted_em_scaled_vec(beta, a, 0.0))
-    out = np.empty(n.shape, dtype=float)
+        return _run_tails(n, *run, p, lambda k, t: _shifted_terms(beta, k, t),
+                          lambda a: _shifted_em_scaled_vec(beta, a, 0.0), out)
     small = n < 32
     if np.any(small):
         for idx in np.nonzero(small)[0]:

@@ -29,12 +29,13 @@ from typing import Callable
 import numpy as np
 
 from . import power as power_mod
-from .norms import (DEFAULT_TRUNC, NormResult, TruncConfig, _DivergentTail,
-                    _closed_form_result, _row_sup, matched_power_alpha)
-from .operators import OpKind, apply
+from .norms import (_ENV, DEFAULT_TRUNC, NormResult, TruncConfig, _Buffers,
+                    _DivergentTail, _closed_form_result, _list_tail, _row_sup,
+                    _Tail, matched_power_alpha)
+from .operators import NO_FLIP, ROW_SHAPES, OpKind, _frac_prev, apply
 from .special_sums import shifted_tail_scaled
-from .weights import (Cone, PowerWeight, SeqWindow, Weight, codomain_values,
-                      envelope_down, quotient_norm_weighted,
+from .weights import (Cone, ListWeight, PowerWeight, SeqWindow, Weight,
+                      codomain_values, envelope_down, quotient_norm_weighted,
                       sup_norm_weighted, truncation_length, weight_values)
 
 __all__ = [
@@ -92,24 +93,30 @@ def _rows_cstar_le_c(u: Weight, cone: Cone, K: int) -> Callable:
     L = truncation_length(u)
     if L is None:
         alpha = u.alpha  # type: ignore[union-attr]
+        bufs = _Buffers()
         if cone is Cone.ALL:
-            uv_at = lambda k: np.where(k >= 1, np.power(np.maximum(k, 1).astype(float), -alpha), 0.0)
-
             def fn(n: np.ndarray) -> np.ndarray:
                 if alpha <= 0:
                     raise _DivergentTail
-                nf = n.astype(float)
-                prev = (nf - 1.0) / nf * uv_at(n - 1)
-                return prev + shifted_tail_scaled(alpha, n)
+                # ((n-1)/n) u_{n-1} for rows n >= 1: row 1 reads u_1 in
+                # place of u_0 = 0, as its factor (n-1)/n is 0 either way
+                k = bufs.take("cols", n.size, np.int64)
+                np.maximum(np.subtract(n, 1, out=k), 1, out=k)
+                uprev = np.power(k, -alpha, out=bufs.take("u", n.size), dtype=float)
+                prev = _frac_prev(uprev, n, bufs.take("row", n.size))
+                tail = shifted_tail_scaled(alpha, n, out=uprev)   # u is used up
+                return np.add(prev, tail, out=prev)
 
             return fn
 
         def fn(n: np.ndarray) -> np.ndarray:
+            out = bufs.take("row", n.size)
             if alpha > 1:
-                return np.zeros(n.shape)
+                out[...] = 0.0
+                return out
             if alpha <= 0:
                 raise _DivergentTail
-            return shifted_tail_scaled(alpha, n)
+            return shifted_tail_scaled(alpha, n, out=out)
 
         return fn
 
@@ -170,7 +177,21 @@ def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
 
     rows = _c_le_cstar_rows if q.direction is Direction.C_LE_CSTAR else _rows_cstar_le_c
     certificate = _certificate(q.direction, q.cone, alpha) if alpha is not None else None
-    return _row_sup(lambda w, K: rows(w, q.cone, K), q.u, q.v, q.cfg, certificate)
+    return _row_sup(lambda w, K: rows(w, q.cone, K), q.u, q.v, q.cfg, certificate,
+                    _tail(q))
+
+
+def _tail(q: TwoOpQuery) -> _Tail | None:
+    """The exact tail of a ListWeight u against a PowerWeight v: past row L
+    the C* <= A C rows are 0, and the C <= A C* rows are those of C - S*
+    (unflipped, on the cone ``_c_le_cstar_rows`` maps to)."""
+    if not (isinstance(q.u, ListWeight) and isinstance(q.v, PowerWeight)):
+        return None
+    if q.direction is Direction.CSTAR_LE_C:
+        L = q.u.length
+        return _Tail(lambda N: 0.0 if N >= L else None, exact=True)
+    return _list_tail(ROW_SHAPES[OpKind.C_MINUS_SSTAR], NO_FLIP, q.u,
+                      _ENV[_c_minus_sstar_cone(q.cone)], q.v.alpha)
 
 
 def two_op_row_terms(q: TwoOpQuery, N: int) -> np.ndarray:
@@ -185,10 +206,15 @@ def two_op_row_terms(q: TwoOpQuery, N: int) -> np.ndarray:
     return codomain_values(q.v, N) * row_fn(n)
 
 
+def _c_minus_sstar_cone(cone: Cone) -> Cone:
+    """The cone of the C - S* norm that C <= A C* on ``cone`` reduces to."""
+    return Cone.ALL if cone is Cone.ALL else Cone.NONINCR
+
+
 def _c_le_cstar_rows(u: Weight, cone: Cone, K: int) -> Callable:
     from .norms import _c_minus_sstar_rows  # same formulas, by the reduction
 
-    return _c_minus_sstar_rows(u, Cone.ALL if cone is Cone.ALL else Cone.NONINCR, K)
+    return _c_minus_sstar_rows(u, _c_minus_sstar_cone(cone), K)
 
 
 def witness_ratio(q: TwoOpQuery, n: int) -> float:

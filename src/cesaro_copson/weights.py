@@ -116,8 +116,30 @@ class SeqWindow:
 
 
 def _power_vals(alpha: float, k: np.ndarray) -> np.ndarray:
+    """k**-alpha in place over the float array k, which is returned."""
     # libm pow is exact for integer exponents and uniformly accurate otherwise
-    return np.power(np.asarray(k, dtype=float), -alpha)
+    return np.power(k, -alpha, out=k)
+
+
+# 0, 1, 2, ...: the head that _fill_range doubles, as integers and as floats
+# (a ramp of out's kind adds without a casting loop).  A scan's first block
+# of 4096 rows, and a window of it a column wider on either side, fill in
+# one addition.
+_RAMPS = {"i": np.arange(8192), "f": np.arange(8192, dtype=float)}
+
+
+def _fill_range(out: np.ndarray, first: int) -> np.ndarray:
+    """first, first+1, ... written into the 1-D integer or float array out
+    (returned): a ramp plus first, then doubled in place, so no temporary is
+    made.  Exact (below 2**53 for floats)."""
+    ramp = _RAMPS[out.dtype.kind]
+    w = min(out.size, ramp.size)
+    np.add(ramp[:w], first, out=out[:w])
+    while w < out.size:
+        m = min(w, out.size - w)
+        np.add(out[:m], w, out=out[w:w + m])
+        w += m
+    return out
 
 
 def weight_at(w: Weight, k: int) -> float:
@@ -131,21 +153,24 @@ def weight_at(w: Weight, k: int) -> float:
     return 0.0
 
 
-def _list_vals(w: ListWeight, K: int, first: int) -> np.ndarray:
-    out = np.zeros(K)
-    lo, hi = min(first - 1, w.length), min(first - 1 + K, w.length)
+def _list_vals(w: ListWeight, out: np.ndarray, first: int) -> np.ndarray:
+    lo, hi = min(first - 1, w.length), min(first - 1 + out.size, w.length)
     out[: hi - lo] = w.values[lo:hi]
+    out[hi - lo:] = 0.0
     return out
 
 
-def weight_values(w: Weight, K: int, first: int = 1) -> np.ndarray:
+def weight_values(w: Weight, K: int, first: int = 1,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Domain values u_first..u_{first+K-1} as an array (ListWeight
-    zero-padded); by default u_1..u_K."""
+    zero-padded); by default u_1..u_K.  Written into the float array out
+    of length K when given."""
     if first < 1:
         raise ValueError("first row must be >= 1")
+    out = np.empty(K) if out is None else out
     if isinstance(w, PowerWeight):
-        return _power_vals(w.alpha, np.arange(first, first + K, dtype=float))
-    return _list_vals(w, K, first)
+        return _power_vals(w.alpha, _fill_range(out, first))
+    return _list_vals(w, out, first)
 
 
 def codomain_weight_at(w: Weight, n: int) -> float:
@@ -159,14 +184,17 @@ def codomain_weight_at(w: Weight, n: int) -> float:
     return 0.0
 
 
-def codomain_values(w: Weight, N: int, first: int = 1) -> np.ndarray:
+def codomain_values(w: Weight, N: int, first: int = 1,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Codomain values v_first..v_{first+N-1} as an array (ListWeight
-    zero-padded); by default v_1..v_N."""
+    zero-padded); by default v_1..v_N.  Written into the float array out
+    of length N when given."""
     if first < 1:
         raise ValueError("first row must be >= 1")
+    out = np.empty(N) if out is None else out
     if isinstance(w, PowerWeight):
-        return np.power(np.arange(first, first + N, dtype=float), w.alpha)
-    return _list_vals(w, N, first)
+        return np.power(_fill_range(out, first), w.alpha, out=out)
+    return _list_vals(w, out, first)
 
 
 def truncation_length(w: Weight) -> int | None:

@@ -2,12 +2,16 @@
 memory that does not grow with n_max, and the tails that stop a scan early."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cesaro_copson import norms, weights
+from cesaro_copson import norms, two_operator, weights
 from cesaro_copson.norms import (SPECIALIZED_BY_KIND, NormResult, Status,
                                  TruncConfig, _divergent, _DivergentTail,
                                  _engine_rows, _row_sup, _scan_sup, _tail,
@@ -17,8 +21,9 @@ from cesaro_copson.norms import (SPECIALIZED_BY_KIND, NormResult, Status,
 from cesaro_copson.operators import PRINCIPAL_KINDS, OpKind, cone_plan
 from cesaro_copson.power import ScanCertificate
 from cesaro_copson.special_sums import _BLOCK as F
-from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
-from cesaro_copson.weights import Cone, ListWeight, PowerWeight
+from cesaro_copson.two_operator import (Direction, TwoOpQuery, _c_le_cstar_rows,
+                                        _rows_cstar_le_c, best_constant)
+from cesaro_copson.weights import Cone, ListWeight, PowerWeight, codomain_values
 
 B = norms._SCAN_BLOCK
 P = PowerWeight
@@ -95,9 +100,14 @@ def _compare(vals, cfg, certificate):
     got = _scan_sup(values_fn, cfg, certificate)
     assert repr(got) == repr(whole_array_scan(lambda n: vals[n - 1], cfg, certificate))
     # contiguous blocks in order, covering 1..N once: rows 1..F, then up to
-    # B, then B rows each
+    # B, then B rows each, up to the block that holds the first non-finite
+    # row, where the scan ends
     N = cfg.n_max
     ends = [e for e in (F, *range(B, N + B, B)) if e < N] + [N]
+    bad = np.flatnonzero(~np.isfinite(vals[:N]))
+    if bad.size:
+        row = bad[0] + 1
+        ends = [e for e in ends if e < row] + [next(e for e in ends if e >= row)]
     assert calls == [(lo, hi, hi - lo + 1)
                      for lo, hi in zip([1] + [e + 1 for e in ends[:-1]], ends)]
 
@@ -128,7 +138,7 @@ def test_stall_cut_at_a_block_edge(offset):
         _compare(vals, TruncConfig(n_max=N, tol=tol), None)
 
 
-# name: (call, stops early).  The three that stop at a tail are still held
+# name: (call, stops early).  The four that stop at a tail are still held
 # to the memory bound, and each scan kernel keeps a case that reads the
 # whole horizon.
 MEMORY_CASES = {
@@ -143,7 +153,7 @@ MEMORY_CASES = {
         OpKind.C_MINUS_I, P(-.5), P(-.5), Cone.NONDECR, cfg), False),
     "cstar-le-c-list-u": (lambda cfg: best_constant(TwoOpQuery(
         Direction.CSTAR_LE_C, Cone.ALL,
-        ListWeight(tuple(float(k) for k in range(1, 300))), P(.3), cfg)), False),
+        ListWeight(tuple(float(k) for k in range(1, 300))), P(.3), cfg)), True),
     "general-cstar-minus-i": (lambda cfg: norm_general(
         OpKind.CSTAR_MINUS_I, P(.6), P(.6), Cone.ALL, cfg), False),
     "cstar-le-c-scan": (lambda cfg: best_constant(
@@ -172,6 +182,114 @@ def test_scan_memory_does_not_grow_with_n_max(case):
     else:
         assert r.n_used == cfg.n_max
     assert peak <= 16 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# Block buffers
+# ---------------------------------------------------------------------------
+
+def _record_blocks(monkeypatch):
+    """Patch norms so that every scan records (rows, u, v, cfg, blocks):
+    ``rows`` is the row builder handed to _row_sup and ``blocks`` a copy of
+    each (n, values) pair its values_fn returned."""
+    scans = []
+    row_sup, scan_sup = norms._row_sup, norms._scan_sup
+
+    def recording_row_sup(rows, u, v, cfg, certificate, tail=None):
+        scans.append((rows, u, v, cfg, []))
+        return row_sup(rows, u, v, cfg, certificate, tail)
+
+    def recording_scan_sup(values_fn, cfg, certificate, tail=None):
+        blocks = scans[-1][4]
+
+        def copying(n):
+            vals = values_fn(n)
+            blocks.append((n.copy(), vals.copy()))
+            return vals
+
+        return scan_sup(copying, cfg, certificate, tail)
+
+    monkeypatch.setattr(norms, "_row_sup", recording_row_sup)
+    monkeypatch.setattr(norms, "_scan_sup", recording_scan_sup)
+    monkeypatch.setattr(two_operator, "_row_sup", recording_row_sup)
+    return scans
+
+
+def test_scan_rows_match_one_request(monkeypatch):
+    # every block a scan reads from its buffers has the bits of one
+    # whole-array request of the same rows, from a fresh row function
+    scans = _record_blocks(monkeypatch)
+    cfg = TruncConfig(n_max=2 * B + 4101)
+    u = P(0.6)
+    for kind in PRINCIPAL_KINDS:
+        for cone in Cone:
+            norm_general(kind, u, u, cone, cfg)
+    for direction in Direction:
+        for cone in (Cone.ALL, Cone.NONNEG):
+            best_constant(TwoOpQuery(direction, cone, u, u, cfg), use_closed_forms=False)
+    checked = 0
+    for rows, w, v, scan_cfg, blocks in scans:
+        if not blocks:
+            continue
+        n = np.concatenate([b[0] for b in blocks])
+        assert np.array_equal(n, np.arange(1, n.size + 1))
+        whole = codomain_values(v, n.size) * rows(w, scan_cfg.n_max + 1)(n)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), whole)
+        checked += len(blocks) > 3   # the scan read the long blocks
+    assert checked >= 25   # of the 28 calls, all that scan
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor page faults are read from getrusage on Linux")
+def test_scan_does_not_refault_its_buffers():
+    # a 10^6-row scan reuses its block buffers: after a first run has
+    # warmed the process, a second run faults in its few buffers and not
+    # the ~20 fresh temporaries per block it would otherwise allocate
+    code = textwrap.dedent("""
+        import resource
+        from cesaro_copson import Cone, OpKind, PowerWeight, norm_general
+        from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
+        u = PowerWeight(0.6)
+        calls = [
+            lambda: norm_general(OpKind.CSTAR, u, u, Cone.ALL),
+            lambda: norm_general(OpKind.CSTAR_MINUS_I, u, u, Cone.ALL),
+            lambda: best_constant(TwoOpQuery(Direction.CSTAR_LE_C, Cone.ALL, u, u),
+                                  use_closed_forms=False),
+        ]
+        for call in calls:
+            call()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            r = call()
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, r.n_used)
+    """)
+    src = os.path.dirname(os.path.dirname(norms.__file__))   # this package's tree
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        faults, n_used = map(int, line.split())
+        assert n_used == 10 ** 6
+        assert faults < 3000, out.stdout
+
+
+def test_non_finite_row_ends_the_scan(monkeypatch):
+    # rows overflow from n = 6: the first block decides, and no later block
+    # is read
+    calls = []
+    scan_sup = norms._scan_sup
+
+    def counting(values_fn, cfg, certificate, tail=None):
+        def fn(n):
+            calls.append(n.size)
+            return values_fn(n)
+
+        return scan_sup(fn, cfg, certificate, tail)
+
+    monkeypatch.setattr(norms, "_scan_sup", counting)
+    r = norm_cesaro(P(0.5), P(400), Cone.ALL)
+    assert repr(r) == repr(NormResult(math.inf, Status.DIVERGENT, 10 ** 6, 0.0))
+    assert calls == [F]
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +399,18 @@ def test_one_power_evaluation_per_block(fn, cone, monkeypatch):
     r = fn(P(0.5), P(0.7), cone, TruncConfig(n_max=B + 100))
     assert r.n_used == B + 100
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.name)
+@pytest.mark.parametrize("cone", [Cone.ALL, Cone.NONNEG], ids=lambda c: c.name)
+def test_best_constant_list_u_power_v_tail_is_exact(direction, cone):
+    # past row L the C* <= A C rows are 0 and the C <= A C* rows are the
+    # decaying C - S* rows c n^(b-1): the exact tail closes the first block
+    u = ListWeight(tuple(float(k) for k in range(1, 300)))
+    v = P(0.3)
+    r = best_constant(TwoOpQuery(direction, cone, u, v))
+    assert r.status is Status.CLOSED_FORM and r.n_used == F
+    rows = _c_le_cstar_rows if direction is Direction.C_LE_CSTAR else _rows_cstar_le_c
+    full = _row_sup(lambda w, K: rows(w, cone, K), u, v, TruncConfig(n_max=2 ** 18),
+                    None, tail=None)
+    assert r.value == pytest.approx(full.value, rel=1e-15, abs=0)
