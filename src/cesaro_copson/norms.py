@@ -36,24 +36,28 @@ per block, and the allocator does not hand memory back to the kernel and
 fault it in again between blocks.  What a row function or ``_SeqData``
 returns is valid only until its next call.
 
-A scan of a pair that is not a matched power pair may stop after any block,
-at its tail (``_tail``, read from the row shapes).  For a ListWeight u
-against a PowerWeight v the rows past the column horizon are c * n**e, so
-the tail is exact.  For a power pair each part of a row is bounded by a
-decaying power of n by integral comparison, so the tail is a proven bound.
-The best constants of ``two_operator`` take the exact tail the same way for
-a ListWeight u against a PowerWeight v.
+A scan may stop after any block, at its tail (``_tail``, read from the row
+shapes).  For a ListWeight u against a PowerWeight v the rows past the
+column horizon are c * n**e, so the tail is exact.  For a power pair, matched
+or not, each part of a row is bounded by a nonincreasing power of n by
+integral comparison, so the tail is a proven bound.  The best constants of
+``two_operator`` take the same tails for C <= A C*, whose rows are those of
+C - S*, and the exact zero tail for C* <= A C against a ListWeight u.
 
 Truncation of the outer supremum is reported honestly in ``NormResult``:
 exact finite problems, and list-u / power-v problems closed by their exact
-tail, are ClosedForm; scans are TruncatedConverged when a power pair's tail
-bound is within the tolerance of the running supremum (residual: the gap),
-when a proven monotonicity certificate applies (re-verified numerically
-along the scan), or when the running supremum has stalled below the
+tail, are ClosedForm.  A scan is TruncatedConverged when a tail bound is
+within the tolerance of the running supremum (residual: the gap); for a
+matched power pair, whose scan carries a monotonicity certificate from the
+power theorems, only once that bound also meets the certificate (most
+matched pairs do at row 4096).  A certificate the bound does not meet is
+checked numerically at the end of the scan instead.  A scan is also
+TruncatedConverged when the running supremum has stalled below the
 tolerance (a heuristic), and TruncatedLowerBound otherwise.  Divergence is
 decided analytically for power weights (divergent inner tails, divergent
-closed-form branches) and list-u / power-v problems (an unbounded exact
-tail), and by a threshold heuristic otherwise.  A finite problem is never
+closed-form branches, prefix rows that grow on the whole space and the
+nonnegative cone) and list-u / power-v problems (an unbounded exact tail),
+and by a threshold heuristic otherwise.  A finite problem is never
 Divergent: rows that overflow float64 are recomputed with the domain weight
 scaled by a power of two, and a norm that does not fit raises ValueError.
 """
@@ -486,7 +490,12 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
     scan would end.  After each block ending at row N the tail, if any, may
     end the scan with a proven answer: an exact tail gives ClosedForm
     max(m, tail) (Divergent when it is infinite), a bound gives
-    TruncatedConverged once it is within tol of the running max m."""
+    TruncatedConverged once it is within tol of the running max m.  With a
+    certificate the bound must also meet it: a "limit" stops, with the
+    answer the end of the scan would give, once the bound is within 1e-9
+    of the limit and the rows read so far verify it; an "attained" value
+    stops once m is within tolerance of it.  A certificate the bound or the
+    rows disagree with never stops a scan early."""
     if certificate is not None and certificate.mode == "divergent":
         return _divergent()
     N = cfg.n_max
@@ -522,29 +531,46 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
                 min_step = min(min_step, float(np.min(d)))
             prev = vals[-1]
         t = tail.at(hi) if tail is not None else None
-        if t is not None and tail.exact:
+        if t is None:
+            continue
+        if tail.exact:
             if math.isinf(t):
                 return _divergent(hi)
             return NormResult(max(m, t), Status.CLOSED_FORM, hi, 0.0)
-        if t is not None and t <= m + cfg.tol:
+        if certificate is not None and certificate.mode == "limit":
+            # every row past hi is at most t, which meets the certified
+            # limit: the answer the end of the scan would accept, proven
+            value = certificate.value
+            if (abs(t - value) <= 1e-9 * abs(value) + 1e-12
+                    and _verifies(certificate, m, min_step, cfg.tol)):
+                return NormResult(value, Status.TRUNCATED_CONVERGED, hi, 1e-12)
+        elif t <= m + cfg.tol and (certificate is None
+                                   or _verifies(certificate, m, min_step, cfg.tol)):
             return NormResult(m, Status.TRUNCATED_CONVERGED, hi, max(0.0, t - m))
     if m > cfg.divergence_threshold:
         return _divergent(argmax)
     delta = m - m_cut
-    if certificate is not None:
-        scale = 1.0 + abs(certificate.value if math.isfinite(certificate.value) else m)
+    if certificate is not None and _verifies(certificate, m, min_step, cfg.tol):
         if certificate.mode == "limit":
-            monotone = min_step >= -1e-9 * scale
-            if monotone and m <= certificate.value * (1.0 + 1e-9) + 1e-12:
-                return NormResult(certificate.value, Status.TRUNCATED_CONVERGED, N, 1e-12)
-        elif certificate.mode == "attained":
-            if abs(m - certificate.value) <= max(cfg.tol, 1e-9 * scale):
-                return NormResult(m, Status.TRUNCATED_CONVERGED, N,
-                                  abs(certificate.value - m))
-        # certificate did not verify: fall back to the heuristic statuses
+            return NormResult(certificate.value, Status.TRUNCATED_CONVERGED, N, 1e-12)
+        return NormResult(m, Status.TRUNCATED_CONVERGED, N, abs(certificate.value - m))
+    # no certificate, or it did not verify: the heuristic statuses
     if cut < N and delta <= cfg.tol:
         return NormResult(m, Status.TRUNCATED_CONVERGED, N, delta)
     return NormResult(m, Status.TRUNCATED_LOWER_BOUND, N, delta)
+
+
+def _verifies(certificate: power_mod.ScanCertificate, m: float, min_step: float,
+              tol: float) -> bool:
+    """Whether the rows read so far, with running max m and most negative
+    step min_step, agree with a "limit" or "attained" certificate: a limit
+    needs monotone steps and m at most the limit, an attained value needs m
+    within tolerance of it."""
+    scale = 1.0 + abs(certificate.value if math.isfinite(certificate.value) else m)
+    if certificate.mode == "limit":
+        return (min_step >= -1e-9 * scale
+                and m <= certificate.value * (1.0 + 1e-9) + 1e-12)
+    return abs(m - certificate.value) <= max(tol, 1e-9 * scale)
 
 
 def _row_sup(rows: Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]],
@@ -579,15 +605,16 @@ def _row_sup(rows: Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]],
 # Tails that end a scan early, read from the row shapes
 # ---------------------------------------------------------------------------
 
-def _tail(kind: OpKind, cone: Cone, plan: ConePlan, u: Weight,
+def _tail(kind: OpKind, cone: Cone, flip: SignFlip, u: Weight,
           v: Weight) -> _Tail | None:
-    """The tail of sup_n v_n F(n) past row N, for a PowerWeight v: exact for
-    a ListWeight u, an integral-comparison bound for a PowerWeight u; None
-    when v is truncated or no bound is derived."""
+    """The tail of sup_n v_n F(n) past row N, for a PowerWeight v and the
+    rows flipped by flip: exact for a ListWeight u, an integral-comparison
+    bound for a PowerWeight u (matched or not); None when v is truncated or
+    no bound is derived."""
     if not isinstance(v, PowerWeight):
         return None
     if isinstance(u, ListWeight):
-        return _list_tail(ROW_SHAPES[kind], plan.flip, u, _ENV[cone], v.alpha)
+        return _list_tail(ROW_SHAPES[kind], flip, u, _ENV[cone], v.alpha)
     env = _ENV[cone]
     if env == "up" and u.alpha > 0:   # the envelope is 0, and so is every row
         return _Tail(lambda N: 0.0)
@@ -624,37 +651,46 @@ def _list_tail(sh: RowShape, flip: SignFlip, u: ListWeight, env: str,
     return _Tail(at, exact=True)
 
 
-# A part of row n >= 2 is at most n**p * f(n), f positive and nonincreasing,
-# from k**-alpha against an integral; times v_n = n**b the bound decreases
-# when p + b < 0, so its sup over n > N is its value at N + 1.
+# A part of row n >= 2 is at most n**(r - alpha) * f(n), r an integer and f
+# positive and nonincreasing, from k**-alpha against an integral.  Times
+# v_n = n**b the bound is nonincreasing when r + (b - alpha) <= 0, so its sup
+# over n > N is its value at N + 1.  The exponent is formed in that order so
+# that a matched pair (b == alpha) gets exactly r, and a part whose bound is
+# constant is not lost to a rounding of 1 - (alpha + 1) + alpha.
 
 def _entry_envelope(scale: Callable, at: int, alpha: float):
-    """(p, f) for the single entry scale(u_{n+at}, n): u_{n+at} is
+    """(r, f) for the single entry scale(u_{n+at}, n): u_{n+at} is
     n**-alpha (1 + at/n)**-alpha, and that factor is <= 1 when at * alpha
     > 0 and nonincreasing otherwise."""
     if abs(at) > 1:
         return None
     e = -alpha if at * alpha <= 0 else 0.0
-    return SCALE_POWERS[scale][0] - alpha, lambda n: (1.0 + at / n) ** e
+    return SCALE_POWERS[scale][0], lambda n: (1.0 + at / n) ** e
 
 
 def _block_envelope(sh: RowShape, alpha: float):
-    """(p, f) for the positive block of the row shape sh, or None."""
+    """(r, f) for the positive block of the row shape sh, or None."""
     q = SCALE_POWERS[sh.scale][0]
     if sh.block is SINGLE:
         return _entry_envelope(sh.scale, sh.at, alpha)
     if sh.block is PREFIX:
-        # sum_{k<=n} k**-alpha <= n**(1-alpha)/(1-alpha) for 0 <= alpha < 1,
-        # and <= n * n**-alpha for alpha < 0
+        # 0 <= alpha < 1: sum_{k<=n} k**-alpha <= int_0^n x**-alpha dx =
+        # n**(1-alpha)/(1-alpha).  alpha < 0, at <= -1: sum_{k<n} k**-alpha
+        # <= int_1^n x**-alpha dx <= n**(1-alpha)/(1-alpha).  alpha < 0,
+        # at == 0: sum_{k<=n} k**-alpha <= n * n**-alpha.
         if sh.at > 0 or alpha >= 1:
             return None
-        c = 1.0 / (1.0 - alpha) if alpha >= 0 else 1.0
-        return q + 1.0 - alpha, lambda n: c
-    # a tail under the kernel k**q: sum_{k>=n} k**-s <= n**-s + n**(1-s)/(s-1)
-    s = alpha - q
-    if sh.at < 0 or s <= 1:
+        c = 1.0 / (1.0 - alpha) if alpha >= 0 or sh.at <= -1 else 1.0
+        return q + 1, lambda n: c
+    # a tail under the kernel k**q, s = alpha - q > 1: sum_{k>n} k**-s <=
+    # int_n^inf x**-s dx = n**(1-s)/(s-1), so at >= 1 needs nothing more and
+    # at == 0 adds the term n**-s
+    if sh.at < 0 or alpha - q <= 1:
         return None
-    return 1.0 - s, lambda n: 1.0 / (s - 1.0) + 1.0 / n
+    c = 1.0 / (alpha - (q + 1))
+    if sh.at >= 1:
+        return q + 1, lambda n: c
+    return q + 1, lambda n: c + 1.0 / n
 
 
 def _power_tail(sh: RowShape, alpha: float, b: float,
@@ -665,17 +701,35 @@ def _power_tail(sh: RowShape, alpha: float, b: float,
     parts = [_block_envelope(sh, alpha)]
     if sh.neg_scale is not None:
         parts.append(_entry_envelope(sh.neg_scale, sh.neg_at, alpha))
-    if any(part is None or part[0] + b >= 0 for part in parts):
+    if any(part is None for part in parts):
+        return None
+    parts = [(r + (b - alpha), f) for r, f in parts]
+    if any(e > 0 for e, _ in parts):
         return None
 
     def at(N: int) -> float:
         n = N + 1.0
         try:
-            return join(n ** (p + b) * f(n) for p, f in parts) * (1.0 + 1e-12)
+            return join(n ** e * f(n) for e, f in parts) * (1.0 + 1e-12)
         except OverflowError:   # a factor past float range: no stop here
             return math.inf
 
     return _Tail(at)
+
+
+def _power_diverges(kind: OpKind, cone: Cone, u: Weight, v: Weight) -> bool:
+    """Whether the rows of a PowerWeight pair are unbounded, by analysis:
+    for a prefix block with the exact scale n**q, on cones ALL and NONNEG,
+    F(n) is at least its positive part n**q sum_{k<=n+at} k**-alpha, and
+    for alpha < 1 that sum is at least int_1^{n+at} x**-alpha dx =
+    ((n+at)**(1-alpha) - 1)/(1-alpha), so v_n F(n) grows like
+    n**(q + 1 - alpha + b) when that exponent is positive."""
+    if not (isinstance(u, PowerWeight) and isinstance(v, PowerWeight)):
+        return False
+    sh = ROW_SHAPES[kind]
+    q, exact = SCALE_POWERS[sh.scale]
+    return (cone in (Cone.ALL, Cone.NONNEG) and sh.block is PREFIX and exact
+            and u.alpha < 1 and (q + 1) + (v.alpha - u.alpha) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +769,10 @@ def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
           ) -> NormResult:
     """Cone plan, then (with a per-operator row builder) the matched-pair
     closed form, then the supremum of the builder's rows or, without one,
-    of the generic engine's rows.  A matched pair's scan is certified by
-    the power theorems; any other scan may stop at its tail."""
+    of the generic engine's rows.  A power pair whose rows grow is
+    Divergent before any scan.  A scan may stop at its tail, and a matched
+    pair's scan only where that tail meets the power theorems'
+    certificate."""
     L_u = truncation_length(u)
     L_v = truncation_length(v)
     plan = cone_plan(kind, cone, L_u, max_row=L_v)
@@ -725,14 +781,15 @@ def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
     if plan.trivially_zero:
         return NormResult(0.0, Status.CLOSED_FORM, 0, 0.0)
     alpha = matched_power_alpha(u, v)
-    certificate = tail = None
+    certificate = None
     if alpha is not None:
         cf = power_mod.closed_form(kind, cone, alpha) if row_fn_builder else None
         if cf is not None:
             return _closed_form_result(cf)
         certificate = power_mod.scan_certificate(kind, cone, alpha)
-    else:
-        tail = _tail(kind, cone, plan, u, v)
+    elif _power_diverges(kind, cone, u, v):
+        return _divergent()
+    tail = _tail(kind, cone, plan.flip, u, v)
     if row_fn_builder is not None:
         return _row_sup(lambda w, K: row_fn_builder(w, cone, K), u, v, cfg,
                         certificate, tail)

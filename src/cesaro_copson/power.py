@@ -220,8 +220,10 @@ def scan_certificate(kind: OpKind, cone: Cone, alpha: float) -> ScanCertificate 
     power pair.  Backed by the monotone-average facts: n**(a-1) sum_{k<=n}
     k**(-a) moves monotonically with n (direction per sign of a), the
     tail averages n**a sum_{k>=n} k**(-a-1) decrease, and the strict-tail
-    averages n**a sum_{k>n} k**(-a-1) increase; the scan re-verifies the
-    claimed direction numerically before trusting the certificate."""
+    averages n**a sum_{k>n} k**(-a-1) increase.  The scan trusts a
+    certificate only where the rows it has read agree with it (monotone
+    steps up to a limit, a maximum at an attained value), and stops early
+    only once its proven tail bound also meets it."""
     if kind is OpKind.C:
         if cone is Cone.NONDECR:
             if alpha > 0:

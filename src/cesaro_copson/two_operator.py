@@ -28,11 +28,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import norms
 from . import power as power_mod
-from .norms import (_ENV, DEFAULT_TRUNC, NormResult, TruncConfig, _Buffers,
-                    _DivergentTail, _closed_form_result, _list_tail, _row_sup,
-                    _Tail, matched_power_alpha)
-from .operators import NO_FLIP, ROW_SHAPES, OpKind, _frac_prev, apply
+from .norms import (DEFAULT_TRUNC, NormResult, TruncConfig, _Buffers,
+                    _DivergentTail, _closed_form_result, _row_sup, _Tail,
+                    matched_power_alpha)
+from .operators import NO_FLIP, OpKind, _frac_prev, apply
 from .special_sums import shifted_tail_scaled
 from .weights import (Cone, ListWeight, PowerWeight, SeqWindow, Weight,
                       codomain_values, envelope_down, quotient_norm_weighted,
@@ -182,16 +183,20 @@ def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
 
 
 def _tail(q: TwoOpQuery) -> _Tail | None:
-    """The exact tail of a ListWeight u against a PowerWeight v: past row L
-    the C* <= A C rows are 0, and the C <= A C* rows are those of C - S*
-    (unflipped, on the cone ``_c_le_cstar_rows`` maps to)."""
-    if not (isinstance(q.u, ListWeight) and isinstance(q.v, PowerWeight)):
+    """The tail against a PowerWeight v.  Past row L of a ListWeight u the
+    C* <= A C rows are 0; no bound is derived for them on a PowerWeight u.
+    The C <= A C* rows are those of C - S* (unflipped, on the cone
+    ``_c_le_cstar_rows`` maps to), so they take its tail: exact for a
+    ListWeight u, an integral-comparison bound for a PowerWeight u."""
+    if not isinstance(q.v, PowerWeight):
         return None
     if q.direction is Direction.CSTAR_LE_C:
+        if not isinstance(q.u, ListWeight):
+            return None
         L = q.u.length
         return _Tail(lambda N: 0.0 if N >= L else None, exact=True)
-    return _list_tail(ROW_SHAPES[OpKind.C_MINUS_SSTAR], NO_FLIP, q.u,
-                      _ENV[_c_minus_sstar_cone(q.cone)], q.v.alpha)
+    return norms._tail(OpKind.C_MINUS_SSTAR, _c_minus_sstar_cone(q.cone), NO_FLIP,
+                       q.u, q.v)
 
 
 def two_op_row_terms(q: TwoOpQuery, N: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cesaro_copson import norms, two_operator, weights
+from cesaro_copson import norms, power, two_operator, weights
 from cesaro_copson.norms import (SPECIALIZED_BY_KIND, NormResult, Status,
                                  TruncConfig, _divergent, _DivergentTail,
                                  _engine_rows, _row_sup, _scan_sup, _tail,
@@ -138,9 +138,11 @@ def test_stall_cut_at_a_block_edge(offset):
         _compare(vals, TruncConfig(n_max=N, tol=tol), None)
 
 
-# name: (call, stops early).  The four that stop at a tail are still held
+# name: (call, stops early).  The cases that stop at a tail are still held
 # to the memory bound, and each scan kernel keeps a case that reads the
-# whole horizon.
+# whole horizon: v = n^b with b a little past where the rows stop decaying,
+# so no tail bound is derived and no analysis decides divergence, or the
+# C* <= A C scan, which has no tail for a power u.
 MEMORY_CASES = {
     "cstarsd-power": (lambda cfg: norm_cstarsd(P(.5), P(.3), Cone.ALL, cfg), True),
     "cesaro-id-nondecr": (lambda cfg: dist_cesaro_identity(
@@ -148,14 +150,18 @@ MEMORY_CASES = {
     "copson-list-u": (lambda cfg: norm_copson(
         ListWeight(tuple(float(k) for k in range(1, 300))), P(.3), Cone.ALL, cfg), True),
     "general-cstarsd-matched": (lambda cfg: norm_general(
-        OpKind.CSTARSD, P(.5), P(.5), Cone.ALL, cfg), False),
+        OpKind.CSTARSD, P(.5), P(.5), Cone.ALL, cfg), True),
+    "general-cstarsd-growing": (lambda cfg: norm_general(
+        OpKind.CSTARSD, P(.5), P(1.5 + 1e-3), Cone.ALL, cfg), False),
     "general-cesaro-id-nondecr-matched": (lambda cfg: norm_general(
-        OpKind.C_MINUS_I, P(-.5), P(-.5), Cone.NONDECR, cfg), False),
+        OpKind.C_MINUS_I, P(-.5), P(-.5), Cone.NONDECR, cfg), True),
+    "general-cesaro-id-nondecr-growing": (lambda cfg: norm_general(
+        OpKind.C_MINUS_I, P(-.5), P(-.5 + 1e-3), Cone.NONDECR, cfg), False),
     "cstar-le-c-list-u": (lambda cfg: best_constant(TwoOpQuery(
         Direction.CSTAR_LE_C, Cone.ALL,
         ListWeight(tuple(float(k) for k in range(1, 300))), P(.3), cfg)), True),
     "general-cstar-minus-i": (lambda cfg: norm_general(
-        OpKind.CSTAR_MINUS_I, P(.6), P(.6), Cone.ALL, cfg), False),
+        OpKind.CSTAR_MINUS_I, P(.6), P(.6 + 1e-3), Cone.ALL, cfg), False),
     "cstar-le-c-scan": (lambda cfg: best_constant(
         TwoOpQuery(Direction.CSTAR_LE_C, Cone.ALL, P(.6), P(.6), cfg),
         use_closed_forms=False), False),
@@ -217,8 +223,10 @@ def _record_blocks(monkeypatch):
 
 def test_scan_rows_match_one_request(monkeypatch):
     # every block a scan reads from its buffers has the bits of one
-    # whole-array request of the same rows, from a fresh row function
+    # whole-array request of the same rows, from a fresh row function.
+    # Without tails the matched scans read their long blocks.
     scans = _record_blocks(monkeypatch)
+    monkeypatch.setattr(norms, "_tail", lambda *args: None)
     cfg = TruncConfig(n_max=2 * B + 4101)
     u = P(0.6)
     for kind in PRINCIPAL_KINDS:
@@ -249,10 +257,11 @@ def test_scan_does_not_refault_its_buffers():
         import resource
         from cesaro_copson import Cone, OpKind, PowerWeight, norm_general
         from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
-        u = PowerWeight(0.6)
+        # v grows a little faster than the rows decay: no tail stops these
+        u, v = PowerWeight(0.6), PowerWeight(0.6 + 1e-3)
         calls = [
-            lambda: norm_general(OpKind.CSTAR, u, u, Cone.ALL),
-            lambda: norm_general(OpKind.CSTAR_MINUS_I, u, u, Cone.ALL),
+            lambda: norm_general(OpKind.CSTAR, u, v, Cone.ALL),
+            lambda: norm_general(OpKind.CSTAR_MINUS_I, u, v, Cone.ALL),
             lambda: best_constant(TwoOpQuery(Direction.CSTAR_LE_C, Cone.ALL, u, u),
                                   use_closed_forms=False),
         ]
@@ -275,7 +284,7 @@ def test_scan_does_not_refault_its_buffers():
 
 def test_non_finite_row_ends_the_scan(monkeypatch):
     # rows overflow from n = 6: the first block decides, and no later block
-    # is read
+    # is read (a tail kind: no analysis decides that these rows grow)
     calls = []
     scan_sup = norms._scan_sup
 
@@ -287,7 +296,7 @@ def test_non_finite_row_ends_the_scan(monkeypatch):
         return scan_sup(fn, cfg, certificate, tail)
 
     monkeypatch.setattr(norms, "_scan_sup", counting)
-    r = norm_cesaro(P(0.5), P(400), Cone.ALL)
+    r = norm_copson(P(0.5), P(400), Cone.ALL)
     assert repr(r) == repr(NormResult(math.inf, Status.DIVERGENT, 10 ** 6, 0.0))
     assert calls == [F]
 
@@ -316,7 +325,7 @@ def test_tail_bound_is_sound(a, b):
     n = np.arange(1, B + SPAN + 1, dtype=np.int64)
     bounded = 0
     for kind, cone, plan in _plans():
-        tail = _tail(kind, cone, plan, P(a), P(b))
+        tail = _tail(kind, cone, plan.flip, P(a), P(b))
         if tail is None:
             continue
         assert not tail.exact
@@ -333,7 +342,7 @@ def test_early_stop_matches_full_scan(a, b):
     cfg = TruncConfig(n_max=2 ** 18)
     u, v = P(a), P(b)
     for kind, cone, plan in _plans():
-        if _tail(kind, cone, plan, u, v) is None:
+        if _tail(kind, cone, plan.flip, u, v) is None:
             continue
         full = _row_sup(_engine_rows(kind, cone, plan), u, v, cfg, None, tail=None)
         for r in (norm_general(kind, u, v, cone, cfg),
@@ -390,13 +399,13 @@ def test_one_power_evaluation_per_block(fn, cone, monkeypatch):
     power_vals = weights._power_vals
 
     def counting(alpha, k):
-        if alpha == 0.5:
+        if alpha == 1.5:
             calls.append(np.size(k))
         return power_vals(alpha, k)
 
     monkeypatch.setattr(weights, "_power_vals", counting)
-    # v_n = n^0.7 grows faster than the rows decay: no tail, three blocks
-    r = fn(P(0.5), P(0.7), cone, TruncConfig(n_max=B + 100))
+    # no prefix bound is derived for alpha >= 1: no tail, three blocks
+    r = fn(P(1.5), P(0.7), cone, TruncConfig(n_max=B + 100))
     assert r.n_used == B + 100
     assert len(calls) == 3
 
@@ -414,3 +423,112 @@ def test_best_constant_list_u_power_v_tail_is_exact(direction, cone):
     full = _row_sup(lambda w, K: rows(w, cone, K), u, v, TruncConfig(n_max=2 ** 18),
                     None, tail=None)
     assert r.value == pytest.approx(full.value, rel=1e-15, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# Matched power pairs: a proven tail that meets the certificate
+# ---------------------------------------------------------------------------
+
+MATCHED_ALPHAS = (-1.4, -0.7, -0.3, 0.0, 0.3, 0.6, 0.9, 1.0, 1.7, 2.5)
+
+
+def _certified_calls(a, cfg):
+    """(label, call) for every matched (kind, cone) and C <= A C* cone whose
+    certificate is a limit or an attained value at alpha a."""
+    u = P(a)
+    for kind, cone, _ in _plans():
+        certificate = power.scan_certificate(kind, cone, a)
+        if certificate is not None and certificate.mode != "divergent":
+            yield (kind, cone), lambda kind=kind, cone=cone: norm_general(
+                kind, u, u, cone, cfg)
+    for cone in (Cone.ALL, Cone.NONNEG):
+        if two_operator._certificate(Direction.C_LE_CSTAR, cone, a).mode != "divergent":
+            yield (Direction.C_LE_CSTAR, cone), lambda cone=cone: best_constant(
+                TwoOpQuery(Direction.C_LE_CSTAR, cone, u, u, cfg), use_closed_forms=False)
+
+
+@pytest.mark.parametrize("a", MATCHED_ALPHAS)
+def test_matched_early_stop_matches_full_scan(a, monkeypatch):
+    # the first block's tail meets the certificate, and the answer is the
+    # one the full scan gives, to the bit
+    cfg = TruncConfig(n_max=2 ** 18)
+    calls = list(_certified_calls(a, cfg))
+    early = [call() for _, call in calls]
+    monkeypatch.setattr(norms, "_tail", lambda *args: None)
+    for (label, call), r in zip(calls, early):
+        full = call()
+        assert full.n_used == cfg.n_max, label
+        assert (repr(r.value), r.status) == (repr(full.value), full.status), label
+        assert r.n_used == F, label
+    assert calls
+
+
+@pytest.mark.parametrize("a", (-1.4, -0.5, -0.1, 0.0, 0.3, 0.9, 1.0, 2.5))
+@pytest.mark.parametrize("db", (0.0, -0.1), ids=("matched", "b-below-a"))
+def test_tightened_envelopes_are_sound(a, db):
+    # C - I reads the prefix up to n - 1 and C* - I the tail from n + 1:
+    # the bound at N is at least every row in N+1..8N
+    n = np.arange(1, 8 * B + 1, dtype=np.int64)
+    bounded = 0
+    for kind, cone, plan in _plans():
+        if kind not in (OpKind.C_MINUS_I, OpKind.CSTAR_MINUS_I):
+            continue
+        tail = _tail(kind, cone, plan.flip, P(a), P(a + db))
+        if tail is None:
+            continue
+        vals = (n.astype(float) ** (a + db)
+                * _engine_rows(kind, cone, plan)(P(a), n.size + 1)(n))
+        for N in (F, B):
+            assert tail.at(N) >= np.max(vals[N:8 * N]), (kind, cone, N)
+        bounded += 1
+    assert bounded >= 2
+
+
+@pytest.mark.parametrize("label", ["cesaro-all", "copson-all", "cesaro-id-all-negative",
+                                   "copson-id-nonneg", "c-le-cstar-all",
+                                   "c-le-cstar-all-negative"])
+def test_wrong_certificate_never_stops_early(label, monkeypatch):
+    # a certificate whose value is 1% off disagrees with the tail: the scan
+    # reads the whole horizon and ends as it would without any tail
+    kind, cone, a = {
+        "cesaro-all": (OpKind.C, Cone.ALL, 0.5),
+        "copson-all": (OpKind.CSTAR, Cone.ALL, 0.5),
+        "cesaro-id-all-negative": (OpKind.C_MINUS_I, Cone.ALL, -0.5),
+        "copson-id-nonneg": (OpKind.CSTAR_MINUS_I, Cone.NONNEG, 0.6),
+        "c-le-cstar-all": (Direction.C_LE_CSTAR, Cone.ALL, 0.5),
+        "c-le-cstar-all-negative": (Direction.C_LE_CSTAR, Cone.ALL, -0.5),
+    }[label]
+    cfg = TruncConfig(n_max=2 * B + 4101)
+
+    def perturbed(certify):
+        def fn(*args):
+            c = certify(*args)
+            return ScanCertificate(c.mode, c.value * 1.01)
+        return fn
+
+    monkeypatch.setattr(power, "scan_certificate", perturbed(power.scan_certificate))
+    monkeypatch.setattr(two_operator, "_certificate", perturbed(two_operator._certificate))
+    if isinstance(kind, Direction):
+        def call():
+            return best_constant(TwoOpQuery(kind, cone, P(a), P(a), cfg),
+                                 use_closed_forms=False)
+    else:
+        def call():
+            return norm_general(kind, P(a), P(a), cone, cfg)
+    r = call()
+    monkeypatch.setattr(norms, "_tail", lambda *args: None)
+    assert r.n_used == cfg.n_max
+    assert repr(r) == repr(call())
+
+
+@pytest.mark.parametrize("kind", [OpKind.C, OpKind.C_MINUS_I, OpKind.C_MINUS_SSTAR],
+                         ids=lambda k: k.name)
+@pytest.mark.parametrize("cone", [Cone.ALL, Cone.NONNEG], ids=lambda c: c.name)
+def test_growing_prefix_rows_are_divergent(kind, cone):
+    # u = k^1, v = n^(-1 + 1e-10): the rows are at least (n+1)/(2n) n^(1e-10)
+    # up to o(1), unbounded, though their running max stalls within the
+    # tolerance over a scan: analysis decides them before any scan
+    u, v = P(-1), P(-1 + 1e-10)
+    for r in (norm_general(kind, u, v, cone), SPECIALIZED_BY_KIND[kind](u, v, cone)):
+        assert r.status is Status.DIVERGENT and r.value == math.inf
+    assert norm_cesaro(u, v, Cone.NONNEG).status is Status.DIVERGENT
