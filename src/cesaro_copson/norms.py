@@ -10,8 +10,9 @@ functional built from the domain weight u (or one of its monotone minorants):
     cone NONDECR  F = (B~+ u_up)_n     after admissible row flips B~
 
 The generic engine (``norm_general``) derives F from the operator structure:
-dense entry generation on fully truncated problems, and otherwise the
-positive and negative parts of each row read from the kind's row shape
+on fully truncated problems the literal matrix, built row by row from
+``operators.row_entries`` (which the tests pin to ``entry``), and otherwise
+the positive and negative parts of each row read from the kind's row shape
 (``operators.ROW_SHAPES``: a prefix, tail or single-column block and at most
 one negative entry) against prefix sums, kernel tails and values of u, with
 analytic tails on power-weight problems.  The specialised
@@ -75,7 +76,7 @@ import numpy as np
 from . import power as power_mod
 from .operators import (INV_K, INV_K_KP1, PREFIX, ROW_SHAPES, SCALE_POWERS,
                         SINGLE, TAIL, ConePlan, OpKind, RowShape, SignFlip,
-                        cone_plan, entry)
+                        cone_plan, row_entries)
 from .special_sums import (_BLOCK, _run_start, hurwitz_tail_scaled,
                            shifted_tail_scaled)
 from .weights import (Cone, ListWeight, PowerWeight, Weight, _fill_range,
@@ -419,11 +420,13 @@ def _finite_sup(row_values: Callable[[Weight], np.ndarray], u: Weight,
     ``row_values(w)`` gives F against the domain weight w, one entry per row.
 
     A finite problem is never divergent: rows whose float evaluation
-    overflows are recomputed with u scaled by an exact power of two."""
-    prods = vvals * row_values(u)
-    val = float(np.max(prods)) if prods.size else 0.0
-    if not math.isfinite(val):
-        val = _rescaled_sup(row_values, u, vvals, prods)
+    overflows are recomputed with u scaled by an exact power of two, so that
+    overflow is handled here and does not warn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = vvals * row_values(u)
+        val = float(np.max(prods)) if prods.size else 0.0
+        if not math.isfinite(val):
+            val = _rescaled_sup(row_values, u, vvals, prods)
     residual = 1e-12 if analytic_tails else 0.0
     return NormResult(val, Status.CLOSED_FORM, len(prods), residual)
 
@@ -495,7 +498,8 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
     answer the end of the scan would give, once the bound is within 1e-9
     of the limit and the rows read so far verify it; an "attained" value
     stops once m is within tolerance of it.  A certificate the bound or the
-    rows disagree with never stops a scan early."""
+    rows disagree with never stops a scan early, and at the end of the scan
+    a limit above both m and the last tail bound is refused."""
     if certificate is not None and certificate.mode == "divergent":
         return _divergent()
     N = cfg.n_max
@@ -507,49 +511,57 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
     min_step = math.inf   # most negative vals[n+1] - vals[n], across blocks
     prev = None           # last value of the previous block
     bufs = _Buffers()
-    for lo, hi in _scan_blocks(N):
-        size = hi - lo + 1
-        n = _fill_range(bufs.take("rows", size, np.int64), lo)
-        try:
-            vals = values_fn(n)
-        except _DivergentTail:
-            return _divergent()
-        if not np.isfinite(vals, out=bufs.take("finite", size, bool)).all():
-            return _divergent(N)
-        top = float(np.max(vals))
-        if top > m:
-            m, argmax = top, lo + int(np.argmax(vals))
-        if hi <= cut:
-            m_cut = max(m_cut, top)
-        elif lo <= cut:
-            m_cut = max(m_cut, float(np.max(vals[: cut - lo + 1])))
-        if steps:
-            if prev is not None:   # the step across the block edge
-                min_step = min(min_step, float(vals[0] - prev))
-            if size > 1:
-                d = np.subtract(vals[1:], vals[:-1], out=bufs.take("steps", size - 1))
-                min_step = min(min_step, float(np.min(d)))
-            prev = vals[-1]
-        t = tail.at(hi) if tail is not None else None
-        if t is None:
-            continue
-        if tail.exact:
-            if math.isinf(t):
-                return _divergent(hi)
-            return NormResult(max(m, t), Status.CLOSED_FORM, hi, 0.0)
-        if certificate is not None and certificate.mode == "limit":
-            # every row past hi is at most t, which meets the certified
-            # limit: the answer the end of the scan would accept, proven
-            value = certificate.value
-            if (abs(t - value) <= 1e-9 * abs(value) + 1e-12
-                    and _verifies(certificate, m, min_step, cfg.tol)):
-                return NormResult(value, Status.TRUNCATED_CONVERGED, hi, 1e-12)
-        elif t <= m + cfg.tol and (certificate is None
-                                   or _verifies(certificate, m, min_step, cfg.tol)):
-            return NormResult(m, Status.TRUNCATED_CONVERGED, hi, max(0.0, t - m))
+    t = None              # the last block's tail bound
+    # a non-finite row ends the scan below, so its overflow does not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _scan_blocks(N):
+            size = hi - lo + 1
+            n = _fill_range(bufs.take("rows", size, np.int64), lo)
+            try:
+                vals = values_fn(n)
+            except _DivergentTail:
+                return _divergent()
+            if not np.isfinite(vals, out=bufs.take("finite", size, bool)).all():
+                return _divergent(N)
+            top = float(np.max(vals))
+            if top > m:
+                m, argmax = top, lo + int(np.argmax(vals))
+            if hi <= cut:
+                m_cut = max(m_cut, top)
+            elif lo <= cut:
+                m_cut = max(m_cut, float(np.max(vals[: cut - lo + 1])))
+            if steps:
+                if prev is not None:   # the step across the block edge
+                    min_step = min(min_step, float(vals[0] - prev))
+                if size > 1:
+                    d = np.subtract(vals[1:], vals[:-1], out=bufs.take("steps", size - 1))
+                    min_step = min(min_step, float(np.min(d)))
+                prev = vals[-1]
+            t = tail.at(hi) if tail is not None else None
+            if t is None:
+                continue
+            if tail.exact:
+                if math.isinf(t):
+                    return _divergent(hi)
+                return NormResult(max(m, t), Status.CLOSED_FORM, hi, 0.0)
+            if certificate is not None and certificate.mode == "limit":
+                # every row past hi is at most t, which meets the certified
+                # limit: the answer the end of the scan would accept, proven
+                value = certificate.value
+                if (abs(t - value) <= 1e-9 * abs(value) + 1e-12
+                        and _verifies(certificate, m, min_step, cfg.tol)):
+                    return NormResult(value, Status.TRUNCATED_CONVERGED, hi, 1e-12)
+            elif t <= m + cfg.tol and (certificate is None
+                                       or _verifies(certificate, m, min_step, cfg.tol)):
+                return NormResult(m, Status.TRUNCATED_CONVERGED, hi, max(0.0, t - m))
     if m > cfg.divergence_threshold:
         return _divergent(argmax)
     delta = m - m_cut
+    if (steps and t is not None
+            and max(m, t) < certificate.value * (1.0 - 1e-9) - 1e-12):
+        # no row reaches the limit, read or past N: a correct limit is at
+        # most the tail bound, since t >= sup_{n>N} of the rows = the limit
+        certificate = None
     if certificate is not None and _verifies(certificate, m, min_step, cfg.tol):
         if certificate.mode == "limit":
             return NormResult(certificate.value, Status.TRUNCATED_CONVERGED, N, 1e-12)
@@ -736,12 +748,11 @@ def _power_diverges(kind: OpKind, cone: Cone, u: Weight, v: Weight) -> bool:
 # The generic engine
 # ---------------------------------------------------------------------------
 
-def _dense_norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, plan: ConePlan,
-                cfg: TruncConfig) -> NormResult:
+def _dense_norm(kind: OpKind, u: Weight, v: Weight, cone: Cone,
+                plan: ConePlan) -> NormResult:
     L_u = truncation_length(u)
     L_v = truncation_length(v)
-    M = np.array([[entry(kind, nn, kk, plan.flip)
-                   for kk in range(1, L_u + 1)] for nn in range(1, L_v + 1)])
+    M = np.array([row_entries(kind, nn, L_u, plan.flip) for nn in range(1, L_v + 1)])
     pos = np.clip(M, 0.0, None)
     neg = np.clip(-M, 0.0, None)
 
@@ -794,7 +805,7 @@ def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
         return _row_sup(lambda w, K: row_fn_builder(w, cone, K), u, v, cfg,
                         certificate, tail)
     if L_u is not None and L_v is not None:
-        return _dense_norm(kind, u, v, cone, plan, cfg)
+        return _dense_norm(kind, u, v, cone, plan)
     return _row_sup(_engine_rows(kind, cone, plan), u, v, cfg, certificate, tail)
 
 

@@ -1,8 +1,9 @@
 """Structured representations of the averaging/tail matrices.
 
 Matrices are never materialised.  ``entry`` gives b_{n,k} by its defining
-formula, written out per kind: it is the ground truth the dense engine and
-the tests read.  Everything else reads one row shape per kind
+formula, written out per kind: it is the ground truth the tests pin
+``row_entries`` to, and through it the rows that the dense path (``norms``)
+and the oracle read.  Everything else reads one row shape per kind
 (``ROW_SHAPES``): row n is a nonnegative block, the prefix 1..n+at, the tail
 from n+at or the single column n+at, plus at most one negative entry at
 column n+neg_at.  Dense rows, row sums and sign patterns, witness endpoints,

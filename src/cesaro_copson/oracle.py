@@ -121,21 +121,19 @@ def extremal_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
     best = 0.0
     for n in range(1, rows + 1):
         e = row_entries(kind, n, cols)
-        if cone is Cone.ALL:
-            x = np.sign(e) * uvals
-            val = abs(float(e @ x))
-        elif cone is Cone.NONNEG:
-            xp = np.where(e > 0, uvals, 0.0)
-            xm = np.where(e < 0, uvals, 0.0)
-            val = max(abs(float(e @ xp)), abs(float(e @ xm)))
-        elif cone is Cone.NONINCR:
+        # each witness is u (or an envelope) on the columns where it is
+        # nonzero, so B x is a dot product over those columns
+        if cone is Cone.ALL:          # x = sign(e) u
+            val = float(np.abs(e) @ uvals)
+        elif cone is Cone.NONNEG:     # x = u on the positive, then the negative part
+            val = max(float(np.maximum(e, 0.0) @ uvals),
+                      float(np.maximum(-e, 0.0) @ uvals))
+        elif cone is Cone.NONINCR:    # x = u_down on columns 1..m
             m = last_index_of_part(kind, n, cols, negative=False, flip=plan.flip)
-            x = np.where(np.arange(1, cols + 1) <= m, down, 0.0)
-            val = abs(float(e @ x))
-        else:
+            val = abs(float(e[:m] @ down[:m]))
+        else:                         # x = u_up on columns m+1..cols
             m = last_index_of_part(kind, n, cols, negative=True, flip=plan.flip)
-            x = np.where(np.arange(1, cols + 1) > m, up, 0.0)
-            val = abs(float(e @ x))
+            val = abs(float(e[m:] @ up[m:]))
         best = max(best, vvals[n - 1] * val)
     return best
 

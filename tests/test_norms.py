@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import random_list_weight
+from cesaro_copson import norms
 from cesaro_copson.norms import (SPECIALIZED_BY_KIND, Status, TruncConfig,
-                                 _part_values, _SeqData,
+                                 _finite_sup, _part_values, _SeqData,
                                  dist_cesaro_identity, dist_copson_identity,
                                  norm_c_minus_sstar, norm_cesaro, norm_copson,
                                  norm_cstarsd, norm_general)
-from cesaro_copson.operators import OpKind, entry
+from cesaro_copson.operators import PRINCIPAL_KINDS, OpKind, cone_plan, entry
 from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
-from cesaro_copson.weights import Cone, ListWeight, PowerWeight
+from cesaro_copson.weights import (Cone, ListWeight, PowerWeight, codomain_values,
+                                   envelope_down, envelope_up, weight_values)
 
 P = PowerWeight
 CONES = list(Cone)
@@ -266,6 +268,60 @@ def test_part_values_match_entry(kind, rng):
     for part, dense in (("pos", np.clip(M, 0.0, None)), ("neg", np.clip(-M, 0.0, None))):
         got = _part_values(kind, part, _SeqData(u, "id", 61), n)
         np.testing.assert_allclose(got, dense @ uv, rtol=1e-13, atol=0, err_msg=part)
+
+
+def dense_entry_norm(kind, u, v, cone):
+    """The norm of a fully truncated problem from its literal matrix, filled
+    one ``entry`` call at a time: the reference the dense path is pinned to."""
+    plan = cone_plan(kind, cone, u.length, max_row=v.length)
+    M = np.array([[entry(kind, nn, kk, plan.flip) for kk in range(1, u.length + 1)]
+                  for nn in range(1, v.length + 1)])
+    pos = np.clip(M, 0.0, None)
+    neg = np.clip(-M, 0.0, None)
+
+    def rows(w):
+        if cone is Cone.ALL:
+            return (pos + neg) @ weight_values(w, u.length)
+        if cone is Cone.NONNEG:
+            uv = weight_values(w, u.length)
+            return np.maximum(pos @ uv, neg @ uv)
+        if cone is Cone.NONINCR:
+            return pos @ envelope_down(w, u.length)
+        return pos @ envelope_up(w, u.length)
+
+    return _finite_sup(rows, u, codomain_values(v, v.length), False)
+
+
+@pytest.mark.parametrize("kind", PRINCIPAL_KINDS, ids=lambda k: k.name)
+@pytest.mark.parametrize("cone", CONES, ids=lambda c: c.name)
+def test_dense_path_matches_entry(kind, cone, rng):
+    # square, L_u < L_v and L_u > L_v; (2, 1) is where C*-I on NONINCR has
+    # a plan, and C-I / C-S* on NONDECR and (C*-S)D on NONINCR flip rows
+    for L_u, L_v in ((7, 7), (4, 11), (11, 4), (2, 1)):
+        u, v = random_list_weight(rng, L_u), random_list_weight(rng, L_v)
+        plan = cone_plan(kind, cone, L_u, max_row=L_v)
+        got = norm_general(kind, u, v, cone)
+        if not plan.ok:
+            assert got.status is Status.UNSUPPORTED
+            continue
+        want = dense_entry_norm(kind, u, v, cone)
+        assert got.status is Status.CLOSED_FORM
+        assert got.value == want.value, (L_u, L_v)
+
+
+def test_dense_path_rescale_matches_entry(monkeypatch):
+    # |row| sums to 2 for C-S*, so against u near 1e308 the rows overflow and
+    # both the dense path and its reference go through the rescale
+    u, v = L(*[1e308] * 4), L(0.25, 0.5, 0.125)
+    rescaled = norms._rescaled_sup
+    calls = []
+    monkeypatch.setattr(norms, "_rescaled_sup",
+                        lambda *args: calls.append(1) or rescaled(*args))
+    got = norm_general(OpKind.C_MINUS_SSTAR, u, v, Cone.ALL)
+    want = dense_entry_norm(OpKind.C_MINUS_SSTAR, u, v, Cone.ALL)
+    assert len(calls) == 2
+    assert got.status is Status.CLOSED_FORM and math.isfinite(got.value)
+    assert got.value == want.value
 
 
 def test_power_weight_overflow_is_a_clear_error():

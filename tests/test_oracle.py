@@ -3,13 +3,15 @@ import pytest
 
 from conftest import random_list_weight
 from cesaro_copson.norms import SPECIALIZED_BY_KIND, Status, norm_cesaro
-from cesaro_copson.operators import OpKind, PRINCIPAL_KINDS
-from cesaro_copson.oracle import (UnsupportedConeError, _sample_cone,
+from cesaro_copson.operators import (OpKind, PRINCIPAL_KINDS, cone_plan,
+                                     last_index_of_part, row_entries)
+from cesaro_copson.oracle import (UnsupportedConeError, _horizons, _sample_cone,
                                   extremal_lower_bound, random_lower_bound,
                                   run_identity_suite, run_oracle_suite,
                                   run_power_consistency_suite, verify)
-from cesaro_copson.weights import (Cone, ListWeight, PowerWeight, envelope_down,
-                                   envelope_up, weight_values)
+from cesaro_copson.weights import (Cone, ListWeight, PowerWeight, codomain_values,
+                                   envelope_down, envelope_up, truncation_length,
+                                   weight_values)
 
 P = PowerWeight
 ONES4 = ListWeight((1.0,) * 4)
@@ -82,6 +84,63 @@ def test_window_below_one_is_rejected(kind, w, N):
         random_lower_bound(kind, w, w, Cone.ALL, N, 10, 1)
     with pytest.raises(ValueError, match="N must be >= 1"):
         verify(kind, w, w, Cone.ALL, N=N, trials=10)
+
+
+def masked_witness_values(kind, u, v, cone, N):
+    """extremal_lower_bound's row loop with every witness a full-width
+    array, masked by the row's signs or by where its part ends."""
+    plan = cone_plan(kind, cone, truncation_length(u), max_row=truncation_length(v))
+    if plan.trivially_zero:
+        return 0.0
+    rows, cols = _horizons(u, v, N)
+    vvals, uvals = codomain_values(v, rows), weight_values(u, cols)
+    down, up = envelope_down(u, cols), envelope_up(u, cols)
+    cols_1 = np.arange(1, cols + 1)
+    best = 0.0
+    for n in range(1, rows + 1):
+        e = row_entries(kind, n, cols)
+        if cone is Cone.ALL:
+            val = abs(float(e @ (np.sign(e) * uvals)))
+        elif cone is Cone.NONNEG:
+            xp = np.where(e > 0, uvals, 0.0)
+            xm = np.where(e < 0, uvals, 0.0)
+            val = max(abs(float(e @ xp)), abs(float(e @ xm)))
+        elif cone is Cone.NONINCR:
+            m = last_index_of_part(kind, n, cols, negative=False, flip=plan.flip)
+            val = abs(float(e @ np.where(cols_1 <= m, down, 0.0)))
+        else:
+            m = last_index_of_part(kind, n, cols, negative=True, flip=plan.flip)
+            val = abs(float(e @ np.where(cols_1 > m, up, 0.0)))
+        best = max(best, vvals[n - 1] * val)
+    return best
+
+
+# C reads every row from one cumulative sum, not from per-row witnesses, and
+# C*-I on NONINCR is the open problem
+@pytest.mark.parametrize("kind, cone", [
+    (k, c) for k in PRINCIPAL_KINDS for c in Cone
+    if k is not OpKind.C and (k, c) != (OpKind.CSTAR_MINUS_I, Cone.NONINCR)
+], ids=lambda kc: kc.name)
+def test_witness_values_match_masked_witnesses(kind, cone, rng):
+    # ALL and NONNEG take the same products in the same order; the monotone
+    # cones sum only the witness's support, which may round differently
+    cases = [(random_list_weight(rng, L), random_list_weight(rng, L), L)
+             for L in (1, 2, 7, 40)]
+    cases += [(P(a), P(b), N) for a, b in ((0.5, 0.5), (-0.5, -0.7), (1.5, 1.2))
+              for N in (1, 50, 300)]
+    checked = 0
+    for u, v, N in cases:
+        plan = cone_plan(kind, cone, truncation_length(u), max_row=truncation_length(v))
+        if not plan.ok:
+            continue
+        got = extremal_lower_bound(kind, u, v, cone, N)
+        want = masked_witness_values(kind, u, v, cone, N)
+        if cone in (Cone.ALL, Cone.NONNEG):
+            assert got == want, (u, v, N)
+        else:
+            assert got == pytest.approx(want, rel=1e-14, abs=0), (u, v, N)
+        checked += 1
+    assert checked >= 10
 
 
 def test_exactness_on_truncated_problems(rng):
