@@ -13,22 +13,28 @@ The two primitives are
 
 The shifted tail is reduced to Hurwitz tails through the exact geometric
 split 1/(k+1) = sum_{j<J} (-1)**j k**(-j-1) + (-1)**J k**(-J) / (k+1), whose
-remainder is bounded by hurwitz_tail(a+J+1, n).
+remainder is bounded by hurwitz_tail(a+J+1, n).  The split and the Bernoulli
+terms collapse into one coefficient table per exponent (``_em_table``, a
+bounded cache): the tail past N is N**e * P(1/N), with e = 1 - s and P of
+degree 8 for the Hurwitz tail, e = -a and degree J + 7 = 21 for the shifted
+one, and each evaluation is one power and one Horner loop.  Its rounding is
+below 8 * 2**-53 <= (deg + 1) * 2**-53 relative for s <= 31 and n >= 16.
 
 Vectorised ``*_scaled`` variants evaluate n**p * tail(n) elementwise for scan
-loops.  On scattered rows the Euler-Maclaurin expansion is evaluated per row,
-with the scaling folded into the exponents so no huge or tiny intermediates
-appear.  On a contiguous increasing run n0, n0+1, ..., n1 (what every scan
-passes) the tails are reverse cumulative sums of the terms, one per block of
-_BLOCK rows, each anchored by the Euler-Maclaurin tail just past the block.
-The terms are positive and summed smallest first, so the error of a row is
-its anchor's certified error plus at most _BLOCK * 2**-53 (~4.5e-13)
-relative.  Runs whose terms k**(-s) or scales n**p would leave the normal
-float range keep the per-row path.
+loops.  On scattered rows the series is evaluated per row, with the scaling
+folded into the power n**(p+e) so no huge or tiny intermediates appear.  On a
+contiguous increasing run n0, n0+1, ..., n1 (what every scan passes) the tails
+are reverse cumulative sums of the terms, one per block of _BLOCK rows, each
+anchored by the series at the row just past the block, as the scattered path
+evaluates it there.  The terms are positive and summed smallest first, so the
+error of a row is its anchor's error (E-M remainder plus Horner rounding) plus
+at most _BLOCK * 2**-53 (~4.5e-13) relative.  Runs whose terms k**(-s) or
+scales n**p would leave the normal float range keep the per-row path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -72,20 +78,71 @@ def _rising(s: float, m: int) -> float:
     return out
 
 
-def _em_tail_at(s: float, N: int) -> tuple[float, float]:
-    """Euler-Maclaurin tail sum_{k>=N} k**(-s) and its remainder bound."""
-    t = N ** (1.0 - s) / (s - 1.0) + 0.5 * N ** (-s)
-    for i, c in enumerate(_EM_COEFFS, start=1):
-        t += c * _rising(s, 2 * i - 1) * N ** (-s - 2 * i + 1)
-    bound = _EM_BOUND_COEFF * _rising(s, 9) * N ** (-s - 9)
-    return t, abs(bound)
+@functools.lru_cache(maxsize=64)
+def _em_table(s: float, terms: int) -> tuple[tuple[float, ...], ...]:
+    """Euler-Maclaurin expansion of sum_{j<terms} (-1)**j sum_{k>=N} k**(-s-j)
+    as N**(1-s) * P(1/N), highest degree first: P, R with N**(1-s) * R(1/N)
+    bounding the E-M remainders, and W with N**(1-s) * W(1/N) * 2**-53
+    bounding the rounding of ``_em_scaled`` (the degree-i term meets 3i + 4
+    roundings, and one more covers their products)."""
+    P = [0.0] * (terms + 8)
+    R = [0.0] * (terms + 10)
+    for j in range(terms):
+        sj, sign = s + j, (-1.0) ** j
+        P[j] += sign / (sj - 1.0)
+        P[j + 1] += sign * 0.5
+        for i, c in enumerate(_EM_COEFFS, start=1):
+            P[j + 2 * i] += sign * c * _rising(sj, 2 * i - 1)
+        R[j + 10] = _EM_BOUND_COEFF * _rising(sj, 9)
+    W = [(3 * i + 5) * abs(c) for i, c in enumerate(P)]
+    return tuple(P[::-1]), tuple(R[::-1]), tuple(W[::-1])
 
 
-def _em_cut(s: float, n: int) -> int:
-    N = max(n, 16)
-    while _EM_BOUND_COEFF * _rising(s, 9) * N ** (-s - 9) > _TARGET:
+def _horner(coeffs: tuple[float, ...], x):
+    """The polynomial with these coefficients (highest degree first) at the
+    float or float array x."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _em_scaled(s: float, terms: int, n: np.ndarray, p: float = 0.0) -> np.ndarray:
+    """n**p * sum_{j<terms} (-1)**j sum_{k>=n} k**(-s-j) elementwise by the
+    Euler-Maclaurin table: one power and one Horner loop (all n >= 16)."""
+    nf = np.asarray(n, dtype=float)
+    return np.power(nf, p + 1.0 - s) * _horner(_em_table(s, terms)[0], 1.0 / nf)
+
+
+def _em_error(s: float, terms: int, N: int) -> float:
+    """Bound on the error of the table's series at row N (the E-M remainders
+    and the rounding of ``_em_scaled``) as the tail it expands: the Hurwitz
+    tail for terms = 1, otherwise the shifted tail sum_{k>=N} k**(1-s)/(k+1),
+    whose geometric remainder sum_{k>=N} k**(1-s-terms)/(k+1) is at most
+    sum_{k>=N} k**q <= N**q + N**(q+1) / (-q-1), q = -s - terms."""
+    _, R, W = _em_table(s, terms)
+    x = 1.0 / N
+    err = N ** (1.0 - s) * (_horner(R, x) + 2.0 ** -53 * _horner(W, x))
+    if terms > 1:
+        q = -s - terms
+        err += N ** q + N ** (q + 1.0) / (-q - 1.0)
+    return err
+
+
+def _certified(s: float, terms: int, n: int, first: int,
+               term: Callable[[int], float]) -> CertifiedValue:
+    """sum_{k>=n} term(k) for the tail the table (s, terms) expands: an fsum
+    head up to the cut N >= first where the E-M remainder drops below
+    _TARGET, plus the table's series at N."""
+    P, R, _ = _em_table(s, terms)
+    N = max(n, first)
+    while N ** (1.0 - s) * _horner(R, 1.0 / N) > _TARGET:
         N *= 2
-    return N
+    head = math.fsum(term(k) for k in range(n, N))
+    tail = N ** (1.0 - s) * _horner(P, 1.0 / N)
+    # fsum is exactly rounded; charge one ulp per addition for the assembly
+    slack = 4.0 * np.finfo(float).eps * (abs(head) + abs(tail))
+    return CertifiedValue(head + tail, _em_error(s, terms, N) + slack)
 
 
 def hurwitz_tail(s: float, n: int) -> CertifiedValue:
@@ -94,32 +151,12 @@ def hurwitz_tail(s: float, n: int) -> CertifiedValue:
         raise ValueError("hurwitz_tail requires s > 1 (series diverges)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    N = _em_cut(s, n)
-    head = math.fsum(k ** (-s) for k in range(n, N))
-    tail, bound = _em_tail_at(s, N)
-    # fsum is exactly rounded; charge one ulp per addition for the assembly
-    slack = 4.0 * np.finfo(float).eps * (abs(head) + abs(tail))
-    return CertifiedValue(head + tail, bound + slack)
+    return _certified(s, 1, n, 16, lambda k: k ** (-s))
 
 
 def zeta(s: float) -> CertifiedValue:
     """Riemann zeta(s) for s > 1, certified to 1e-12 absolute."""
     return hurwitz_tail(s, 1)
-
-
-def _shifted_tail_from(beta: float, n0: int) -> tuple[float, float]:
-    """sum_{k>=n0} k**(-beta)/(k+1) via the geometric split; n0 >= 32."""
-    total = 0.0
-    err = 0.0
-    sign = 1.0
-    for j in range(_GEOM_J):
-        cv = hurwitz_tail(beta + 1.0 + j, n0)
-        total += sign * cv.value
-        err += cv.error_bound
-        sign = -sign
-    rem = hurwitz_tail(beta + _GEOM_J + 1.0, n0)
-    err += rem.value + rem.error_bound
-    return total, err
 
 
 def shifted_tail(alpha: float, n: int) -> CertifiedValue:
@@ -128,11 +165,7 @@ def shifted_tail(alpha: float, n: int) -> CertifiedValue:
         raise ValueError("shifted_tail requires alpha > 0 (series diverges)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    n0 = max(n, 32)
-    head = math.fsum(k ** (-alpha) / (k + 1.0) for k in range(n, n0))
-    tail, err = _shifted_tail_from(alpha, n0)
-    slack = 4.0 * np.finfo(float).eps * (abs(head) + abs(tail))
-    return CertifiedValue(head + tail, err + slack)
+    return _certified(alpha + 1.0, _GEOM_J, n, 32, lambda k: k ** (-alpha) / (k + 1.0))
 
 
 def m_alpha(alpha: float) -> CertifiedValue:
@@ -149,25 +182,6 @@ def m_alpha(alpha: float) -> CertifiedValue:
 _BLOCK = 4096        # rows per reverse cumsum: _BLOCK * 2**-53 ~ 4.5e-13 relative
 _RUN_ANCHOR = 32     # runs are extended so that every anchor is >= this row
 _LOG_NORMAL = 700.0  # exp(-700) is still a normal double
-
-
-def _em_tail_scaled_vec(s: float, n: np.ndarray, p: float) -> np.ndarray:
-    """n**p * sum_{k>=n} k**(-s) via pure E-M; requires all n >= 16."""
-    nf = n.astype(float)
-    out = np.power(nf, p + 1.0 - s) / (s - 1.0) + 0.5 * np.power(nf, p - s)
-    for i, c in enumerate(_EM_COEFFS, start=1):
-        out += c * _rising(s, 2 * i - 1) * np.power(nf, p - s - 2 * i + 1)
-    return out
-
-
-def _shifted_em_scaled_vec(beta: float, n: np.ndarray, p: float) -> np.ndarray:
-    """n**p * sum_{k>=n} k**(-beta)/(k+1) via the geometric split; all n >= 32."""
-    acc = np.zeros(n.shape, dtype=float)
-    sign = 1.0
-    for j in range(_GEOM_J):
-        acc += sign * _em_tail_scaled_vec(beta + 1.0 + j, n, p)
-        sign = -sign
-    return acc
 
 
 def _run_start(n: np.ndarray) -> int | None:
@@ -250,7 +264,7 @@ def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0,
     run = _run_bounds(n, s, p)
     if run is not None:
         return _run_tails(n, *run, p, lambda k, t: np.power(k, -s, out=t, dtype=float),
-                          lambda a: _em_tail_scaled_vec(s, a, 0.0), out)
+                          lambda a: _em_scaled(s, 1, a), out)
     small = n < 16
     if np.any(small):
         for idx in np.nonzero(small)[0]:
@@ -258,7 +272,7 @@ def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0,
             out[idx] = hurwitz_tail(s, ni).value * float(ni) ** p
     big = ~small
     if np.any(big):
-        out[big] = _em_tail_scaled_vec(s, n[big], p)
+        out[big] = _em_scaled(s, 1, n[big], p)
     return out
 
 
@@ -273,7 +287,7 @@ def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0,
     run = _run_bounds(n, beta + 1.0, p)
     if run is not None:
         return _run_tails(n, *run, p, lambda k, t: _shifted_terms(beta, k, t),
-                          lambda a: _shifted_em_scaled_vec(beta, a, 0.0), out)
+                          lambda a: _em_scaled(beta + 1.0, _GEOM_J, a), out)
     small = n < 32
     if np.any(small):
         for idx in np.nonzero(small)[0]:
@@ -281,5 +295,5 @@ def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0,
             out[idx] = shifted_tail(beta, ni).value * float(ni) ** p
     big = ~small
     if np.any(big):
-        out[big] = _shifted_em_scaled_vec(beta, n[big], p)
+        out[big] = _em_scaled(beta + 1.0, _GEOM_J, n[big], p)
     return out

@@ -6,18 +6,28 @@ import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
+from cesaro_copson import special_sums
 from cesaro_copson.oracle import _POWER_GRID
-from cesaro_copson.special_sums import (_BLOCK, hurwitz_tail,
-                                        hurwitz_tail_scaled, m_alpha,
-                                        shifted_tail, shifted_tail_scaled,
-                                        zeta)
+from cesaro_copson.special_sums import (_BLOCK, _GEOM_J, _RUN_ANCHOR,
+                                        _em_error, _em_scaled, _em_table,
+                                        hurwitz_tail, hurwitz_tail_scaled,
+                                        m_alpha, shifted_tail,
+                                        shifted_tail_scaled, zeta)
 
 mp.mp.dps = 40
 
 
+def _mp_hurwitz(s: float, n: int):
+    # mpmath's zeta(s, n) keeps only about the working digits in excess of
+    # the tail's magnitude (zeta(30, 4097) ~ 6e-107 is wrong in its 12th
+    # digit at 40 digits), so work with 40 digits beyond that magnitude
+    with mp.workdps(40 + int((s - 1.0) * math.log10(n))):
+        return +mp.zeta(s, n)
+
+
 @functools.lru_cache(maxsize=None)
 def ref_hurwitz(s: float, n: int) -> float:
-    return float(mp.zeta(s, n))
+    return float(_mp_hurwitz(s, n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,7 +40,7 @@ def ref_shifted(beta: float, n: int) -> float:
     head = mp.fsum(k ** mp.mpf(-beta) / (k + 1) for k in range(n, n0))
     tail = mp.mpf(0)
     for j in range(80):
-        term = mp.zeta(beta + 1 + j, n0)
+        term = _mp_hurwitz(beta + 1 + j, n0)
         tail += (-1) ** j * term
         if term < mp.mpf(10) ** -30 * tail:
             break
@@ -162,25 +172,91 @@ def _check_positions(n: np.ndarray) -> list[int]:
     return sorted(i for i in pos if 0 <= i < n.size)
 
 
+# Rounding the contract charges besides an anchor's error: _BLOCK additions
+# in a block, and 8 more for a term (power, division), the scale n**p and its
+# product, and the rounded reference.
+_RUN_ROUNDING = (_BLOCK + 8) * 2.0 ** -53
+_ROW_ROUNDING = 8 * 2.0 ** -53
+
+
+def _contract(shifted: bool, exponent: float, n: np.ndarray, i: int) -> float:
+    """Relative error the module docstring allows at row n[i]: on a run, the
+    error of the anchor just past the row's block (absolute, over the row's
+    tail) plus the block's rounding; on scattered rows, the series' error at
+    the row itself, or the scalar certificate below the series' first row."""
+    s, terms, first = (exponent + 1.0, _GEOM_J, 32) if shifted else (exponent, 1, 16)
+    ni = int(n[i])
+    ref = ref_shifted(exponent, ni) if shifted else ref_hurwitz(exponent, ni)
+    if np.all(np.diff(n) == 1):
+        n0, end = int(n[0]), max(int(n[-1]), _RUN_ANCHOR - 1)
+        anchor = min(n0 + ((ni - n0) // _BLOCK + 1) * _BLOCK, end + 1)
+        return _em_error(s, terms, anchor) / ref + _RUN_ROUNDING
+    if ni >= first:
+        return _em_error(s, terms, ni) / ref + _ROW_ROUNDING
+    scalar = shifted_tail(exponent, ni) if shifted else hurwitz_tail(exponent, ni)
+    return scalar.error_bound / ref + _ROW_ROUNDING
+
+
 @pytest.mark.parametrize("n", _SCALED_INPUTS,
                          ids=["scattered"] + [f"run{n[0]}+{n.size}"
                                               for n in _SCALED_INPUTS[1:]])
 def test_scaled_vector_variants_match_scalars(n):
     positions = _check_positions(n)
-    for s, p in _HURWITZ_CASES:
-        hv = hurwitz_tail_scaled(s, n, p)
-        assert hv.shape == n.shape
-        for i in positions:
-            ni = int(n[i])
-            assert hv[i] == pytest.approx(ref_hurwitz(s, ni) * float(ni) ** p,
-                                          rel=1e-11)
-    for beta, p in _SHIFTED_CASES:
-        sv = shifted_tail_scaled(beta, n, p)
-        assert sv.shape == n.shape
-        for i in positions:
-            ni = int(n[i])
-            assert sv[i] == pytest.approx(ref_shifted(beta, ni) * float(ni) ** p,
-                                          rel=1e-10)
+    for shifted, fn, cases in ((False, hurwitz_tail_scaled, _HURWITZ_CASES),
+                               (True, shifted_tail_scaled, _SHIFTED_CASES)):
+        for exponent, p in cases:
+            out = fn(exponent, n, p)
+            assert out.shape == n.shape
+            ref = ref_shifted if shifted else ref_hurwitz
+            for i in positions:
+                ni = int(n[i])
+                assert out[i] == pytest.approx(ref(exponent, ni) * float(ni) ** p,
+                                               rel=_contract(shifted, exponent, n, i),
+                                               abs=0.0)
+
+
+@pytest.mark.parametrize("N", [32, 4097, 65537, 10 ** 6 + 1])
+def test_series_matches_references_at_anchor_rows(N):
+    # the table's series, as anchors and scattered rows evaluate it, against
+    # mpmath: within its certificate, and within 1e-14 relative unless the
+    # certificate is wider (only s = 30 at N = 32, where the E-M remainder
+    # is ~2e-8 relative)
+    cases = [(s, 1, ref_hurwitz(s, N)) for s in (1.15, 1.6, 2.5, 30.0)] + \
+            [(b + 1.0, _GEOM_J, ref_shifted(b, N)) for b in (0.15, 0.6, 0.99, 1.7)]
+    for s, terms, ref in cases:
+        got = float(_em_scaled(s, terms, np.array([N]))[0])
+        bound = _em_error(s, terms, N)
+        assert abs(got - ref) <= bound + 2.0 ** -53 * ref
+        assert abs(got - ref) <= max(1e-14 * ref, bound)
+
+
+@pytest.mark.parametrize("fn,exponent", [(hurwitz_tail_scaled, 1.6),
+                                         (shifted_tail_scaled, 0.6)])
+def test_run_anchors_are_the_scattered_values(monkeypatch, fn, exponent):
+    anchors = []
+    run_tails = special_sums._run_tails
+
+    def recording(*args):   # the anchors as the run receives them
+        def em_tail(rows):
+            values = args[5](rows)
+            anchors.append((rows.copy(), values.copy()))
+            return values
+        return run_tails(*args[:5], em_tail, *args[6:])
+
+    monkeypatch.setattr(special_sums, "_run_tails", recording)
+    fn(exponent, np.arange(1, 3 * _BLOCK + 100), 0.7)
+    [(rows, values)] = anchors
+    assert rows.tolist() == [_BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 1, 3 * _BLOCK + 100]
+    # decreasing rows are no run: the per-row path, bit for bit the anchors
+    np.testing.assert_array_equal(fn(exponent, rows[::-1], 0.0)[::-1], values)
+
+
+def test_coefficient_table_cache_is_bounded():
+    maxsize = _em_table.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(2 * maxsize):   # a stream of distinct exponents
+        m_alpha(1.0 + k / 1000.0)
+    assert _em_table.cache_info().currsize <= maxsize
 
 
 def test_long_run_matches_euler_maclaurin_path():
