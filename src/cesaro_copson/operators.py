@@ -2,8 +2,11 @@
 
 Matrices are never materialised.  ``entry`` gives b_{n,k} by its defining
 formula, written out per kind: it is the ground truth the tests pin
-``row_entries`` to, and through it the rows that the dense path (``norms``)
-and the oracle read.  Everything else reads one row shape per kind
+``row_entries``, ``apply_batch`` and ``last_index_of_part`` to.  The dense
+path (``norms``) reads rows through ``row_entries``; the oracle reads B w
+for all rows from ``apply_batch`` and, per row, the column of the entry of
+the other sign from ``last_index_of_part`` and its value from ``entry``
+itself.  Everything else reads one row shape per kind
 (``ROW_SHAPES``): row n is a nonnegative block, the prefix 1..n+at, the tail
 from n+at or the single column n+at, plus at most one negative entry at
 column n+neg_at.  Dense rows, row sums and sign patterns, witness endpoints,
@@ -185,8 +188,9 @@ SINGLE = "single"   # column n+at
 # Scales and kernels: scale(x, m, out) is x times the factor at row or column
 # m, computed with the operations the formulas use (x / m, not x * (1 / m)).
 # Given out (which must not be x), the same operations are ufuncs written
-# into it; without, they stay plain operators, as the oracle calls them per
-# row on Python numbers, where a ufunc call costs ~1 us.
+# into it; without, they stay plain operators, as the per-row scalar code
+# (``row_entries``, ``last_index_of_part``) calls them on Python numbers,
+# where a ufunc call costs ~1 us.
 def _one(x, m, out=None):
     return x if out is None else np.positive(x, out=out)
 
@@ -255,7 +259,8 @@ ROW_SHAPES = {
 
 def _block_cols(sh: RowShape, n: int, L: int | None) -> tuple[int, int | None]:
     """Columns lo..hi of row n's block within 1..L: empty when lo > hi, hi
-    None for an infinite tail.  Scalar code: the oracle calls it per row."""
+    None for an infinite tail.  Scalar code: ``row_entries`` and
+    ``classify_row`` call it per row."""
     edge = n + sh.at
     if sh.block is TAIL:
         return edge, L

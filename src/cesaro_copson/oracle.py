@@ -2,14 +2,14 @@
 
 Two lower-bound paths probe the defining supremum of every norm:
 
-* ``extremal_lower_bound`` builds, for each row, the witness sequence the
-  structure theory prescribes (sign-pattern witnesses on the whole space,
-  positive/negative part witnesses on the nonnegative cone, envelope
-  prefixes/suffixes on the monotone cones) and evaluates the operator on it
-  by direct summation against generated row entries - no norm formula is
-  consulted.  On truncated problems this reproduces the formula value
-  exactly; on power-weight problems it is a lower bound increasing in the
-  window size N.
+* ``extremal_lower_bound`` evaluates, for each row, the witness sequence
+  the structure theory prescribes (sign patterns on the whole space,
+  positive/negative parts on the nonnegative cone, envelope prefixes or
+  suffixes on the monotone cones).  It reads only ``apply_batch``,
+  ``last_index_of_part`` and ``entry`` - operator functions the tests pin
+  to the defining formulas - and no norm formula.  On truncated problems
+  this reproduces the formula value; on power-weight problems it is a lower
+  bound increasing in the window size N.
 
 * ``random_lower_bound`` samples a batch of sequences from the cone
   (deterministically, one generator per seed) and takes the best observed
@@ -24,16 +24,18 @@ exposes (identities, power consistency, oracle exactness).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import power as power_mod
 from .norms import (DEFAULT_TRUNC, SPECIALIZED_BY_KIND, Status, TruncConfig,
                     norm_general)
-from .operators import (OpKind, PRINCIPAL_KINDS, apply_batch,
+from .operators import (OpKind, PRINCIPAL_KINDS, ROW_SHAPES, apply_batch,
                         check_identity_first, check_identity_second,
-                        cone_plan, last_index_of_part, row_entries)
+                        cone_plan, entry, last_index_of_part)
 from .two_operator import Direction, TwoOpQuery, best_constant
 from .weights import (Cone, ListWeight, PowerWeight, SeqWindow, Weight,
                       codomain_values, envelope_down, envelope_up,
@@ -75,6 +77,12 @@ class VerifyReport:
 
 
 def _horizons(u: Weight, v: Weight, N: int) -> tuple[int, int]:
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise ValueError(f"N must be an integer, not {N!r}") from None
+    if N < 1:
+        raise ValueError("N must be >= 1")
     L_u = truncation_length(u)
     L_v = truncation_length(v)
     cols = L_u if L_u is not None else N
@@ -82,60 +90,68 @@ def _horizons(u: Weight, v: Weight, N: int) -> tuple[int, int]:
     return rows, cols
 
 
+def _finite_max(f: Callable, w: np.ndarray, what: str) -> float:
+    """max of f(w, None) >= 0, where f(w, idx) evaluates the items idx (None:
+    all) and is positively homogeneous in w.  Items that overflow are taken
+    again against w * 2**-shift and scaled back, so overflow does not warn;
+    ValueError only when the maximum itself does not fit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f(w, None)
+        over = ~np.isfinite(vals)
+        if not over.any():
+            return float(np.max(vals, initial=0.0))
+        # every intermediate is at most (2K + 2) max|w| over K columns: after
+        # the shift it is below 1, and a finite weight times it stays finite
+        shift = math.frexp(np.max(np.abs(w)))[1] + (2 * w.shape[-1] + 2).bit_length()
+        top = float(np.ldexp(np.max(f(np.ldexp(w, -shift), np.flatnonzero(over))), shift))
+    if not math.isfinite(top):
+        raise ValueError(f"the {what} overflows float64")
+    return max(top, float(np.max(vals[~over], initial=0.0)))
+
+
 def extremal_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
                          N: int) -> float:
-    """max over rows n <= N of v_n (B x^(n))_n with x^(n) the structure
-    theory's witness for row n, evaluated by direct summation."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    """max over rows n <= N of v_n (B x^(n))_n, x^(n) the structure theory's
+    witness for row n over w (u, or its envelope on the monotone cones).
+
+    Each row is a single-signed block plus at most one entry of the other
+    sign: B w gives block + single for every row, and one ``entry`` per row
+    splits them.  The value is both parts (ALL), the larger (NONNEG), or the
+    positive part of the flipped row, which the plan's sign order puts inside
+    the witness window (NONINCR, NONDECR)."""
+    rows, cols = _horizons(u, v, N)
     if kind is OpKind.CSTAR_MINUS_I and cone is Cone.NONINCR:
         raise UnsupportedConeError("open problem: nonincreasing cone for C*-I")
-    L_u = truncation_length(u)
-    L_v = truncation_length(v)
-    plan = cone_plan(kind, cone, L_u, max_row=L_v)
+    plan = cone_plan(kind, cone, truncation_length(u), max_row=truncation_length(v))
     if not plan.ok:
         raise UnsupportedConeError(plan.reason)
     if plan.trivially_zero:
         return 0.0
-    rows, cols = _horizons(u, v, N)
-    vvals = codomain_values(v, rows)
-    uvals = weight_values(u, cols)
+    with np.errstate(over="ignore"):
+        vvals = codomain_values(v, rows)
+        w = (envelope_down(u, cols) if cone is Cone.NONINCR else
+             envelope_up(u, cols) if cone is Cone.NONDECR else weight_values(u, cols))
 
-    if kind is OpKind.C:
-        # lower triangular and nonnegative: applying B to the full witness
-        # window realises every row's prefix witness at once
-        if cone in (Cone.ALL, Cone.NONNEG):
-            x = uvals
-        elif cone is Cone.NONINCR:
-            x = envelope_down(u, cols)
+    def values(w: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+        sel = slice(None) if idx is None else idx
+        n, block = np.arange(1, rows + 1)[sel], apply_batch(kind, w, rows)[0][sel]
+        np.negative(block, out=block, where=plan.flip.flipped(n))
+        single = 0.0
+        if ROW_SHAPES[kind].neg_scale is not None:
+            wl = w.tolist()
+            js = ((m, last_index_of_part(kind, m, cols, negative=True)) for m in n.tolist())
+            single = np.array([entry(kind, m, j, plan.flip) * wl[j - 1] if j else 0.0
+                               for m, j in js])
+            block -= single
+        if cone is Cone.ALL:
+            val = np.abs(block) + np.abs(single)
         else:
-            x = envelope_up(u, cols)
-        out = np.cumsum(x)
-        npts = np.arange(1, rows + 1, dtype=float)
-        upto = np.minimum(np.arange(1, rows + 1), cols)
-        vals = vvals * out[upto - 1] / npts
-        return float(np.max(vals)) if rows else 0.0
+            val = np.maximum(block, 0.0) + np.maximum(single, 0.0)
+            if cone is Cone.NONNEG:
+                val = np.maximum(val, np.maximum(-block, 0.0) + np.maximum(-single, 0.0))
+        return vvals[sel] * val
 
-    down = envelope_down(u, cols) if cone is Cone.NONINCR else None
-    up = envelope_up(u, cols) if cone is Cone.NONDECR else None
-    best = 0.0
-    for n in range(1, rows + 1):
-        e = row_entries(kind, n, cols)
-        # each witness is u (or an envelope) on the columns where it is
-        # nonzero, so B x is a dot product over those columns
-        if cone is Cone.ALL:          # x = sign(e) u
-            val = float(np.abs(e) @ uvals)
-        elif cone is Cone.NONNEG:     # x = u on the positive, then the negative part
-            val = max(float(np.maximum(e, 0.0) @ uvals),
-                      float(np.maximum(-e, 0.0) @ uvals))
-        elif cone is Cone.NONINCR:    # x = u_down on columns 1..m
-            m = last_index_of_part(kind, n, cols, negative=False, flip=plan.flip)
-            val = abs(float(e[:m] @ down[:m]))
-        else:                         # x = u_up on columns m+1..cols
-            m = last_index_of_part(kind, n, cols, negative=True, flip=plan.flip)
-            val = abs(float(e[m:] @ up[m:]))
-        best = max(best, vvals[n - 1] * val)
-    return best
+    return _finite_max(values, w, "extremal witness value")
 
 
 def _sample_cone(rng: np.random.Generator, cone: Cone, trials: int,
@@ -159,34 +175,39 @@ def random_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
     samples; deterministic given the seed (one stream for the batch)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    rows, cols = _horizons(u, v, N)
     infinite_domain = truncation_length(u) is None
     if cone is Cone.NONDECR and infinite_domain:
         plan = cone_plan(kind, cone, None)
         if plan.trivially_zero:
             return 0.0  # the cone meets the domain only in the zero sequence
-    rows, cols = _horizons(u, v, N)
     uvals = weight_values(u, cols)
+    vvals = codomain_values(v, rows)
     down = envelope_down(u, cols)
     up = envelope_up(u, cols)
     X = _sample_cone(np.random.default_rng(seed), cone, trials, uvals, down, up)
-    out = apply_batch(kind, X, rows)
-    if cone is Cone.NONDECR and infinite_domain:
-        # a windowed nondecreasing sample stands for its constant extension:
-        # account for the extension's tail where the operator sees it
-        if kind is OpKind.CSTARSD:
-            out[:, :] += X[:, -1:] / (cols + 1.0)
-        elif kind in (OpKind.C_MINUS_SSTAR, OpKind.SSTAR) and rows >= cols:
-            out[:, cols - 1] = 0.0  # row at the window edge reads x_{K+1}
-    vvals = codomain_values(v, rows)
-    nums = np.max(np.abs(out) * vvals, axis=1)
     pos = uvals > 0
     ratios = np.abs(X[:, pos]) / uvals[pos]
     dens = np.max(ratios, axis=1) if np.any(pos) else np.zeros(trials)
     bad = np.any(np.abs(X[:, ~pos]) > 0, axis=1)  # nonzero over zero weight
     ok = ~bad & (dens > 0)
-    return float(np.max(nums[ok] / dens[ok], initial=0.0))
+
+    def best_ratios(samples: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+        t = slice(None) if idx is None else idx
+        Xt = samples[t]
+        out = apply_batch(kind, Xt, rows)
+        if cone is Cone.NONDECR and infinite_domain:
+            # a windowed nondecreasing sample stands for its constant
+            # extension: account for the extension's tail where the operator
+            # sees it
+            if kind is OpKind.CSTARSD:
+                out[:, :] += Xt[:, -1:] / (cols + 1.0)
+            elif kind in (OpKind.C_MINUS_SSTAR, OpKind.SSTAR) and rows >= cols:
+                out[:, cols - 1] = 0.0  # row at the window edge reads x_{K+1}
+        nums = np.max(np.abs(out) * vvals, axis=1)
+        return np.divide(nums, dens[t], out=np.zeros_like(nums), where=ok[t])
+
+    return _finite_max(best_ratios, X, "random search ratio")
 
 
 def verify(kind: OpKind, u: Weight, v: Weight, cone: Cone,
@@ -251,51 +272,34 @@ def run_identity_suite(count: int = 1000, N: int = 50, support_max: int = 40,
 _POWER_GRID = (-2.0, -1.0, -0.5, 0.0, 0.3, 0.7, 0.99)
 
 
+def _consistency_case(op: str, cone: Cone, alpha: float, cf: float,
+                      general) -> dict:
+    """A closed form (or the closed-form route) against the general engine."""
+    if math.isinf(cf):
+        ok = general.status is Status.DIVERGENT or general.value > 1e6
+    else:
+        ok = (general.status is not Status.UNSUPPORTED
+              and abs(general.value - cf) <= max(1e-3, general.residual_estimate))
+    return {"suite": "power-consistency", "op": op, "cone": cone.value,
+            "alpha": alpha, "closed_form": cf, "general": general.value,
+            "status": general.status.value, "pass": bool(ok)}
+
+
 def _power_consistency_case(kind: OpKind, cone: Cone, alpha: float,
                             n_max: int) -> dict:
     u = PowerWeight(alpha)
-    cfg = TruncConfig(n_max=n_max)
-    cf = power_mod.closed_form(kind, cone, alpha)
-    general = norm_general(kind, u, u, cone, cfg)
-    case = {
-        "suite": "power-consistency",
-        "op": kind.value,
-        "cone": cone.value,
-        "alpha": alpha,
-        "closed_form": cf.value,
-        "general": general.value,
-        "status": general.status.value,
-    }
-    if math.isinf(cf.value):
-        ok = general.status is Status.DIVERGENT or general.value > 1e6
-    else:
-        tol = max(1e-3, general.residual_estimate)
-        ok = (general.status is not Status.UNSUPPORTED
-              and abs(general.value - cf.value) <= tol)
-    case["pass"] = bool(ok)
-    return case
+    general = norm_general(kind, u, u, cone, TruncConfig(n_max=n_max))
+    return _consistency_case(kind.value, cone, alpha,
+                             power_mod.closed_form(kind, cone, alpha).value, general)
 
 
 def _two_op_consistency_case(direction: Direction, cone: Cone, alpha: float,
                              n_max: int) -> dict:
     u = PowerWeight(alpha)
     q = TwoOpQuery(direction, cone, u, u, TruncConfig(n_max=n_max))
-    cf = best_constant(q)
-    general = best_constant(q, use_closed_forms=False)
-    if math.isinf(cf.value):
-        ok = general.status is Status.DIVERGENT or general.value > 1e6
-    else:
-        ok = abs(general.value - cf.value) <= max(1e-3, general.residual_estimate)
-    return {
-        "suite": "power-consistency",
-        "op": f"two-op:{direction.value}",
-        "cone": cone.value,
-        "alpha": alpha,
-        "closed_form": cf.value,
-        "general": general.value,
-        "status": general.status.value,
-        "pass": bool(ok),
-    }
+    return _consistency_case(f"two-op:{direction.value}", cone, alpha,
+                             best_constant(q).value,
+                             best_constant(q, use_closed_forms=False))
 
 
 def run_power_consistency_suite(n_max: int = 1_000_000,
@@ -321,17 +325,12 @@ def _oracle_pair_case(kind: OpKind, cone: Cone, pair_idx: int, L: int,
     vv[rng.uniform(0.0, 1.0, L) < 0.1] = 0.0
     u = ListWeight(tuple(uu))
     v = ListWeight(tuple(vv))
+    head = {"suite": "oracle", "op": kind.value, "cone": cone.value, "pair": pair_idx}
     try:
         rep = verify(kind, u, v, cone, trials=trials, seed=seed)
     except UnsupportedConeError:
-        return {
-            "suite": "oracle", "op": kind.value, "cone": cone.value,
-            "pair": pair_idx, "skipped": True, "pass": True,
-        }
-    d = rep.to_dict()
-    d.update({"suite": "oracle", "op": kind.value, "cone": cone.value,
-              "pair": pair_idx, "skipped": False})
-    return d
+        return {**head, "skipped": True, "pass": True}
+    return {**rep.to_dict(), **head, "skipped": False}
 
 
 def run_oracle_suite(pairs: int = 50, L_max: int = 20, trials: int = 500,

@@ -154,6 +154,18 @@ def test_apply_batch_matches_dense(rng):
         assert np.allclose(apply_batch(kind, X, R), X @ M.T, atol=1e-13), kind
 
 
+@pytest.mark.parametrize("K", [1, 2, 7, 64, 513])
+@pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.name)
+def test_apply_batch_matches_row_entries(kind, K, rng):
+    # the oracle reads every row's B w from apply_batch: pin it to the
+    # literal rows on windows shorter than, equal to and past the columns
+    X = rng.uniform(-1, 1, (3, K))
+    for R in sorted({1, K - 1, K, K + 5} - {0}):
+        M = np.array([row_entries(kind, n, K) for n in range(1, R + 1)])
+        err = np.abs(apply_batch(kind, X, R) - X @ M.T)
+        assert np.all(err <= 1e-13 * (np.abs(X) @ np.abs(M).T)), (K, R)
+
+
 def test_identity_first_examples():
     # x = unit vector: both sides are (1, 1/2, 1/3, 1/4, 1/5)
     assert check_identity_first(SeqWindow(1, (1.0,)), 5) <= 1e-15

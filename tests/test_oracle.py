@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_list_weight
 from cesaro_copson.norms import SPECIALIZED_BY_KIND, Status, norm_cesaro
-from cesaro_copson.operators import (OpKind, PRINCIPAL_KINDS, cone_plan,
+from cesaro_copson import oracle
+from cesaro_copson.operators import (OpKind, PRINCIPAL_KINDS, SignFlip, cone_plan,
                                      last_index_of_part, row_entries)
 from cesaro_copson.oracle import (UnsupportedConeError, _horizons, _sample_cone,
                                   extremal_lower_bound, random_lower_bound,
@@ -86,9 +87,68 @@ def test_window_below_one_is_rejected(kind, w, N):
         verify(kind, w, w, Cone.ALL, N=N, trials=10)
 
 
+def test_window_must_be_an_integer():
+    with pytest.raises(ValueError, match="N must be an integer"):
+        extremal_lower_bound(OpKind.C, P(0.5), P(0.5), Cone.ALL, 2.5)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        random_lower_bound(OpKind.C, P(0.5), P(0.5), Cone.ALL, 2.5, 10, 1)
+
+
+def test_overflowing_prefix_sum_is_rescaled_not_reported():
+    # C's prefix sum 2e308 overflows, the norm (1/2)(2e308) does not
+    rep = verify(OpKind.C, ListWeight((1e308, 1e308)), ListWeight((1.0, 1.0)), Cone.ALL)
+    assert rep.passed and rep.extremal_value == 1e308 and rep.random_best <= 1e308
+
+
+def test_overflowing_block_sums_are_rescaled_not_reported():
+    # B u sums C-I's blocks before splitting off the diagonal; the witness
+    # values reach 4/3 * 1e308 on ALL
+    u, v = ListWeight((1e308,) * 3), ListWeight((1.0,) * 3)
+    for cone in Cone:
+        rep = verify(OpKind.C_MINUS_I, u, v, cone)
+        assert rep.passed and np.isfinite(rep.random_best), cone
+    assert extremal_lower_bound(OpKind.C_MINUS_I, u, v, Cone.ALL, 3) == \
+        pytest.approx(1e308 / 3 * 4, rel=1e-15)
+
+
+def test_overflowing_supremum_is_a_clear_error():
+    # v_n (C u)_n is about n**799 / 800: row 5 is far past float64
+    with pytest.raises(ValueError, match="overflows float64"):
+        extremal_lower_bound(OpKind.C, P(-400), P(400), Cone.ALL, 5)
+    with pytest.raises(ValueError, match="overflows float64"):
+        random_lower_bound(OpKind.C, P(-400), P(400), Cone.ALL, 5, 20, 1)
+
+
+def counted_entry(monkeypatch):
+    calls = []
+
+    def entry(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = oracle.entry
+    monkeypatch.setattr(oracle, "entry", entry)
+    return calls
+
+
+def test_kinds_without_an_off_sign_entry_read_no_entries(monkeypatch):
+    calls = counted_entry(monkeypatch)
+    e = extremal_lower_bound(OpKind.C, P(0.5), P(0.5), Cone.ALL, 10 ** 6)
+    assert not calls
+    # the value of the literal prefix-sum evaluation this replaced
+    assert e == pytest.approx(1.9985401454911986, rel=1e-12)
+
+
+def test_one_entry_per_row_at_most(monkeypatch):
+    calls = counted_entry(monkeypatch)
+    extremal_lower_bound(OpKind.C_MINUS_I, P(0.5), P(0.5), Cone.ALL, 2000)
+    assert 0 < len(calls) <= 2000
+
+
 def masked_witness_values(kind, u, v, cone, N):
-    """extremal_lower_bound's row loop with every witness a full-width
-    array, masked by the row's signs or by where its part ends."""
+    """The literal O(N^2) witness evaluation: every row from row_entries and
+    every witness a full-width array, masked by the row's signs or by where
+    its part ends."""
     plan = cone_plan(kind, cone, truncation_length(u), max_row=truncation_length(v))
     if plan.trivially_zero:
         return 0.0
@@ -115,32 +175,51 @@ def masked_witness_values(kind, u, v, cone, N):
     return best
 
 
-# C reads every row from one cumulative sum, not from per-row witnesses, and
+# the kinds and cones of the benchmark's N = 2000 windows, with an alpha where
+# each norm is finite
+WINDOW_2000 = {(OpKind.C, Cone.ALL): 0.5}
+WINDOW_2000.update({(OpKind.CSTAR, c): 0.7 for c in (Cone.ALL, Cone.NONNEG, Cone.NONINCR)})
+WINDOW_2000.update({(OpKind.C_MINUS_I, c): 0.5 for c in Cone})
+WINDOW_2000.update({(OpKind.CSTAR_MINUS_I, c): 0.7 for c in (Cone.ALL, Cone.NONNEG)})
+# the plans that flip rows (C*-I on NONDECR holds, unflipped, only while v is
+# shorter than u, as in the (12, 3), (40, 5) and (25, 2) list pairs)
+FLIPPED = {(OpKind.C_MINUS_I, Cone.NONDECR), (OpKind.C_MINUS_SSTAR, Cone.NONDECR),
+           (OpKind.CSTARSD, Cone.NONINCR)}
+
+
 # C*-I on NONINCR is the open problem
 @pytest.mark.parametrize("kind, cone", [
     (k, c) for k in PRINCIPAL_KINDS for c in Cone
-    if k is not OpKind.C and (k, c) != (OpKind.CSTAR_MINUS_I, Cone.NONINCR)
+    if (k, c) != (OpKind.CSTAR_MINUS_I, Cone.NONINCR)
 ], ids=lambda kc: kc.name)
 def test_witness_values_match_masked_witnesses(kind, cone, rng):
-    # ALL and NONNEG take the same products in the same order; the monotone
-    # cones sum only the witness's support, which may round differently
+    # B w for all rows sums each row's block in another order than the
+    # literal row loop, so the two agree to rounding, not bit for bit
     cases = [(random_list_weight(rng, L), random_list_weight(rng, L), L)
              for L in (1, 2, 7, 40)]
+    # L_u != L_v: rows past the column horizon, and rows stopping short of it
+    cases += [(random_list_weight(rng, L_u), random_list_weight(rng, L_v), N)
+              for L_u, L_v, N in ((3, 12, 12), (1, 6, 9), (12, 3, 12), (40, 5, 40),
+                                  (40, 9, 7), (25, 2, 25))]
+    cases += [(random_list_weight(rng, 9), P(0.5), 30)]
     cases += [(P(a), P(b), N) for a, b in ((0.5, 0.5), (-0.5, -0.7), (1.5, 1.2))
               for N in (1, 50, 300)]
-    checked = 0
+    if (kind, cone) in WINDOW_2000:
+        a = WINDOW_2000[kind, cone]
+        cases.append((P(a), P(a), 2000))
+    checked = flipped = 0
     for u, v, N in cases:
         plan = cone_plan(kind, cone, truncation_length(u), max_row=truncation_length(v))
         if not plan.ok:
             continue
         got = extremal_lower_bound(kind, u, v, cone, N)
         want = masked_witness_values(kind, u, v, cone, N)
-        if cone in (Cone.ALL, Cone.NONNEG):
-            assert got == want, (u, v, N)
-        else:
-            assert got == pytest.approx(want, rel=1e-14, abs=0), (u, v, N)
+        assert got == pytest.approx(want, rel=1e-14, abs=0), (u, v, N)
         checked += 1
+        flipped += plan.flip != SignFlip()
     assert checked >= 10
+    if (kind, cone) in FLIPPED:
+        assert flipped >= 5
 
 
 def test_exactness_on_truncated_problems(rng):
