@@ -23,8 +23,9 @@ the supremum through one driver, ``_row_sup``: ``_finite_sup`` over the rows
 of a truncated v, ``_scan_sup`` otherwise.  Only the dense path on fully
 truncated problems (``_dense_norm``) calls ``_finite_sup`` itself.
 
-Infinite problems scan rows 1..n_max in contiguous blocks (rows 1..4096,
-then up to 65,536, then _SCAN_BLOCK rows each), keeping only running state
+Infinite problems scan rows 1..n_max in contiguous blocks (rows 1..256,
+then up to 4096, then up to 65,536, then _SCAN_BLOCK rows each), ending on
+rows of the tails' grid (``special_sums``), keeping only running state
 between blocks, so a scan's memory does not depend on n_max.  ``_SeqData``
 serves the blocks without tables of the horizon's length: power prefix sums
 are carried from block to block, which assumes requests move forward (an
@@ -51,16 +52,17 @@ tail, are ClosedForm.  A scan is TruncatedConverged when a tail bound is
 within the tolerance of the running supremum (residual: the gap); for a
 matched power pair, whose scan carries a monotonicity certificate from the
 power theorems, only once that bound also meets the certificate (most
-matched pairs do at row 4096).  A certificate the bound does not meet is
-checked numerically at the end of the scan instead.  A scan is also
-TruncatedConverged when the running supremum has stalled below the
-tolerance (a heuristic), and TruncatedLowerBound otherwise.  Divergence is
-decided analytically for power weights (divergent inner tails, divergent
-closed-form branches, prefix rows that grow on the whole space and the
-nonnegative cone) and list-u / power-v problems (an unbounded exact tail),
-and by a threshold heuristic otherwise.  A finite problem is never
-Divergent: rows that overflow float64 are recomputed with the domain weight
-scaled by a power of two, and a norm that does not fit raises ValueError.
+matched pairs do at row 256, the end of the first block).  A certificate
+the bound does not meet is checked numerically at the end of the scan
+instead.  A scan is also TruncatedConverged when the running supremum has
+stalled below the tolerance (a heuristic), and TruncatedLowerBound
+otherwise.  Divergence is decided analytically for power weights
+(divergent inner tails, divergent closed-form branches, prefix rows that
+grow on the whole space and the nonnegative cone) and list-u / power-v
+problems (an unbounded exact tail), and by a threshold heuristic
+otherwise.  A finite problem is never Divergent: rows that overflow float64
+are recomputed with the domain weight scaled by a power of two, and a norm
+that does not fit raises ValueError.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from . import power as power_mod
 from .operators import (INV_K, INV_K_KP1, PREFIX, ROW_SHAPES, SCALE_POWERS,
                         SINGLE, TAIL, ConePlan, OpKind, RowShape, SignFlip,
                         cone_plan, row_entries)
-from .special_sums import (_BLOCK, _run_start, hurwitz_tail_scaled,
+from .special_sums import (_BLOCK, _FIRST_BLOCK, _run_start, hurwitz_tail_scaled,
                            shifted_tail_scaled)
 from .weights import (Cone, ListWeight, PowerWeight, Weight, _fill_range,
                       codomain_values, envelope_down, envelope_up,
@@ -184,10 +186,10 @@ class _Buffers:
     is longer than any before it, so a scan's blocks reuse the same memory.
     What a take returns is overwritten by the next take of the same name.
 
-    Past its first block of _BLOCK rows a scan reads blocks of up to
-    _SCAN_BLOCK rows, and a window adds two columns to a block: a longer
-    request gets a buffer of at least that size at once, not a second one
-    at the third block."""
+    A scan's first two blocks end at rows _FIRST_BLOCK and _BLOCK; past
+    them it reads blocks of up to _SCAN_BLOCK rows, and a window adds two
+    columns to a block: a longer request gets a buffer of at least that
+    size at once, not a second one at the fourth block."""
 
     def __init__(self) -> None:
         self._bufs: dict[str, np.ndarray] = {}
@@ -227,7 +229,10 @@ class _SeqData:
     each prefix read that extends it, its carry moved to the front.  A
     slice handed out for a run of columns is a read-only view of such a
     buffer: it is valid only until the next request to this object, so
-    copy it or use it before asking for anything else.
+    copy it or use it before asking for anything else.  Every read takes,
+    as ``first``, the first column of a request its caller knows to be a
+    run of columns, so a row function checks the contiguity of its block
+    once (``_run_start``) for all its reads.
     """
 
     def __init__(self, u: Weight, env: str, K: int):
@@ -277,10 +282,10 @@ class _SeqData:
         else:
             weight_values(self._u, count, first, out=out)
 
-    def vals_at(self, k: np.ndarray) -> np.ndarray:
+    def vals_at(self, k: np.ndarray, first: int | None = None) -> np.ndarray:
         k = np.asarray(k)
         if self.mode == "power":
-            lo = _run_start(k)
+            lo = _run_start(k) if first is None else first
             if lo is not None and 1 <= lo <= self._cols - k.size + 1:
                 return self._values(lo, k.size)   # a block of columns
         out = np.zeros(k.shape, dtype=float)
@@ -295,10 +300,13 @@ class _SeqData:
             out[ok] = self._values(lo, int(kk.max()) - lo + 1)[kk - lo]
         return out
 
-    def prefix(self, end: np.ndarray) -> np.ndarray:
+    def prefix(self, end: np.ndarray, first: int | None = None) -> np.ndarray:
         end = np.asarray(end)
         # a run of columns inside 0..K needs no clipping
-        first = _run_start(end) if self.mode == "power" else None
+        if self.mode != "power":
+            first = None
+        elif first is None:
+            first = _run_start(end)
         if first is None or first < 0 or first + end.size - 1 > self._cols:
             end, first = np.clip(end, 0, self._cols), None
         if self.mode == "list":
@@ -329,7 +337,7 @@ class _SeqData:
         return self._pwin[end - self._p0]
 
     def tail(self, kernel: Callable, start: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
+             out: np.ndarray | None = None, first: int | None = None) -> np.ndarray:
         """sum over k >= start (within the horizon) of kernel_k * value_k,
         for the tail kernels INV_K and INV_K_KP1 of ``operators``, written
         into the float array out of start's shape when given."""
@@ -349,10 +357,10 @@ class _SeqData:
         if kernel is INV_K:
             if a <= 0:
                 raise _DivergentTail
-            return hurwitz_tail_scaled(a + 1.0, start, out=out)
+            return hurwitz_tail_scaled(a + 1.0, start, out=out, first=first)
         if a + 1.0 <= 0:
             raise _DivergentTail
-        return shifted_tail_scaled(a + 1.0, start, out=out)
+        return shifted_tail_scaled(a + 1.0, start, out=out, first=first)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +372,16 @@ def _columns(n: np.ndarray, at: int, bufs: _Buffers) -> np.ndarray:
     return n if at == 0 else np.add(n, at, out=bufs.take("cols", n.size, np.int64))
 
 
+def _shift(first: int | None, at: int) -> int | None:
+    """The first column of the run n + at, for the run n from first."""
+    return None if first is None else first + at
+
+
 def _part_values(kind: OpKind, part: str, sd: _SeqData, n: np.ndarray,
-                 bufs: _Buffers | None = None) -> np.ndarray:
-    """(B+ u~)_n or (B- u~)_n for the unflipped operator at the 1-D rows n,
-    vectorised, read from the kind's row shape, into the buffer named after
-    the part."""
+                 bufs: _Buffers | None = None, first: int | None = None) -> np.ndarray:
+    """(B+ u~)_n or (B- u~)_n for the unflipped operator at the 1-D rows n
+    (the run from first, when given), vectorised, read from the kind's row
+    shape, into the buffer named after the part."""
     bufs = _Buffers() if bufs is None else bufs
     sh = ROW_SHAPES[kind]
     out = bufs.take(part, n.size)
@@ -376,12 +389,13 @@ def _part_values(kind: OpKind, part: str, sd: _SeqData, n: np.ndarray,
         if sh.neg_scale is None:
             out[...] = 0.0
             return out
-        return sh.neg_scale(sd.vals_at(_columns(n, sh.neg_at, bufs)), n, out)
-    cols = _columns(n, sh.at, bufs)
+        return sh.neg_scale(sd.vals_at(_columns(n, sh.neg_at, bufs),
+                                       _shift(first, sh.neg_at)), n, out)
+    cols, col0 = _columns(n, sh.at, bufs), _shift(first, sh.at)
     if sh.block is TAIL:
-        return sd.tail(sh.scale, cols, out)
+        return sd.tail(sh.scale, cols, out, col0)
     read = sd.prefix if sh.block is PREFIX else sd.vals_at
-    return sh.scale(read(cols), n, out)
+    return sh.scale(read(cols, col0), n, out)
 
 
 def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, sd: _SeqData,
@@ -394,8 +408,9 @@ def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, sd: _SeqData,
     if cone in (Cone.ALL, Cone.NONNEG):
         if ROW_SHAPES[kind].neg_scale is None:   # F is the positive part
             return _part_values(kind, "pos", sd, n, bufs)
-        neg = _part_values(kind, "neg", sd, n, bufs)
-        pos = _part_values(kind, "pos", sd, n, bufs)
+        first = _run_start(n)
+        neg = _part_values(kind, "neg", sd, n, bufs, first)
+        pos = _part_values(kind, "pos", sd, n, bufs, first)
         if cone is Cone.ALL:
             return np.add(pos, neg, out=pos)
         return np.maximum(pos, neg, out=pos)
@@ -467,14 +482,15 @@ class _Tail:
 
 
 def _scan_blocks(N: int):
-    """The row blocks (lo, hi) of a scan over 1..N: rows 1.._BLOCK, then up
-    to _SCAN_BLOCK, then _SCAN_BLOCK rows each.  Every block starts one past
-    a multiple of the tails' block, so each run-tail anchor lands on the row
-    a whole-array scan would use, and a scan that a tail stops early reads
-    _BLOCK rows, not _SCAN_BLOCK."""
+    """The row blocks (lo, hi) of a scan over 1..N: rows 1.._FIRST_BLOCK,
+    then up to _BLOCK, then up to _SCAN_BLOCK, then _SCAN_BLOCK rows each.
+    Every block ends on a row of the tails' grid, so each run-tail anchor
+    lands on the row a whole-array scan would use, and a scan that a tail
+    stops early reads _FIRST_BLOCK rows, not _BLOCK."""
     lo = 1
     while lo <= N:
-        hi = min(N, _BLOCK if lo == 1 else (lo // _SCAN_BLOCK + 1) * _SCAN_BLOCK)
+        hi = min(N, _FIRST_BLOCK if lo == 1 else _BLOCK if lo <= _BLOCK
+                 else (lo // _SCAN_BLOCK + 1) * _SCAN_BLOCK)
         yield lo, hi
         lo = hi + 1
 
@@ -523,19 +539,19 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
                 return _divergent()
             if not np.isfinite(vals, out=bufs.take("finite", size, bool)).all():
                 return _divergent(N)
-            top = float(np.max(vals))
+            top = float(vals.max())
             if top > m:
-                m, argmax = top, lo + int(np.argmax(vals))
+                m, argmax = top, lo + int(vals.argmax())
             if hi <= cut:
                 m_cut = max(m_cut, top)
             elif lo <= cut:
-                m_cut = max(m_cut, float(np.max(vals[: cut - lo + 1])))
+                m_cut = max(m_cut, float(vals[: cut - lo + 1].max()))
             if steps:
                 if prev is not None:   # the step across the block edge
                     min_step = min(min_step, float(vals[0] - prev))
                 if size > 1:
                     d = np.subtract(vals[1:], vals[:-1], out=bufs.take("steps", size - 1))
-                    min_step = min(min_step, float(np.min(d)))
+                    min_step = min(min_step, float(d.min()))
                 prev = vals[-1]
             t = tail.at(hi) if tail is not None else None
             if t is None:
@@ -856,8 +872,9 @@ def _cesaro_id_rows(u: Weight, cone: Cone, K: int) -> Callable:
 
         def fn(n: np.ndarray) -> np.ndarray:
             nf = n.astype(float)
-            diag = (nf - 1.0) * sd.vals_at(n)
-            rest = sd.prefix(n - 1)
+            first = _run_start(n)
+            diag = (nf - 1.0) * sd.vals_at(n, first)
+            rest = sd.prefix(n - 1, _shift(first, -1))
             if cone is Cone.ALL:
                 return (diag + rest) / nf
             return np.maximum(diag, rest) / nf
@@ -891,8 +908,9 @@ def _copson_id_rows(u: Weight, cone: Cone, K: int) -> Callable:
 
         def fn(n: np.ndarray) -> np.ndarray:
             nf = n.astype(float)
-            diag = (nf - 1.0) / nf * sd.vals_at(n)
-            tail = sd.tail(INV_K, n + 1)
+            first = _run_start(n)
+            diag = (nf - 1.0) / nf * sd.vals_at(n, first)
+            tail = sd.tail(INV_K, n + 1, first=_shift(first, 1))
             if cone is Cone.ALL:
                 return diag + tail
             return np.maximum(diag, tail)
@@ -915,9 +933,10 @@ def _c_minus_sstar_rows(u: Weight, cone: Cone, K: int) -> Callable:
 
         def fn(n: np.ndarray) -> np.ndarray:
             # the value read first, copied out: the prefix read reuses it
+            first = _run_start(n)
             nxt = bufs.take("next", n.size)
-            nxt[...] = sd.vals_at(_columns(n, 1, bufs))
-            mean = np.divide(sd.prefix(n), n, out=bufs.take("mean", n.size))
+            nxt[...] = sd.vals_at(_columns(n, 1, bufs), _shift(first, 1))
+            mean = np.divide(sd.prefix(n, first), n, out=bufs.take("mean", n.size))
             if cone is Cone.ALL:
                 return np.add(mean, nxt, out=mean)
             return np.maximum(mean, nxt, out=mean)
@@ -949,8 +968,9 @@ def _cstarsd_rows(u: Weight, cone: Cone, K: int) -> Callable:
 
         def fn(n: np.ndarray) -> np.ndarray:
             nf = n.astype(float)
-            prev = sd.vals_at(n - 1) / nf
-            tail = sd.tail(INV_K_KP1, n)
+            first = _run_start(n)
+            prev = sd.vals_at(n - 1, _shift(first, -1)) / nf
+            tail = sd.tail(INV_K_KP1, n, first=first)
             return prev + tail if cone is Cone.ALL else np.maximum(prev, tail)
 
         return fn

@@ -181,8 +181,13 @@ def random_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
         plan = cone_plan(kind, cone, None)
         if plan.trivially_zero:
             return 0.0  # the cone meets the domain only in the zero sequence
-    uvals = weight_values(u, cols)
-    vvals = codomain_values(v, rows)
+    with np.errstate(over="ignore"):
+        uvals = weight_values(u, cols)
+        vvals = codomain_values(v, rows)
+    # inf weights make every sample's ratio NaN, which would drop every trial
+    for name, vals in (("domain", uvals), ("codomain", vvals)):
+        if not np.isfinite(vals).all():
+            raise ValueError(f"the {name} weight overflows float64")
     down = envelope_down(u, cols)
     up = envelope_up(u, cols)
     X = _sample_cone(np.random.default_rng(seed), cone, trials, uvals, down, up)

@@ -22,14 +22,22 @@ below 8 * 2**-53 <= (deg + 1) * 2**-53 relative for s <= 31 and n >= 16.
 
 Vectorised ``*_scaled`` variants evaluate n**p * tail(n) elementwise for scan
 loops.  On scattered rows the series is evaluated per row, with the scaling
-folded into the power n**(p+e) so no huge or tiny intermediates appear.  On a
-contiguous increasing run n0, n0+1, ..., n1 (what every scan passes) the tails
-are reverse cumulative sums of the terms, one per block of _BLOCK rows, each
-anchored by the series at the row just past the block, as the scattered path
-evaluates it there.  The terms are positive and summed smallest first, so the
-error of a row is its anchor's error (E-M remainder plus Horner rounding) plus
-at most _BLOCK * 2**-53 (~4.5e-13) relative.  Runs whose terms k**(-s) or
-scales n**p would leave the normal float range keep the per-row path.
+folded into the power n**(p+e) so no huge or tiny intermediates appear.  The
+series starts at the first row where its E-M remainder is at most 2**-53 of
+the tail (``_em_cut``, 16 to 40 rows for s <= 3, 223 for s = 30); a row
+below it sums its terms up to that row exactly, each term formed relative to
+the row, and adds the series there.  On a contiguous increasing run n0, n0+1,
+..., n1 (what every scan passes) the tails are reverse cumulative sums of the
+terms, one per cell of a fixed grid, each anchored by the series at the row
+just past the cell, as the scattered path evaluates it there.  Cells end at
+every grid row g (_FIRST_BLOCK and the multiples of _BLOCK), at g + 1, and at
+the run's end, so a row's value depends only on the row and the end of the
+request: the blocks of a scan, which end on grid rows (one row later for
+tails read from column n + 1), give the bits of one whole-array request.  The
+terms are positive and summed smallest first, so the error of a row is its
+anchor's error (E-M remainder plus Horner rounding) plus at most
+_BLOCK * 2**-53 (~4.5e-13) relative.  Runs whose terms k**(-s) or scales n**p
+would leave the normal float range keep the per-row path.
 """
 
 from __future__ import annotations
@@ -107,11 +115,58 @@ def _horner(coeffs: tuple[float, ...], x):
     return acc
 
 
+_FEW = 16   # up to this many rows, the Horner loop runs in Python floats
+
+
 def _em_scaled(s: float, terms: int, n: np.ndarray, p: float = 0.0) -> np.ndarray:
     """n**p * sum_{j<terms} (-1)**j sum_{k>=n} k**(-s-j) elementwise by the
-    Euler-Maclaurin table: one power and one Horner loop (all n >= 16)."""
+    Euler-Maclaurin table (all n >= 16): one power and one Horner loop, the
+    loop in Python floats for a few rows (the same bits, without a ufunc call
+    per coefficient).  Rows below the series' first row ``_em_cut`` take
+    their terms up to it exactly (``_below_cut``)."""
     nf = np.asarray(n, dtype=float)
-    return np.power(nf, p + 1.0 - s) * _horner(_em_table(s, terms)[0], 1.0 / nf)
+    P = _em_table(s, terms)[0]
+    cut = _em_cut(s, terms)
+    if nf.size <= _FEW:
+        poly = np.array([_horner(P, 1.0 / x) if x >= cut
+                         else _below_cut(s, terms, int(x), cut) for x in nf.tolist()])
+    else:
+        poly = _horner(P, 1.0 / nf)
+        for i in np.flatnonzero(nf < cut):
+            poly[i] = _below_cut(s, terms, int(nf[i]), cut)
+    return np.power(nf, p + 1.0 - s) * poly
+
+
+@functools.lru_cache(maxsize=64)
+def _em_cut(s: float, terms: int) -> int:
+    """The first row N where the table's E-M remainder is at most 2**-53 of
+    the tail, R(1/N) <= 2**-53 P(1/N) (by doubling, then bisection: the
+    ratio falls like N**-10)."""
+    P, R, _ = _em_table(s, terms)
+
+    def ok(N: int) -> bool:
+        return _horner(R, 1.0 / N) <= 2.0 ** -53 * _horner(P, 1.0 / N)
+
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
+def _below_cut(s: float, terms: int, n: int, cut: int) -> float:
+    """tail(n) / n**(1-s) for n < cut: the terms k = n..cut-1 relative to n,
+    (k/n)**-s / n for the Hurwitz tail and (k/n)**(1-s) / (k+1) for the
+    shifted one (each within (s + 2) * 2**-53), summed exactly, plus the
+    series at the cut."""
+    k = np.arange(n, cut, dtype=float)
+    r = k / n
+    head = np.power(r, -s) / n if terms == 1 else np.power(r, 1.0 - s) / (k + 1.0)
+    P = _em_table(s, terms)[0]
+    return math.fsum(head) + (cut / n) ** (1.0 - s) * _horner(P, 1.0 / cut)
 
 
 def _em_error(s: float, terms: int, N: int) -> float:
@@ -179,7 +234,8 @@ def m_alpha(alpha: float) -> CertifiedValue:
 # Vectorised scan helpers: n**p * tail(n) elementwise, stable for large n.
 # ---------------------------------------------------------------------------
 
-_BLOCK = 4096        # rows per reverse cumsum: _BLOCK * 2**-53 ~ 4.5e-13 relative
+_FIRST_BLOCK = 256   # the first grid row, and the rows of a scan's first block
+_BLOCK = 4096        # grid period past it: _BLOCK * 2**-53 ~ 4.5e-13 relative
 _RUN_ANCHOR = 32     # runs are extended so that every anchor is >= this row
 _LOG_NORMAL = 700.0  # exp(-700) is still a normal double
 
@@ -188,17 +244,20 @@ def _run_start(n: np.ndarray) -> int | None:
     """n[0] when the integer array n is the run n[0], n[0]+1, ..., n[-1],
     None otherwise.  Strictly increasing integers that span n.size - 1 form
     a run: one comparison pass, and no array of differences."""
-    if (n.ndim != 1 or n.size == 0 or not np.issubdtype(n.dtype, np.integer)
+    if (n.ndim != 1 or n.size == 0 or n.dtype.kind not in "iu"
             or int(n[-1]) - int(n[0]) != n.size - 1
             or not (n[1:] > n[:-1]).all()):
         return None
     return int(n[0])
 
 
-def _run_bounds(n: np.ndarray, s: float, p: float) -> tuple[int, int] | None:
+def _run_bounds(n: np.ndarray, s: float, p: float,
+                first: int | None = None) -> tuple[int, int] | None:
     """(n0, n1) when n is n0, n0+1, ..., n1 with n0 >= 1 and the terms
-    k**(-s) and the scales k**p of the (extended) run are normal floats."""
-    n0 = _run_start(n)
+    k**(-s) and the scales k**p of the (extended) run are normal floats.
+    A caller that knows n to be a run passes its first row as ``first``,
+    and n is not checked again."""
+    n0 = _run_start(n) if first is None else first
     if n0 is None or n0 < 1:
         return None
     n1 = n0 + n.size - 1
@@ -215,29 +274,51 @@ def _run_tails(n: np.ndarray, n0: int, n1: int, p: float,
     """n**p * tail(n), tail(n) = sum_{k>=n} term(k), for the run n = n0..n1,
     written into out.
 
-    The run is extended to row _RUN_ANCHOR - 1 and cut into blocks of _BLOCK
-    rows.  Inside a block the tails are one reverse cumsum of the positive,
-    decreasing terms, so they are summed smallest first (relative rounding
-    error <= _BLOCK * 2**-53); each block is anchored by the certified tail
-    ``em_tail`` at the first row past it, all anchors in one vectorised call.
-    ``term(k, t)`` writes the terms at the run k into t.  The terms, sums
-    and anchors are formed in place in out, unless the run is extended.
+    The run is extended to row _RUN_ANCHOR - 1 and cut into the grid's
+    cells: before the period that starts past row g0 (the first multiple of
+    _BLOCK, at least _BLOCK, at or past n0 - 1), a cell ends at rows
+    _FIRST_BLOCK and _FIRST_BLOCK + 1 and at g0; then come whole periods,
+    each a single row g + 1 and the cell g + 2..g + _BLOCK; then the row
+    past the last period and the rest of the run.  Inside a cell the tails
+    are one reverse cumsum of the positive, decreasing terms, so they are
+    summed smallest first (relative rounding error <= _BLOCK * 2**-53); each
+    cell is anchored by the certified tail ``em_tail`` at the first row past
+    it, all anchors in one call.  ``term(k, t)`` writes the terms at the run
+    k into t.  The terms, sums and anchors are formed in place in out,
+    unless the run is extended.
     """
     end = max(n1, _RUN_ANCHOR - 1)
-    m = end - n0 + 1
-    t, k = (out, n) if end == n1 else (np.empty(m), np.arange(n0, end + 1))
+    t, k = (out, n) if end == n1 else (np.empty(end - n0 + 1), np.arange(n0, end + 1))
     term(k, t)
-    anchors = em_tail(np.minimum(n0 + _BLOCK * np.arange(1, -(-m // _BLOCK) + 1),
-                                 end + 1))
-    # whole blocks, then the last short one (the zeros a padded block would
-    # add first change no sum)
-    full = m - m % _BLOCK
-    for seg, anc in ((t[:full].reshape(-1, _BLOCK), anchors[:full // _BLOCK]),
-                     (t[full:].reshape(1, -1), anchors[full // _BLOCK:])):
-        if seg.size:
-            rev = seg[:, ::-1]
-            np.cumsum(rev, axis=1, out=rev)
-            np.add(seg, anc[:, None], out=seg)
+    g0 = max(_BLOCK, -(-(n0 - 1) // _BLOCK) * _BLOCK)
+    periods = max(end - g0, 0) // _BLOCK
+    g1 = g0 + periods * _BLOCK
+    ends = [e for e in (_FIRST_BLOCK, _FIRST_BLOCK + 1) if n0 <= e < min(end, g0)]
+    if n0 <= g0:
+        ends.append(min(end, g0))
+    if end > g1:
+        ends += [g1 + 1] + ([end] if end > g1 + 1 else [])
+    rows = [e + 1 for e in ends]
+    if periods:
+        g = g0 + _BLOCK * np.arange(periods)
+        rows = np.concatenate([rows, g + 2, g + (_BLOCK + 1)])
+    anchors = em_tail(rows)
+    lo = n0
+    for e, anc in zip(ends, anchors[:len(ends)].tolist()):
+        if e > g1:   # past the whole periods
+            lo = max(lo, g1 + 1)
+        seg = t[lo - n0:e - n0 + 1]
+        rev = seg[::-1]
+        np.cumsum(rev, out=rev)
+        seg += anc
+        lo = e + 1
+    if periods:
+        body = t[g0 + 1 - n0:g1 + 1 - n0].reshape(periods, _BLOCK)
+        cells = body[:, 1:]
+        rev = cells[:, ::-1]
+        np.cumsum(rev, axis=1, out=rev)
+        cells += anchors[len(ends) + periods:, None]
+        body[:, 0] += anchors[len(ends):len(ends) + periods]
     if t is not out:
         out[...] = t[: n1 - n0 + 1]
     if p != 0.0:
@@ -254,14 +335,16 @@ def _shifted_terms(beta: float, k: np.ndarray, t: np.ndarray) -> None:
 
 
 def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0,
-                        out: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray | None = None,
+                        first: int | None = None) -> np.ndarray:
     """Elementwise n**p * sum_{k>=n} k**(-s) for an integer array n (s > 1),
-    written into the float array out of n's shape when given."""
+    written into the float array out of n's shape when given.  ``first``
+    says that n is the run first, first+1, ... (not checked again)."""
     if s <= 1.0:
         raise ValueError("hurwitz_tail_scaled requires s > 1")
     n = np.asarray(n)
     out = np.empty(n.shape) if out is None else out
-    run = _run_bounds(n, s, p)
+    run = _run_bounds(n, s, p, first)
     if run is not None:
         return _run_tails(n, *run, p, lambda k, t: np.power(k, -s, out=t, dtype=float),
                           lambda a: _em_scaled(s, 1, a), out)
@@ -277,14 +360,16 @@ def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0,
 
 
 def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0,
-                        out: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray | None = None,
+                        first: int | None = None) -> np.ndarray:
     """Elementwise n**p * sum_{k>=n} k**(-beta)/(k+1) (beta > 0), written
-    into the float array out of n's shape when given."""
+    into the float array out of n's shape when given.  ``first`` says that
+    n is the run first, first+1, ... (not checked again)."""
     if beta <= 0.0:
         raise ValueError("shifted_tail_scaled requires beta > 0")
     n = np.asarray(n)
     out = np.empty(n.shape) if out is None else out
-    run = _run_bounds(n, beta + 1.0, p)
+    run = _run_bounds(n, beta + 1.0, p, first)
     if run is not None:
         return _run_tails(n, *run, p, lambda k, t: _shifted_terms(beta, k, t),
                           lambda a: _em_scaled(beta + 1.0, _GEOM_J, a), out)

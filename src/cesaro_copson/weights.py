@@ -122,9 +122,9 @@ def _power_vals(alpha: float, k: np.ndarray) -> np.ndarray:
 
 
 # 0, 1, 2, ...: the head that _fill_range doubles, as integers and as floats
-# (a ramp of out's kind adds without a casting loop).  A scan's first block
-# of 4096 rows, and a window of it a column wider on either side, fill in
-# one addition.
+# (a ramp of out's kind adds without a casting loop).  A scan's first two
+# blocks (rows 1..256 and 257..4096), and a window of either a column wider
+# on each side, fill in one addition.
 _RAMPS = {"i": np.arange(8192), "f": np.arange(8192, dtype=float)}
 
 

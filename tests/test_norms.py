@@ -185,7 +185,7 @@ def test_scaling_homogeneity(rng):
 def test_statuses_on_scans():
     # an unmatched power pair stops where its proven tail bound closes
     r = norm_cesaro(P(0.5), P(0.3), Cone.ALL, TruncConfig(n_max=50000))
-    assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == 4096
+    assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == 256
     # threshold divergence for a rapidly growing unmatched pair
     r = norm_cesaro(P(-1.0), P(3.0), Cone.ALL,
                     TruncConfig(n_max=100000, divergence_threshold=1e9))
@@ -227,7 +227,7 @@ def test_trunc_config_rejects_values_that_break_later(kwargs):
 def test_trunc_config_takes_numpy_integers():
     cfg = TruncConfig(n_max=np.int64(5000))
     assert cfg.n_max == 5000 and type(cfg.n_max) is int
-    assert norm_cesaro(P(0.5), P(0.3), Cone.ALL, cfg).n_used == 4096
+    assert norm_cesaro(P(0.5), P(0.3), Cone.ALL, cfg).n_used == 256
 
 
 def _c_le_cstar(u, v):

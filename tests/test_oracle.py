@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,20 @@ def test_overflowing_supremum_is_a_clear_error():
         extremal_lower_bound(OpKind.C, P(-400), P(400), Cone.ALL, 5)
     with pytest.raises(ValueError, match="overflows float64"):
         random_lower_bound(OpKind.C, P(-400), P(400), Cone.ALL, 5, 20, 1)
+
+
+@pytest.mark.parametrize("cone", list(Cone), ids=lambda c: c.name)
+def test_overflowing_weight_is_a_clear_error(cone):
+    # u_6 = 6**400 overflows float64: the random search used to drop every
+    # sample (its ratio is NaN) and return 0.0, which bounds nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows float64"):
+            random_lower_bound(OpKind.C, P(-400), P(400), cone, 6, 10, 1)
+        with pytest.raises(ValueError, match="overflows float64"):
+            random_lower_bound(OpKind.C, P(0.5), P(400), cone, 6, 10, 1)
+    with pytest.raises(ValueError, match="overflows float64"):
+        extremal_lower_bound(OpKind.C, P(-400), P(400), Cone.ALL, 6)
 
 
 def counted_entry(monkeypatch):

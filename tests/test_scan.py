@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cesaro_copson import norms, power, two_operator, weights
+from cesaro_copson import norms, power, special_sums, two_operator, weights
 from cesaro_copson.norms import (SPECIALIZED_BY_KIND, NormResult, Status,
                                  TruncConfig, _divergent, _DivergentTail,
                                  _engine_rows, _row_sup, _scan_sup, _tail,
@@ -21,13 +21,14 @@ from cesaro_copson.norms import (SPECIALIZED_BY_KIND, NormResult, Status,
 from cesaro_copson.operators import PRINCIPAL_KINDS, OpKind, cone_plan
 from cesaro_copson.power import ScanCertificate
 from cesaro_copson.special_sums import _BLOCK as F
+from cesaro_copson.special_sums import _FIRST_BLOCK as S
 from cesaro_copson.two_operator import (Direction, TwoOpQuery, _c_le_cstar_rows,
                                         _rows_cstar_le_c, best_constant)
 from cesaro_copson.weights import Cone, ListWeight, PowerWeight, codomain_values
 
 B = norms._SCAN_BLOCK
 P = PowerWeight
-EDGES = (F, B, 2 * B)   # the first three block ends of a long scan
+EDGES = (S, F, B, 2 * B)   # the first four block ends of a long scan
 
 
 def whole_array_scan(values_fn, cfg, certificate):
@@ -99,11 +100,11 @@ def _compare(vals, cfg, certificate):
 
     got = _scan_sup(values_fn, cfg, certificate)
     assert repr(got) == repr(whole_array_scan(lambda n: vals[n - 1], cfg, certificate))
-    # contiguous blocks in order, covering 1..N once: rows 1..F, then up to
-    # B, then B rows each, up to the block that holds the first non-finite
-    # row, where the scan ends
+    # contiguous blocks in order, covering 1..N once: rows 1..S, then up to
+    # F, then up to B, then B rows each, up to the block that holds the first
+    # non-finite row, where the scan ends
     N = cfg.n_max
-    ends = [e for e in (F, *range(B, N + B, B)) if e < N] + [N]
+    ends = [e for e in (S, F, *range(B, N + B, B)) if e < N] + [N]
     bad = np.flatnonzero(~np.isfinite(vals[:N]))
     if bad.size:
         row = bad[0] + 1
@@ -114,7 +115,8 @@ def _compare(vals, cfg, certificate):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("feature", ["max", "tie", "huge", "nan", "dip", "small-dip"])
-@pytest.mark.parametrize("N", [1, F - 1, F, F + 1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("N", [1, S - 1, S, S + 1, F - 1, F, F + 1, B - 1, B, B + 1,
+                               2 * B + 3])
 def test_block_edges_match_whole_array_scan(N, feature, offset):
     # the feature sits next to every block edge inside 1..N (at row N when
     # there is none)
@@ -298,7 +300,7 @@ def test_non_finite_row_ends_the_scan(monkeypatch):
     monkeypatch.setattr(norms, "_scan_sup", counting)
     r = norm_copson(P(0.5), P(400), Cone.ALL)
     assert repr(r) == repr(NormResult(math.inf, Status.DIVERGENT, 10 ** 6, 0.0))
-    assert calls == [F]
+    assert calls == [S]
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +406,43 @@ def test_one_power_evaluation_per_block(fn, cone, monkeypatch):
         return power_vals(alpha, k)
 
     monkeypatch.setattr(weights, "_power_vals", counting)
-    # no prefix bound is derived for alpha >= 1: no tail, three blocks
+    # no prefix bound is derived for alpha >= 1: no tail, four blocks
     r = fn(P(1.5), P(0.7), cone, TruncConfig(n_max=B + 100))
     assert r.n_used == B + 100
-    assert len(calls) == 3
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("kind", [OpKind.C_MINUS_I, OpKind.CSTAR_MINUS_I,
+                                  OpKind.C_MINUS_SSTAR, OpKind.CSTARSD],
+                         ids=lambda k: k.name)
+@pytest.mark.parametrize("cone", [Cone.ALL, Cone.NONNEG], ids=lambda c: c.name)
+def test_one_contiguity_check_per_block(kind, cone, monkeypatch):
+    # these rows read values and then prefix sums or tails of the block's
+    # columns: one comparison pass tells every read that they are a run
+    checks, blocks = [], []
+    run_start, scan_sup = special_sums._run_start, norms._scan_sup
+
+    def counting_run_start(n):
+        checks.append(n.size)
+        return run_start(n)
+
+    def counting_scan_sup(values_fn, cfg, certificate, tail=None):
+        def fn(n):
+            blocks.append(n.size)
+            return values_fn(n)
+
+        return scan_sup(fn, cfg, certificate, tail)
+
+    monkeypatch.setattr(special_sums, "_run_start", counting_run_start)
+    monkeypatch.setattr(norms, "_run_start", counting_run_start)
+    monkeypatch.setattr(norms, "_scan_sup", counting_scan_sup)
+    # v grows faster than the rows decay: no tail, and every block is read
+    cfg = TruncConfig(n_max=B + 100)
+    for r in (norm_general(kind, P(1.5), P(3.0), cone, cfg),
+              SPECIALIZED_BY_KIND[kind](P(1.5), P(3.0), cone, cfg)):
+        assert r.n_used == cfg.n_max
+    assert len(blocks) == 8
+    assert checks == blocks
 
 
 @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.name)
@@ -449,8 +484,8 @@ def _certified_calls(a, cfg):
 
 @pytest.mark.parametrize("a", MATCHED_ALPHAS)
 def test_matched_early_stop_matches_full_scan(a, monkeypatch):
-    # the first block's tail meets the certificate, and the answer is the
-    # one the full scan gives, to the bit
+    # the first (short) block's tail meets the certificate, and the answer
+    # is the one the full scan gives, to the bit
     cfg = TruncConfig(n_max=2 ** 18)
     calls = list(_certified_calls(a, cfg))
     early = [call() for _, call in calls]
@@ -459,8 +494,27 @@ def test_matched_early_stop_matches_full_scan(a, monkeypatch):
         full = call()
         assert full.n_used == cfg.n_max, label
         assert (repr(r.value), r.status) == (repr(full.value), full.status), label
-        assert r.n_used == F, label
+        assert r.n_used == S, label
     assert calls
+
+
+def test_closing_scans_stop_after_the_first_block():
+    # a tail that closes at all mostly closes on the short first block
+    r = norm_cesaro(P(.5), P(.3), Cone.ALL)
+    assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == S
+    for a in MATCHED_ALPHAS:
+        for label, call in _certified_calls(a, TruncConfig()):
+            r = call()
+            assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == S, (a, label)
+
+
+def test_slow_matched_scan_stops_where_recorded():
+    # matched C - I on NONINCR just below a = 0: the tail bound meets the
+    # attained certificate only at the end of the first long block
+    r = norm_general(OpKind.C_MINUS_I, P(-1e-4), P(-1e-4), Cone.NONINCR)
+    assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == B
+    assert r.value == pytest.approx(
+        dist_cesaro_identity(P(-1e-4), P(-1e-4), Cone.NONINCR).value, rel=1e-15)
 
 
 @pytest.mark.parametrize("a", (-1.4, -0.5, -0.1, 0.0, 0.3, 0.9, 1.0, 2.5))

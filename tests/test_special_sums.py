@@ -8,8 +8,8 @@ from scipy.special import zeta as scipy_zeta
 
 from cesaro_copson import special_sums
 from cesaro_copson.oracle import _POWER_GRID
-from cesaro_copson.special_sums import (_BLOCK, _GEOM_J, _RUN_ANCHOR,
-                                        _em_error, _em_scaled, _em_table,
+from cesaro_copson.special_sums import (_BLOCK, _FIRST_BLOCK, _GEOM_J, _RUN_ANCHOR,
+                                        _em_cut, _em_error, _em_scaled, _em_table,
                                         hurwitz_tail, hurwitz_tail_scaled,
                                         m_alpha, shifted_tail,
                                         shifted_tail_scaled, zeta)
@@ -153,8 +153,8 @@ def test_brute_force_sum_lands_inside_certificate():
 
 
 # Scattered rows take the Euler-Maclaurin path; contiguous runs n0..n1 take
-# the blocked reverse-sum path, checked at block ends, block ends +-1 and the
-# run ends.
+# the blocked reverse-sum path, checked at the grid's cell ends, the rows
+# next to them and the run ends.
 _RUN_STARTS = (1, 2, 15, 16, 31, 32, 33)
 _RUN_LENGTHS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
 _SCALED_INPUTS = [np.array([1, 2, 5, 15, 16, 33, 1000, 10 ** 6])] + [
@@ -167,9 +167,20 @@ _SHIFTED_CASES = [(0.7, 0.7)] + [(a + 1.0, a) for a in _POWER_GRID if a > -1]
 def _check_positions(n: np.ndarray) -> list[int]:
     if not np.all(np.diff(n) == 1):
         return list(range(n.size))
-    ends = np.arange(_BLOCK - 1, n.size, _BLOCK)
-    pos = {0, n.size - 1, *ends, *(ends - 1), *(ends + 1)}
+    grid = [_FIRST_BLOCK, *range(_BLOCK, int(n[-1]) + 1, _BLOCK)]
+    rows = {g + d for g in grid for d in (-1, 0, 1, 2)}
+    pos = {0, n.size - 1, *(r - int(n[0]) for r in rows)}
     return sorted(i for i in pos if 0 <= i < n.size)
+
+
+def _cell_end(r: int) -> int:
+    """Last row of the grid cell that holds row r: cells end at every grid
+    row g (_FIRST_BLOCK and the multiples of _BLOCK) and at g + 1."""
+    if r <= _FIRST_BLOCK + 1:
+        return max(r, _FIRST_BLOCK)
+    if r > _BLOCK and r % _BLOCK == 1:
+        return r
+    return -(-r // _BLOCK) * _BLOCK
 
 
 # Rounding the contract charges besides an anchor's error: _BLOCK additions
@@ -181,18 +192,22 @@ _ROW_ROUNDING = 8 * 2.0 ** -53
 
 def _contract(shifted: bool, exponent: float, n: np.ndarray, i: int) -> float:
     """Relative error the module docstring allows at row n[i]: on a run, the
-    error of the anchor just past the row's block (absolute, over the row's
-    tail) plus the block's rounding; on scattered rows, the series' error at
-    the row itself, or the scalar certificate below the series' first row."""
+    error of the anchor just past the row's grid cell (absolute, over the
+    row's tail) plus the cell's rounding; on scattered rows, the series'
+    error at the row itself, or the scalar certificate below the series'
+    first row.  A series evaluated below its cut row is its value at the
+    cut, plus the terms up to it, each within (s + 2) * 2**-53."""
     s, terms, first = (exponent + 1.0, _GEOM_J, 32) if shifted else (exponent, 1, 16)
+    cut = _em_cut(s, terms)
     ni = int(n[i])
     ref = ref_shifted(exponent, ni) if shifted else ref_hurwitz(exponent, ni)
     if np.all(np.diff(n) == 1):
-        n0, end = int(n[0]), max(int(n[-1]), _RUN_ANCHOR - 1)
-        anchor = min(n0 + ((ni - n0) // _BLOCK + 1) * _BLOCK, end + 1)
-        return _em_error(s, terms, anchor) / ref + _RUN_ROUNDING
+        end = max(int(n[-1]), _RUN_ANCHOR - 1)
+        anchor = min(_cell_end(ni), end) + 1
+        return _em_error(s, terms, max(anchor, cut)) / ref + _RUN_ROUNDING
     if ni >= first:
-        return _em_error(s, terms, ni) / ref + _ROW_ROUNDING
+        head = (s + 2.0) * 2.0 ** -53 if ni < cut else 0.0
+        return _em_error(s, terms, max(ni, cut)) / ref + _ROW_ROUNDING + head
     scalar = shifted_tail(exponent, ni) if shifted else hurwitz_tail(exponent, ni)
     return scalar.error_bound / ref + _ROW_ROUNDING
 
@@ -218,16 +233,37 @@ def test_scaled_vector_variants_match_scalars(n):
 @pytest.mark.parametrize("N", [32, 4097, 65537, 10 ** 6 + 1])
 def test_series_matches_references_at_anchor_rows(N):
     # the table's series, as anchors and scattered rows evaluate it, against
-    # mpmath: within its certificate, and within 1e-14 relative unless the
-    # certificate is wider (only s = 30 at N = 32, where the E-M remainder
-    # is ~2e-8 relative)
+    # mpmath: within its certificate at the cut row, or at N when that is
+    # past the cut, and within 1e-14 relative (s = 30 at N = 32 is below its
+    # cut, 223, and sums its terms up to the cut)
     cases = [(s, 1, ref_hurwitz(s, N)) for s in (1.15, 1.6, 2.5, 30.0)] + \
             [(b + 1.0, _GEOM_J, ref_shifted(b, N)) for b in (0.15, 0.6, 0.99, 1.7)]
     for s, terms, ref in cases:
         got = float(_em_scaled(s, terms, np.array([N]))[0])
-        bound = _em_error(s, terms, N)
-        assert abs(got - ref) <= bound + 2.0 ** -53 * ref
-        assert abs(got - ref) <= max(1e-14 * ref, bound)
+        bound = _em_error(s, terms, max(N, _em_cut(s, terms)))
+        assert abs(got - ref) <= bound + (s + 3.0) * 2.0 ** -53 * ref
+        assert abs(got - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("s", [10.0, 20.0, 30.0])
+def test_steep_exponents_match_mpmath(s):
+    # the series starts at its cut row (89, 156 and 223 here); scattered rows
+    # and run anchors below it sum their terms up to it.  Without the cut,
+    # scattered row 20 at s = 30 was 1.7e-6 relative off
+    rows = np.array([16, 20, 40, 88, 89, 100, 155, 156, 222, 223, 224, 1000])
+    for shifted, fn, exponent in ((False, hurwitz_tail_scaled, s),
+                                  (True, shifted_tail_scaled, s - 1.0)):
+        ref = ref_shifted if shifted else ref_hurwitz
+        scattered = fn(exponent, rows[::-1])[::-1]
+        for ni, got in zip(rows.tolist(), scattered.tolist()):
+            if ni >= (32 if shifted else 16):   # below, the scalar path
+                assert got == pytest.approx(ref(exponent, ni), rel=1e-14, abs=0)
+        # runs anchored at row 32 (a run that ends below it is extended)
+        # and at row _FIRST_BLOCK + 1 (a scan's first block)
+        for end in (_RUN_ANCHOR - 1, _FIRST_BLOCK):
+            run = fn(exponent, np.arange(1, end + 1))
+            for ni in (end - 1, end):
+                assert run[ni - 1] == pytest.approx(ref(exponent, ni), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("fn,exponent", [(hurwitz_tail_scaled, 1.6),
@@ -246,7 +282,10 @@ def test_run_anchors_are_the_scattered_values(monkeypatch, fn, exponent):
     monkeypatch.setattr(special_sums, "_run_tails", recording)
     fn(exponent, np.arange(1, 3 * _BLOCK + 100), 0.7)
     [(rows, values)] = anchors
-    assert rows.tolist() == [_BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 1, 3 * _BLOCK + 100]
+    # one anchor past each cell: the grid rows g and g + 1, and the run's end
+    grid = (_FIRST_BLOCK, _BLOCK, 2 * _BLOCK, 3 * _BLOCK)
+    assert sorted(rows.tolist()) == sorted([g + d for g in grid for d in (1, 2)]
+                                           + [3 * _BLOCK + 100])
     # decreasing rows are no run: the per-row path, bit for bit the anchors
     np.testing.assert_array_equal(fn(exponent, rows[::-1], 0.0)[::-1], values)
 
