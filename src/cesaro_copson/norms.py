@@ -229,10 +229,7 @@ class _SeqData:
     each prefix read that extends it, its carry moved to the front.  A
     slice handed out for a run of columns is a read-only view of such a
     buffer: it is valid only until the next request to this object, so
-    copy it or use it before asking for anything else.  Every read takes,
-    as ``first``, the first column of a request its caller knows to be a
-    run of columns, so a row function checks the contiguity of its block
-    once (``_run_start``) for all its reads.
+    copy it or use it before asking for anything else.
     """
 
     def __init__(self, u: Weight, env: str, K: int):
@@ -282,10 +279,10 @@ class _SeqData:
         else:
             weight_values(self._u, count, first, out=out)
 
-    def vals_at(self, k: np.ndarray, first: int | None = None) -> np.ndarray:
+    def vals_at(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k)
         if self.mode == "power":
-            lo = _run_start(k) if first is None else first
+            lo = _run_start(k)
             if lo is not None and 1 <= lo <= self._cols - k.size + 1:
                 return self._values(lo, k.size)   # a block of columns
         out = np.zeros(k.shape, dtype=float)
@@ -300,13 +297,10 @@ class _SeqData:
             out[ok] = self._values(lo, int(kk.max()) - lo + 1)[kk - lo]
         return out
 
-    def prefix(self, end: np.ndarray, first: int | None = None) -> np.ndarray:
+    def prefix(self, end: np.ndarray) -> np.ndarray:
         end = np.asarray(end)
         # a run of columns inside 0..K needs no clipping
-        if self.mode != "power":
-            first = None
-        elif first is None:
-            first = _run_start(end)
+        first = _run_start(end) if self.mode == "power" else None
         if first is None or first < 0 or first + end.size - 1 > self._cols:
             end, first = np.clip(end, 0, self._cols), None
         if self.mode == "list":
@@ -337,7 +331,7 @@ class _SeqData:
         return self._pwin[end - self._p0]
 
     def tail(self, kernel: Callable, start: np.ndarray,
-             out: np.ndarray | None = None, first: int | None = None) -> np.ndarray:
+             out: np.ndarray | None = None) -> np.ndarray:
         """sum over k >= start (within the horizon) of kernel_k * value_k,
         for the tail kernels INV_K and INV_K_KP1 of ``operators``, written
         into the float array out of start's shape when given."""
@@ -357,10 +351,10 @@ class _SeqData:
         if kernel is INV_K:
             if a <= 0:
                 raise _DivergentTail
-            return hurwitz_tail_scaled(a + 1.0, start, out=out, first=first)
+            return hurwitz_tail_scaled(a + 1.0, start, out=out)
         if a + 1.0 <= 0:
             raise _DivergentTail
-        return shifted_tail_scaled(a + 1.0, start, out=out, first=first)
+        return shifted_tail_scaled(a + 1.0, start, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +366,11 @@ def _columns(n: np.ndarray, at: int, bufs: _Buffers) -> np.ndarray:
     return n if at == 0 else np.add(n, at, out=bufs.take("cols", n.size, np.int64))
 
 
-def _shift(first: int | None, at: int) -> int | None:
-    """The first column of the run n + at, for the run n from first."""
-    return None if first is None else first + at
-
-
 def _part_values(kind: OpKind, part: str, sd: _SeqData, n: np.ndarray,
-                 bufs: _Buffers | None = None, first: int | None = None) -> np.ndarray:
-    """(B+ u~)_n or (B- u~)_n for the unflipped operator at the 1-D rows n
-    (the run from first, when given), vectorised, read from the kind's row
-    shape, into the buffer named after the part."""
+                 bufs: _Buffers | None = None) -> np.ndarray:
+    """(B+ u~)_n or (B- u~)_n for the unflipped operator at the 1-D rows n,
+    vectorised, read from the kind's row shape, into the buffer named after
+    the part."""
     bufs = _Buffers() if bufs is None else bufs
     sh = ROW_SHAPES[kind]
     out = bufs.take(part, n.size)
@@ -389,13 +378,12 @@ def _part_values(kind: OpKind, part: str, sd: _SeqData, n: np.ndarray,
         if sh.neg_scale is None:
             out[...] = 0.0
             return out
-        return sh.neg_scale(sd.vals_at(_columns(n, sh.neg_at, bufs),
-                                       _shift(first, sh.neg_at)), n, out)
-    cols, col0 = _columns(n, sh.at, bufs), _shift(first, sh.at)
+        return sh.neg_scale(sd.vals_at(_columns(n, sh.neg_at, bufs)), n, out)
+    cols = _columns(n, sh.at, bufs)
     if sh.block is TAIL:
-        return sd.tail(sh.scale, cols, out, col0)
+        return sd.tail(sh.scale, cols, out)
     read = sd.prefix if sh.block is PREFIX else sd.vals_at
-    return sh.scale(read(cols, col0), n, out)
+    return sh.scale(read(cols), n, out)
 
 
 def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, sd: _SeqData,
@@ -408,9 +396,8 @@ def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, sd: _SeqData,
     if cone in (Cone.ALL, Cone.NONNEG):
         if ROW_SHAPES[kind].neg_scale is None:   # F is the positive part
             return _part_values(kind, "pos", sd, n, bufs)
-        first = _run_start(n)
-        neg = _part_values(kind, "neg", sd, n, bufs, first)
-        pos = _part_values(kind, "pos", sd, n, bufs, first)
+        neg = _part_values(kind, "neg", sd, n, bufs)
+        pos = _part_values(kind, "pos", sd, n, bufs)
         if cone is Cone.ALL:
             return np.add(pos, neg, out=pos)
         return np.maximum(pos, neg, out=pos)
@@ -872,9 +859,8 @@ def _cesaro_id_rows(u: Weight, cone: Cone, K: int) -> Callable:
 
         def fn(n: np.ndarray) -> np.ndarray:
             nf = n.astype(float)
-            first = _run_start(n)
-            diag = (nf - 1.0) * sd.vals_at(n, first)
-            rest = sd.prefix(n - 1, _shift(first, -1))
+            diag = (nf - 1.0) * sd.vals_at(n)
+            rest = sd.prefix(n - 1)
             if cone is Cone.ALL:
                 return (diag + rest) / nf
             return np.maximum(diag, rest) / nf
@@ -908,9 +894,8 @@ def _copson_id_rows(u: Weight, cone: Cone, K: int) -> Callable:
 
         def fn(n: np.ndarray) -> np.ndarray:
             nf = n.astype(float)
-            first = _run_start(n)
-            diag = (nf - 1.0) / nf * sd.vals_at(n, first)
-            tail = sd.tail(INV_K, n + 1, first=_shift(first, 1))
+            diag = (nf - 1.0) / nf * sd.vals_at(n)
+            tail = sd.tail(INV_K, n + 1)
             if cone is Cone.ALL:
                 return diag + tail
             return np.maximum(diag, tail)
@@ -933,10 +918,9 @@ def _c_minus_sstar_rows(u: Weight, cone: Cone, K: int) -> Callable:
 
         def fn(n: np.ndarray) -> np.ndarray:
             # the value read first, copied out: the prefix read reuses it
-            first = _run_start(n)
             nxt = bufs.take("next", n.size)
-            nxt[...] = sd.vals_at(_columns(n, 1, bufs), _shift(first, 1))
-            mean = np.divide(sd.prefix(n, first), n, out=bufs.take("mean", n.size))
+            nxt[...] = sd.vals_at(_columns(n, 1, bufs))
+            mean = np.divide(sd.prefix(n), n, out=bufs.take("mean", n.size))
             if cone is Cone.ALL:
                 return np.add(mean, nxt, out=mean)
             return np.maximum(mean, nxt, out=mean)
@@ -968,9 +952,8 @@ def _cstarsd_rows(u: Weight, cone: Cone, K: int) -> Callable:
 
         def fn(n: np.ndarray) -> np.ndarray:
             nf = n.astype(float)
-            first = _run_start(n)
-            prev = sd.vals_at(n - 1, _shift(first, -1)) / nf
-            tail = sd.tail(INV_K_KP1, n, first=first)
+            prev = sd.vals_at(n - 1) / nf
+            tail = sd.tail(INV_K_KP1, n)
             return prev + tail if cone is Cone.ALL else np.maximum(prev, tail)
 
         return fn

@@ -24,20 +24,21 @@ Vectorised ``*_scaled`` variants evaluate n**p * tail(n) elementwise for scan
 loops.  On scattered rows the series is evaluated per row, with the scaling
 folded into the power n**(p+e) so no huge or tiny intermediates appear.  The
 series starts at the first row where its E-M remainder is at most 2**-53 of
-the tail (``_em_cut``, 16 to 40 rows for s <= 3, 223 for s = 30); a row
-below it sums its terms up to that row exactly, each term formed relative to
-the row, and adds the series there.  On a contiguous increasing run n0, n0+1,
-..., n1 (what every scan passes) the tails are reverse cumulative sums of the
-terms, one per cell of a fixed grid, each anchored by the series at the row
-just past the cell, as the scattered path evaluates it there.  Cells end at
-every grid row g (_FIRST_BLOCK and the multiples of _BLOCK), at g + 1, and at
-the run's end, so a row's value depends only on the row and the end of the
-request: the blocks of a scan, which end on grid rows (one row later for
-tails read from column n + 1), give the bits of one whole-array request.  The
-terms are positive and summed smallest first, so the error of a row is its
-anchor's error (E-M remainder plus Horner rounding) plus at most
-_BLOCK * 2**-53 (~4.5e-13) relative.  Runs whose terms k**(-s) or scales n**p
-would leave the normal float range keep the per-row path.
+the tail (``_em_cut``, 16 to 40 rows for s <= 3, 223 for s = 30); a row below
+it sums its terms exactly, each formed relative to the row, up to a row m <=
+cut where the series, scaled to the row, is within 2**-53 of its tail, and
+adds the series at m (``_below_cut``).  On a contiguous increasing run n0,
+n0+1, ..., n1 (what every scan passes) the tails are reverse cumulative sums
+of the terms, one per cell of a fixed grid, each anchored by the series at the
+row just past the cell, as the scattered path evaluates it there.  Cells end
+at every grid row g (_FIRST_BLOCK and the multiples of _BLOCK), at g + 1, and
+at the run's end, so a row's value depends only on the row and the end of the
+request: the blocks of a scan, which end on grid rows (one row later for tails
+read from column n + 1), give the bits of one whole-array request.  The terms
+are positive and summed smallest first, so the error of a row is its anchor's
+error (E-M remainder plus Horner rounding) plus at most _BLOCK * 2**-53
+(~4.5e-13) relative.  Runs whose terms k**(-s) or scales n**p would leave the
+normal float range keep the per-row path.
 """
 
 from __future__ import annotations
@@ -122,18 +123,22 @@ def _em_scaled(s: float, terms: int, n: np.ndarray, p: float = 0.0) -> np.ndarra
     """n**p * sum_{j<terms} (-1)**j sum_{k>=n} k**(-s-j) elementwise by the
     Euler-Maclaurin table (all n >= 16): one power and one Horner loop, the
     loop in Python floats for a few rows (the same bits, without a ufunc call
-    per coefficient).  Rows below the series' first row ``_em_cut`` take
-    their terms up to it exactly (``_below_cut``)."""
+    per coefficient).  Rows below the series' first row ``_em_cut`` sum
+    their first terms exactly (``_below_cut``)."""
     nf = np.asarray(n, dtype=float)
     P = _em_table(s, terms)[0]
     cut = _em_cut(s, terms)
     if nf.size <= _FEW:
-        poly = np.array([_horner(P, 1.0 / x) if x >= cut
-                         else _below_cut(s, terms, int(x), cut) for x in nf.tolist()])
+        rows = nf.tolist()
+        poly = np.array([_horner(P, 1.0 / x) for x in rows])
+        steep = any(x < cut for x in rows)
     else:
         poly = _horner(P, 1.0 / nf)
-        for i in np.flatnonzero(nf < cut):
-            poly[i] = _below_cut(s, terms, int(nf[i]), cut)
+        steep = True
+    if steep:
+        low = nf < cut
+        if low.any():
+            poly[low] = _below_cut(s, terms, nf[low], cut)
     return np.power(nf, p + 1.0 - s) * poly
 
 
@@ -157,16 +162,32 @@ def _em_cut(s: float, terms: int) -> int:
     return hi
 
 
-def _below_cut(s: float, terms: int, n: int, cut: int) -> float:
-    """tail(n) / n**(1-s) for n < cut: the terms k = n..cut-1 relative to n,
-    (k/n)**-s / n for the Hurwitz tail and (k/n)**(1-s) / (k+1) for the
-    shifted one (each within (s + 2) * 2**-53), summed exactly, plus the
-    series at the cut."""
-    k = np.arange(n, cut, dtype=float)
-    r = k / n
-    head = np.power(r, -s) / n if terms == 1 else np.power(r, 1.0 - s) / (k + 1.0)
-    P = _em_table(s, terms)[0]
-    return math.fsum(head) + (cut / n) ** (1.0 - s) * _horner(P, 1.0 / cut)
+def _below_cut(s: float, terms: int, n: np.ndarray, cut: int) -> np.ndarray:
+    """tail(n) / n**(1-s) for the rows n < cut (a float array): for each
+    row the terms k = n..m-1 relative to it, (k/n)**-s / n for the Hurwitz
+    tail and (k/n)**(1-s) / (k+1) for the shifted one (each within
+    (s + 2) * 2**-53), summed exactly, plus the series at a row m <= cut.
+    All rows' terms are formed in one pass.
+
+    The series at m is off by its remainder R(1/m) m**(1-s), and R has
+    nonnegative coefficients of degree >= 10, so R(1/m) <= (n/m)**10 R(1/n).
+    Its error over n**(1-s) is then at most 2**-53 n / ((n+1) (s-1)), under
+    2**-53 of the tail (whose integral is at least that), once
+    (m/n)**(s+9) >= R(1/n) / that: a steep exponent's head stops after a
+    small fraction of n terms, not at the cut."""
+    P, R, _ = _em_table(s, terms)
+    bound = 2.0 ** -53 * n / ((n + 1.0) * (s - 1.0))
+    log_r = np.log(np.maximum(_horner(R, 1.0 / n) / bound, 1.0)) / (s + 9.0)
+    m = np.minimum(cut, np.ceil(n * np.exp(np.minimum(log_r, np.log(cut / n)))) + 1.0)
+    lengths = (m - n).astype(np.int64)
+    ends = np.cumsum(lengths)
+    nk = np.repeat(n, lengths)
+    k = nk + (np.arange(ends[-1]) - np.repeat(ends - lengths, lengths))
+    head = (np.power(k / nk, -s) / nk if terms == 1
+            else np.power(k / nk, 1.0 - s) / (k + 1.0)).tolist()
+    bounds = ends.tolist()
+    sums = np.array([math.fsum(head[a:b]) for a, b in zip([0] + bounds[:-1], bounds)])
+    return sums + np.power(m / n, 1.0 - s) * _horner(P, 1.0 / m)
 
 
 def _em_error(s: float, terms: int, N: int) -> float:
@@ -251,13 +272,10 @@ def _run_start(n: np.ndarray) -> int | None:
     return int(n[0])
 
 
-def _run_bounds(n: np.ndarray, s: float, p: float,
-                first: int | None = None) -> tuple[int, int] | None:
+def _run_bounds(n: np.ndarray, s: float, p: float) -> tuple[int, int] | None:
     """(n0, n1) when n is n0, n0+1, ..., n1 with n0 >= 1 and the terms
-    k**(-s) and the scales k**p of the (extended) run are normal floats.
-    A caller that knows n to be a run passes its first row as ``first``,
-    and n is not checked again."""
-    n0 = _run_start(n) if first is None else first
+    k**(-s) and the scales k**p of the (extended) run are normal floats."""
+    n0 = _run_start(n)
     if n0 is None or n0 < 1:
         return None
     n1 = n0 + n.size - 1
@@ -335,16 +353,14 @@ def _shifted_terms(beta: float, k: np.ndarray, t: np.ndarray) -> None:
 
 
 def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0,
-                        out: np.ndarray | None = None,
-                        first: int | None = None) -> np.ndarray:
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise n**p * sum_{k>=n} k**(-s) for an integer array n (s > 1),
-    written into the float array out of n's shape when given.  ``first``
-    says that n is the run first, first+1, ... (not checked again)."""
+    written into the float array out of n's shape when given."""
     if s <= 1.0:
         raise ValueError("hurwitz_tail_scaled requires s > 1")
     n = np.asarray(n)
     out = np.empty(n.shape) if out is None else out
-    run = _run_bounds(n, s, p, first)
+    run = _run_bounds(n, s, p)
     if run is not None:
         return _run_tails(n, *run, p, lambda k, t: np.power(k, -s, out=t, dtype=float),
                           lambda a: _em_scaled(s, 1, a), out)
@@ -360,16 +376,14 @@ def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0,
 
 
 def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0,
-                        out: np.ndarray | None = None,
-                        first: int | None = None) -> np.ndarray:
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise n**p * sum_{k>=n} k**(-beta)/(k+1) (beta > 0), written
-    into the float array out of n's shape when given.  ``first`` says that
-    n is the run first, first+1, ... (not checked again)."""
+    into the float array out of n's shape when given."""
     if beta <= 0.0:
         raise ValueError("shifted_tail_scaled requires beta > 0")
     n = np.asarray(n)
     out = np.empty(n.shape) if out is None else out
-    run = _run_bounds(n, beta + 1.0, p, first)
+    run = _run_bounds(n, beta + 1.0, p)
     if run is not None:
         return _run_tails(n, *run, p, lambda k, t: _shifted_terms(beta, k, t),
                           lambda a: _em_scaled(beta + 1.0, _GEOM_J, a), out)

@@ -412,37 +412,31 @@ def test_one_power_evaluation_per_block(fn, cone, monkeypatch):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("kind", [OpKind.C_MINUS_I, OpKind.CSTAR_MINUS_I,
-                                  OpKind.C_MINUS_SSTAR, OpKind.CSTARSD],
+@pytest.mark.parametrize("kind", [OpKind.CSTAR, OpKind.CSTAR_MINUS_I, OpKind.CSTARSD],
                          ids=lambda k: k.name)
-@pytest.mark.parametrize("cone", [Cone.ALL, Cone.NONNEG], ids=lambda c: c.name)
-def test_one_contiguity_check_per_block(kind, cone, monkeypatch):
-    # these rows read values and then prefix sums or tails of the block's
-    # columns: one comparison pass tells every read that they are a run
-    checks, blocks = [], []
-    run_start, scan_sup = special_sums._run_start, norms._scan_sup
+def test_steep_tail_rows_sum_few_terms(kind, monkeypatch):
+    # the tail exponent 101 keeps rows 257..4096 off the run path (their
+    # terms k**-101 underflow), and the series starts at row 698: each row
+    # below it sums a few dozen terms exactly, not every term up to row 698
+    counts = []
 
-    def counting_run_start(n):
-        checks.append(n.size)
-        return run_start(n)
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
 
-    def counting_scan_sup(values_fn, cfg, certificate, tail=None):
-        def fn(n):
-            blocks.append(n.size)
-            return values_fn(n)
+        def fsum(self, terms):
+            counts.append(len(terms))
+            return math.fsum(terms)
 
-        return scan_sup(fn, cfg, certificate, tail)
-
-    monkeypatch.setattr(special_sums, "_run_start", counting_run_start)
-    monkeypatch.setattr(norms, "_run_start", counting_run_start)
-    monkeypatch.setattr(norms, "_scan_sup", counting_scan_sup)
-    # v grows faster than the rows decay: no tail, and every block is read
-    cfg = TruncConfig(n_max=B + 100)
-    for r in (norm_general(kind, P(1.5), P(3.0), cone, cfg),
-              SPECIALIZED_BY_KIND[kind](P(1.5), P(3.0), cone, cfg)):
-        assert r.n_used == cfg.n_max
-    assert len(blocks) == 8
-    assert checks == blocks
+    monkeypatch.setattr(special_sums, "math", CountingMath())
+    plan = cone_plan(kind, Cone.ALL)
+    r = _row_sup(_engine_rows(kind, Cone.ALL, plan), P(100.0), P(0.0),
+                 TruncConfig(n_max=F), None, tail=None)
+    assert r.n_used == F and np.isfinite(r.value)
+    assert special_sums._em_cut(101.0, 1) == 698
+    assert len(counts) >= 698 - S - 1   # every scattered row below the cut
+    assert max(counts) <= 32
+    assert sum(counts) <= 20 * len(counts)
 
 
 @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.name)

@@ -195,8 +195,9 @@ def _contract(shifted: bool, exponent: float, n: np.ndarray, i: int) -> float:
     error of the anchor just past the row's grid cell (absolute, over the
     row's tail) plus the cell's rounding; on scattered rows, the series'
     error at the row itself, or the scalar certificate below the series'
-    first row.  A series evaluated below its cut row is its value at the
-    cut, plus the terms up to it, each within (s + 2) * 2**-53."""
+    first row.  A series evaluated below its cut row is its value at a row
+    m <= cut, whose remainder scaled to the row is below 2**-53 of the
+    tail, plus the terms up to m, each within (s + 2) * 2**-53."""
     s, terms, first = (exponent + 1.0, _GEOM_J, 32) if shifted else (exponent, 1, 16)
     cut = _em_cut(s, terms)
     ni = int(n[i])
@@ -235,7 +236,7 @@ def test_series_matches_references_at_anchor_rows(N):
     # the table's series, as anchors and scattered rows evaluate it, against
     # mpmath: within its certificate at the cut row, or at N when that is
     # past the cut, and within 1e-14 relative (s = 30 at N = 32 is below its
-    # cut, 223, and sums its terms up to the cut)
+    # cut, 223, and sums its first terms exactly)
     cases = [(s, 1, ref_hurwitz(s, N)) for s in (1.15, 1.6, 2.5, 30.0)] + \
             [(b + 1.0, _GEOM_J, ref_shifted(b, N)) for b in (0.15, 0.6, 0.99, 1.7)]
     for s, terms, ref in cases:
