@@ -1,5 +1,4 @@
-"""Operator norms on weighted l-infinity cones: the generic engine and the
-specialised evaluators.
+"""Operator norms on weighted l-infinity cones from one row engine.
 
 Every norm here is a supremum over rows n of  v_n * F(n)  where F is a row
 functional built from the domain weight u (or one of its monotone minorants):
@@ -9,19 +8,21 @@ functional built from the domain weight u (or one of its monotone minorants):
     cone NONINCR  F = (B~+ u_down)_n   after admissible row flips B~
     cone NONDECR  F = (B~+ u_up)_n     after admissible row flips B~
 
-The generic engine (``norm_general``) derives F from the operator structure:
-on fully truncated problems the literal matrix, built row by row from
-``operators.row_entries`` (which the tests pin to ``entry``), and otherwise
-the positive and negative parts of each row read from the kind's row shape
+One engine (``_kind_rows``) computes F for every kind: the positive and
+negative parts of each row, read from the kind's row shape
 (``operators.ROW_SHAPES``: a prefix, tail or single-column block and at most
 one negative entry) against prefix sums, kernel tails and values of u, with
-analytic tails on power-weight problems.  The specialised
-functions evaluate the per-operator closed formulas directly and route
-matched power pairs (u and v both PowerWeight with the same alpha) to the
-closed-form branch tables.  Both, and ``two_operator.best_constant``, take
-the supremum through one driver, ``_row_sup``: ``_finite_sup`` over the rows
-of a truncated v, ``_scan_sup`` otherwise.  Only the dense path on fully
-truncated problems (``_dense_norm``) calls ``_finite_sup`` itself.
+analytic tails on power-weight problems; on the monotone cones the cone
+plan's row flips pick one part per row.  ``norm_general``, the six
+per-operator functions (``norm_cesaro`` ... ``norm_cstarsd``) and the C <= A
+C* constant of ``two_operator`` all read their rows from it.  The
+per-operator functions also route matched power pairs (u and v both
+PowerWeight with the same alpha) to the closed-form branch tables.  The
+supremum goes through one driver, ``_row_sup``: ``_finite_sup`` over the
+rows of a truncated v, ``_scan_sup`` otherwise.  ``norm_general`` on a fully
+truncated problem is the one exception: it reads the literal matrix, built
+row by row from ``operators.row_entries`` (which the tests pin to
+``entry``), through ``_dense_norm``, which calls ``_finite_sup`` itself.
 
 Infinite problems scan rows 1..n_max in contiguous blocks (rows 1..256,
 then up to 4096, then up to 65,536, then _SCAN_BLOCK rows each), ending on
@@ -71,14 +72,15 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import power as power_mod
-from .operators import (INV_K, INV_K_KP1, PREFIX, ROW_SHAPES, SCALE_POWERS,
-                        SINGLE, TAIL, ConePlan, OpKind, RowShape, SignFlip,
-                        cone_plan, row_entries)
+from .operators import (INV_K, INV_K_KP1, NO_FLIP, PREFIX, ROW_SHAPES,
+                        SCALE_POWERS, SINGLE, TAIL, ConePlan, OpKind, RowShape,
+                        SignFlip, cone_plan, row_entries)
 from .special_sums import (_BLOCK, _FIRST_BLOCK, _run_start, hurwitz_tail_scaled,
                            shifted_tail_scaled)
 from .weights import (Cone, ListWeight, PowerWeight, Weight, _fill_range,
@@ -251,9 +253,7 @@ class _SeqData:
         self._cols = Lk = min(K, u.length)
         self._vals = base = _envelope(u, env, Lk)
         self._prefix = np.concatenate([[0.0], np.cumsum(base)])
-        k = np.arange(1, Lk + 1, dtype=float)
-        self._tails = {kern: np.append(np.cumsum(kern(base, k)[::-1])[::-1], 0.0)
-                       for kern in (INV_K, INV_K_KP1)}
+        self._tails: dict[Callable, np.ndarray] = {}   # per kernel, at its first read
 
     def _values(self, first: int, count: int) -> np.ndarray:
         """u_first..u_{first+count-1} in power mode, from a window that
@@ -338,6 +338,10 @@ class _SeqData:
         start = np.asarray(start)
         out = np.empty(start.shape) if out is None else out
         if self.mode == "list":   # columns clipped to 1..L+1, where the tail is 0
+            if kernel not in self._tails:
+                k = np.arange(1, self._cols + 1, dtype=float)
+                self._tails[kernel] = np.append(
+                    np.cumsum(kernel(self._vals, k)[::-1])[::-1], 0.0)
             return np.take(self._tails[kernel], start - 1, out=out, mode="clip")
         if self.mode == "zeros":
             out[...] = 0.0
@@ -358,7 +362,7 @@ class _SeqData:
 
 
 # ---------------------------------------------------------------------------
-# Generic row functional from the operator structure (Theorem engine)
+# The row engine: row functionals from the operator structure
 # ---------------------------------------------------------------------------
 
 def _columns(n: np.ndarray, at: int, bufs: _Buffers) -> np.ndarray:
@@ -386,13 +390,12 @@ def _part_values(kind: OpKind, part: str, sd: _SeqData, n: np.ndarray,
     return sh.scale(read(cols), n, out)
 
 
-def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, sd: _SeqData,
-                        n: np.ndarray, bufs: _Buffers | None = None) -> np.ndarray:
-    """Row functional at rows n; sd is u with the cone's envelope _ENV[cone].
-    The negative part, a value read, goes first, so that a prefix read of
-    the positive part can reuse its evaluation of u.  The result is one of
-    the buffers of bufs when it is given."""
-    bufs = _Buffers() if bufs is None else bufs
+def _generic_row_values(kind: OpKind, cone: Cone, flip: SignFlip, sd: _SeqData,
+                        n: np.ndarray, bufs: _Buffers) -> np.ndarray:
+    """Row functional at rows n, after the row flips flip of the monotone
+    cones; sd is u with the cone's envelope _ENV[cone].  The negative part,
+    a value read, goes first, so that a prefix read of the positive part can
+    reuse its evaluation of u.  The result is one of the buffers of bufs."""
     if cone in (Cone.ALL, Cone.NONNEG):
         if ROW_SHAPES[kind].neg_scale is None:   # F is the positive part
             return _part_values(kind, "pos", sd, n, bufs)
@@ -401,15 +404,27 @@ def _generic_row_values(kind: OpKind, cone: Cone, plan: ConePlan, sd: _SeqData,
         if cone is Cone.ALL:
             return np.add(pos, neg, out=pos)
         return np.maximum(pos, neg, out=pos)
-    flipped = plan.flip.flipped(n)
+    if not flip.flip_rows:   # every row flipped alike
+        return _part_values(kind, "neg" if flip.flip_all else "pos", sd, n, bufs)
+    flipped = flip.flipped(n)
     if not flipped.any():   # a block of unflipped rows, or of flipped ones
         return _part_values(kind, "pos", sd, n, bufs)
     if flipped.all():
         return _part_values(kind, "neg", sd, n, bufs)
-    out = np.empty(n.shape, dtype=float)
-    out[~flipped] = _part_values(kind, "pos", sd, n[~flipped], bufs)
-    out[flipped] = _part_values(kind, "neg", sd, n[flipped], bufs)
-    return out
+    neg = _part_values(kind, "neg", sd, n, bufs)
+    pos = _part_values(kind, "pos", sd, n, bufs)
+    np.copyto(pos, neg, where=flipped)
+    return pos
+
+
+def _kind_rows(kind: OpKind, u: Weight, cone: Cone, K: int,
+               flip: SignFlip = NO_FLIP) -> Callable[[np.ndarray], np.ndarray]:
+    """The row engine: F(n) of the kind's rows flipped by flip, against u
+    with the cone's envelope over the column horizon K.  What the returned
+    function gives is valid only until its next call."""
+    sd = _SeqData(u, _ENV[cone], K)
+    bufs = _Buffers()
+    return lambda n: _generic_row_values(kind, cone, flip, sd, n, bufs)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +763,7 @@ def _power_diverges(kind: OpKind, cone: Cone, u: Weight, v: Weight) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The generic engine
+# Norms: the dense path and the row engine's supremum
 # ---------------------------------------------------------------------------
 
 def _dense_norm(kind: OpKind, u: Weight, v: Weight, cone: Cone,
@@ -779,14 +794,14 @@ def _closed_form_result(cf: power_mod.PowerCaseResult) -> NormResult:
 
 
 def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
-          row_fn_builder: Callable[[Weight, Cone, int], Callable] | None = None
-          ) -> NormResult:
-    """Cone plan, then (with a per-operator row builder) the matched-pair
-    closed form, then the supremum of the builder's rows or, without one,
-    of the generic engine's rows.  A power pair whose rows grow is
-    Divergent before any scan.  A scan may stop at its tail, and a matched
-    pair's scan only where that tail meets the power theorems'
-    certificate."""
+          rows: Callable[..., Callable] | None = None) -> NormResult:
+    """Cone plan, then (for a per-operator entry point, which passes its
+    ``rows``: ``_kind_rows`` bound to kind) the matched-pair closed form,
+    then the supremum of the engine's rows, or, for ``norm_general`` on a
+    fully truncated problem, of the literal matrix rows (``_dense_norm``).
+    A power pair whose rows grow is Divergent before any scan.  A scan may
+    stop at its tail, and a matched pair's scan only where that tail meets
+    the power theorems' certificate."""
     L_u = truncation_length(u)
     L_v = truncation_length(v)
     plan = cone_plan(kind, cone, L_u, max_row=L_v)
@@ -797,30 +812,18 @@ def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
     alpha = matched_power_alpha(u, v)
     certificate = None
     if alpha is not None:
-        cf = power_mod.closed_form(kind, cone, alpha) if row_fn_builder else None
+        cf = power_mod.closed_form(kind, cone, alpha) if rows else None
         if cf is not None:
             return _closed_form_result(cf)
         certificate = power_mod.scan_certificate(kind, cone, alpha)
     elif _power_diverges(kind, cone, u, v):
         return _divergent()
-    tail = _tail(kind, cone, plan.flip, u, v)
-    if row_fn_builder is not None:
-        return _row_sup(lambda w, K: row_fn_builder(w, cone, K), u, v, cfg,
-                        certificate, tail)
-    if L_u is not None and L_v is not None:
-        return _dense_norm(kind, u, v, cone, plan)
-    return _row_sup(_engine_rows(kind, cone, plan), u, v, cfg, certificate, tail)
-
-
-def _engine_rows(kind: OpKind, cone: Cone, plan: ConePlan
-                 ) -> Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]]:
-    """The generic engine's rows in the form ``_row_sup`` takes."""
-    def rows(w: Weight, K: int) -> Callable[[np.ndarray], np.ndarray]:
-        sd = _SeqData(w, _ENV[cone], K)
-        bufs = _Buffers()
-        return lambda n: _generic_row_values(kind, cone, plan, sd, n, bufs)
-
-    return rows
+    if rows is None:
+        if L_u is not None and L_v is not None:
+            return _dense_norm(kind, u, v, cone, plan)
+        rows = partial(_kind_rows, kind)
+    return _row_sup(lambda w, K: rows(w, cone, K, plan.flip), u, v, cfg, certificate,
+                    _tail(kind, cone, plan.flip, u, v))
 
 
 def norm_general(kind: OpKind, u: Weight, v: Weight, cone: Cone,
@@ -831,152 +834,17 @@ def norm_general(kind: OpKind, u: Weight, v: Weight, cone: Cone,
 
 
 # ---------------------------------------------------------------------------
-# Specialised evaluators (the per-operator closed formulas)
+# The per-operator entry points
 # ---------------------------------------------------------------------------
 
-def _cesaro_rows(u: Weight, cone: Cone, K: int) -> Callable:
-    sd = _SeqData(u, _ENV[cone], K)
-
-    def fn(n: np.ndarray) -> np.ndarray:
-        return sd.prefix(n) / n.astype(float)
-
-    return fn
-
-
-def _copson_rows(u: Weight, cone: Cone, K: int) -> Callable:
-    sd = _SeqData(u, _ENV[cone], K)
-
-    def fn(n: np.ndarray) -> np.ndarray:
-        return sd.tail(INV_K, n)
-
-    return fn
-
-
-def _cesaro_id_rows(u: Weight, cone: Cone, K: int) -> Callable:
-    L = truncation_length(u)
-    if cone in (Cone.ALL, Cone.NONNEG):
-        sd = _SeqData(u, "id", K)
-
-        def fn(n: np.ndarray) -> np.ndarray:
-            nf = n.astype(float)
-            diag = (nf - 1.0) * sd.vals_at(n)
-            rest = sd.prefix(n - 1)
-            if cone is Cone.ALL:
-                return (diag + rest) / nf
-            return np.maximum(diag, rest) / nf
-
-        return fn
-    if cone is Cone.NONINCR:
-        sd = _SeqData(u, "down", K)
-
-        def fn(n: np.ndarray) -> np.ndarray:
-            return sd.prefix(n - 1) / n.astype(float)
-
-        return fn
-    sd = _SeqData(u, "up", K)
-
-    def fn(n: np.ndarray) -> np.ndarray:
-        nf = n.astype(float)
-        inner = (nf - 1.0) / nf * sd.vals_at(n)
-        if L is not None:
-            # rows past the column horizon are all-positive averaging rows
-            beyond = n > L
-            if np.any(beyond):
-                inner = np.where(beyond, sd.prefix(n) / nf, inner)
-        return inner
-
-    return fn
-
-
-def _copson_id_rows(u: Weight, cone: Cone, K: int) -> Callable:
-    if cone in (Cone.ALL, Cone.NONNEG):
-        sd = _SeqData(u, "id", K)
-
-        def fn(n: np.ndarray) -> np.ndarray:
-            nf = n.astype(float)
-            diag = (nf - 1.0) / nf * sd.vals_at(n)
-            tail = sd.tail(INV_K, n + 1)
-            if cone is Cone.ALL:
-                return diag + tail
-            return np.maximum(diag, tail)
-
-        return fn
-    # NONDECR (NONINCR is rejected before reaching here)
-    sd = _SeqData(u, "up", K)
-
-    def fn(n: np.ndarray) -> np.ndarray:
-        return sd.tail(INV_K, n + 1)
-
-    return fn
-
-
-def _c_minus_sstar_rows(u: Weight, cone: Cone, K: int) -> Callable:
-    L = truncation_length(u)
-    bufs = _Buffers()
-    if cone in (Cone.ALL, Cone.NONNEG):
-        sd = _SeqData(u, "id", K)
-
-        def fn(n: np.ndarray) -> np.ndarray:
-            # the value read first, copied out: the prefix read reuses it
-            nxt = bufs.take("next", n.size)
-            nxt[...] = sd.vals_at(_columns(n, 1, bufs))
-            mean = np.divide(sd.prefix(n), n, out=bufs.take("mean", n.size))
-            if cone is Cone.ALL:
-                return np.add(mean, nxt, out=mean)
-            return np.maximum(mean, nxt, out=mean)
-
-        return fn
-    if cone is Cone.NONINCR:
-        sd = _SeqData(u, "down", K)
-
-        def fn(n: np.ndarray) -> np.ndarray:
-            return np.divide(sd.prefix(n), n, out=bufs.take("mean", n.size))
-
-        return fn
-    sd = _SeqData(u, "up", K)
-
-    def fn(n: np.ndarray) -> np.ndarray:
-        inner = sd.vals_at(n + 1)
-        if L is not None:
-            beyond = n + 1 > L  # no shifted column inside the block
-            if np.any(beyond):
-                inner = np.where(beyond, sd.prefix(n) / n.astype(float), inner)
-        return inner
-
-    return fn
-
-
-def _cstarsd_rows(u: Weight, cone: Cone, K: int) -> Callable:
-    if cone in (Cone.ALL, Cone.NONNEG):
-        sd = _SeqData(u, "id", K)
-
-        def fn(n: np.ndarray) -> np.ndarray:
-            nf = n.astype(float)
-            prev = sd.vals_at(n - 1) / nf
-            tail = sd.tail(INV_K_KP1, n)
-            return prev + tail if cone is Cone.ALL else np.maximum(prev, tail)
-
-        return fn
-    if cone is Cone.NONINCR:
-        sd = _SeqData(u, "down", K)
-
-        def fn(n: np.ndarray) -> np.ndarray:
-            # row 1 keeps its full positive tail; rows >= 2 flip to the
-            # single entry 1/n at column n-1
-            out = sd.vals_at(n - 1) / n.astype(float)
-            first = n == 1
-            if np.any(first):
-                t1 = float(sd.tail(INV_K_KP1, np.array([1]))[0])
-                out = np.where(first, t1, out)
-            return out
-
-        return fn
-    sd = _SeqData(u, "up", K)
-
-    def fn(n: np.ndarray) -> np.ndarray:
-        return sd.tail(INV_K_KP1, n)
-
-    return fn
+# the engine bound to each principal kind, under the names the entry points
+# pass to _norm (bench/tracing.py times the rows by these names)
+_cesaro_rows = partial(_kind_rows, OpKind.C)
+_copson_rows = partial(_kind_rows, OpKind.CSTAR)
+_cesaro_id_rows = partial(_kind_rows, OpKind.C_MINUS_I)
+_copson_id_rows = partial(_kind_rows, OpKind.CSTAR_MINUS_I)
+_c_minus_sstar_rows = partial(_kind_rows, OpKind.C_MINUS_SSTAR)
+_cstarsd_rows = partial(_kind_rows, OpKind.CSTARSD)
 
 
 def norm_cesaro(u: Weight, v: Weight, cone: Cone,

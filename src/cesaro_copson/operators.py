@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -122,12 +123,18 @@ class SignFlip:
     def sign(self, n: int) -> float:
         return -1.0 if (self.flip_all != (n in self.flip_rows)) else 1.0
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """Whether rows 0..max(flip_rows) + 1 are negated; every later row
+        is negated as the last one is."""
+        table = np.full(max(self.flip_rows, default=0) + 2, self.flip_all)
+        table[np.fromiter(self.flip_rows, np.int64, len(self.flip_rows))] = not self.flip_all
+        return table
+
     def flipped(self, n: np.ndarray) -> np.ndarray:
-        """Whether each row of the int array n is negated."""
-        out = np.full(n.shape, self.flip_all)
-        if self.flip_rows:
-            out ^= np.isin(n, np.fromiter(self.flip_rows, dtype=np.int64))
-        return out
+        """Whether each row of the int array n (rows >= 0) is negated."""
+        table = self._table
+        return table[np.minimum(n, table.size - 1)]
 
 
 NO_FLIP = SignFlip()

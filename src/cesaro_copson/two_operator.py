@@ -176,7 +176,7 @@ def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
             cf = power_mod.two_op_cstarc_power(alpha, q.cone)
         return _closed_form_result(cf)
 
-    rows = _c_le_cstar_rows if q.direction is Direction.C_LE_CSTAR else _rows_cstar_le_c
+    rows = _rows(q.direction)
     certificate = _certificate(q.direction, q.cone, alpha) if alpha is not None else None
     return _row_sup(lambda w, K: rows(w, q.cone, K), q.u, q.v, q.cfg, certificate,
                     _tail(q))
@@ -204,11 +204,7 @@ def two_op_row_terms(q: TwoOpQuery, N: int) -> np.ndarray:
     and witness selection)."""
     n = np.arange(1, N + 1, dtype=np.int64)
     K = max(N + 1, truncation_length(q.u) or 0)
-    if q.direction is Direction.C_LE_CSTAR:
-        row_fn = _c_le_cstar_rows(q.u, q.cone, K)
-    else:
-        row_fn = _rows_cstar_le_c(q.u, q.cone, K)
-    return codomain_values(q.v, N) * row_fn(n)
+    return codomain_values(q.v, N) * _rows(q.direction)(q.u, q.cone, K)(n)
 
 
 def _c_minus_sstar_cone(cone: Cone) -> Cone:
@@ -217,9 +213,15 @@ def _c_minus_sstar_cone(cone: Cone) -> Cone:
 
 
 def _c_le_cstar_rows(u: Weight, cone: Cone, K: int) -> Callable:
-    from .norms import _c_minus_sstar_rows  # same formulas, by the reduction
+    """Row terms of C <= A C*: by the reduction, the engine's unflipped
+    C - S* rows on the mapped cone."""
+    return norms._kind_rows(OpKind.C_MINUS_SSTAR, u, _c_minus_sstar_cone(cone), K)
 
-    return _c_minus_sstar_rows(u, _c_minus_sstar_cone(cone), K)
+
+def _rows(direction: Direction) -> Callable[[Weight, Cone, int], Callable]:
+    """The direction's row builder: ``rows(u, cone, K)`` gives F(n) against
+    u on the column horizon K."""
+    return _c_le_cstar_rows if direction is Direction.C_LE_CSTAR else _rows_cstar_le_c
 
 
 def witness_ratio(q: TwoOpQuery, n: int) -> float:

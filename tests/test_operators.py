@@ -70,6 +70,20 @@ def test_sign_flip_negates_rows():
                           -row_entries(OpKind.C, 3, 5))
 
 
+@pytest.mark.parametrize("flip_all", [False, True])
+def test_flipped_matches_sign(flip_all, rng):
+    # the cached lookup table against sign(n) < 0, on rows in any order and
+    # on rows past the largest flipped one
+    n = np.arange(0, 800)
+    for size in (0, 1, 5, 512):
+        fl = SignFlip(flip_all, frozenset(int(r) for r in
+                                          rng.choice(np.arange(1, 600), size, replace=False)))
+        want = np.array([fl.sign(int(r)) < 0 for r in n])
+        np.testing.assert_array_equal(fl.flipped(n), want)
+        m = rng.permutation(n)
+        np.testing.assert_array_equal(fl.flipped(m), want[m])
+
+
 def test_classify_row_examples():
     rc = classify_row(OpKind.C_MINUS_SSTAR, 3)
     assert rc.satisfies(RowPattern.POS_BEFORE_NEG) and rc.row_sum == 0.0

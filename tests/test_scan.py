@@ -14,7 +14,7 @@ import pytest
 from cesaro_copson import norms, power, special_sums, two_operator, weights
 from cesaro_copson.norms import (SPECIALIZED_BY_KIND, NormResult, Status,
                                  TruncConfig, _divergent, _DivergentTail,
-                                 _engine_rows, _row_sup, _scan_sup, _tail,
+                                 _kind_rows, _row_sup, _scan_sup, _tail,
                                  dist_cesaro_identity, norm_c_minus_sstar,
                                  norm_cesaro, norm_copson, norm_cstarsd,
                                  norm_general)
@@ -22,8 +22,7 @@ from cesaro_copson.operators import PRINCIPAL_KINDS, OpKind, cone_plan
 from cesaro_copson.power import ScanCertificate
 from cesaro_copson.special_sums import _BLOCK as F
 from cesaro_copson.special_sums import _FIRST_BLOCK as S
-from cesaro_copson.two_operator import (Direction, TwoOpQuery, _c_le_cstar_rows,
-                                        _rows_cstar_le_c, best_constant)
+from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
 from cesaro_copson.weights import Cone, ListWeight, PowerWeight, codomain_values
 
 B = norms._SCAN_BLOCK
@@ -331,7 +330,7 @@ def test_tail_bound_is_sound(a, b):
         if tail is None:
             continue
         assert not tail.exact
-        vals = n.astype(float) ** b * _engine_rows(kind, cone, plan)(P(a), n.size + 1)(n)
+        vals = n.astype(float) ** b * _kind_rows(kind, P(a), cone, n.size + 1, plan.flip)(n)
         for N in Ns:
             assert tail.at(N) >= np.max(vals[N:N + SPAN]), (kind, cone, N)
         bounded += 1
@@ -346,7 +345,8 @@ def test_early_stop_matches_full_scan(a, b):
     for kind, cone, plan in _plans():
         if _tail(kind, cone, plan.flip, u, v) is None:
             continue
-        full = _row_sup(_engine_rows(kind, cone, plan), u, v, cfg, None, tail=None)
+        full = _row_sup(lambda w, K: _kind_rows(kind, w, cone, K, plan.flip), u, v, cfg,
+                        None, tail=None)
         for r in (norm_general(kind, u, v, cone, cfg),
                   SPECIALIZED_BY_KIND[kind](u, v, cone, cfg)):
             assert r.status is Status.TRUNCATED_CONVERGED, (kind, cone)
@@ -356,7 +356,7 @@ def test_early_stop_matches_full_scan(a, b):
 
 def _full_list_scan(kind, cone, u, v):
     plan = cone_plan(kind, cone, u.length)
-    return _row_sup(_engine_rows(kind, cone, plan), u, v,
+    return _row_sup(lambda w, K: _kind_rows(kind, w, cone, K, plan.flip), u, v,
                     TruncConfig(n_max=2 ** 18), None, tail=None)
 
 
@@ -429,8 +429,7 @@ def test_steep_tail_rows_sum_few_terms(kind, monkeypatch):
             return math.fsum(terms)
 
     monkeypatch.setattr(special_sums, "math", CountingMath())
-    plan = cone_plan(kind, Cone.ALL)
-    r = _row_sup(_engine_rows(kind, Cone.ALL, plan), P(100.0), P(0.0),
+    r = _row_sup(lambda w, K: _kind_rows(kind, w, Cone.ALL, K), P(100.0), P(0.0),
                  TruncConfig(n_max=F), None, tail=None)
     assert r.n_used == F and np.isfinite(r.value)
     assert special_sums._em_cut(101.0, 1) == 698
@@ -448,7 +447,7 @@ def test_best_constant_list_u_power_v_tail_is_exact(direction, cone):
     v = P(0.3)
     r = best_constant(TwoOpQuery(direction, cone, u, v))
     assert r.status is Status.CLOSED_FORM and r.n_used == F
-    rows = _c_le_cstar_rows if direction is Direction.C_LE_CSTAR else _rows_cstar_le_c
+    rows = two_operator._rows(direction)
     full = _row_sup(lambda w, K: rows(w, cone, K), u, v, TruncConfig(n_max=2 ** 18),
                     None, tail=None)
     assert r.value == pytest.approx(full.value, rel=1e-15, abs=0)
@@ -525,7 +524,7 @@ def test_tightened_envelopes_are_sound(a, db):
         if tail is None:
             continue
         vals = (n.astype(float) ** (a + db)
-                * _engine_rows(kind, cone, plan)(P(a), n.size + 1)(n))
+                * _kind_rows(kind, P(a), cone, n.size + 1, plan.flip)(n))
         for N in (F, B):
             assert tail.at(N) >= np.max(vals[N:8 * N]), (kind, cone, N)
         bounded += 1
