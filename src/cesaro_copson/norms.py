@@ -14,8 +14,8 @@ negative parts of each row, read from the kind's row shape
 one negative entry) against prefix sums, kernel tails and values of u, with
 analytic tails on power-weight problems; on the monotone cones the cone
 plan's row flips pick one part per row.  ``norm_general``, the six
-per-operator functions (``norm_cesaro`` ... ``norm_cstarsd``) and the C <= A
-C* constant of ``two_operator`` all read their rows from it.  The
+per-operator functions (``norm_cesaro`` ... ``norm_cstarsd``) and the best
+constants of ``two_operator`` all read their rows from it.  The
 per-operator functions also route matched power pairs (u and v both
 PowerWeight with the same alpha) to the closed-form branch tables.  The
 supremum goes through one driver, ``_row_sup``: ``_finite_sup`` over the
@@ -43,9 +43,11 @@ A scan may stop after any block, at its tail (``_tail``, read from the row
 shapes).  For a ListWeight u against a PowerWeight v the rows past the
 column horizon are c * n**e, so the tail is exact.  For a power pair, matched
 or not, each part of a row is bounded by a nonincreasing power of n by
-integral comparison, so the tail is a proven bound.  The best constants of
-``two_operator`` take the same tails for C <= A C*, whose rows are those of
-C - S*, and the exact zero tail for C* <= A C against a ListWeight u.
+integral comparison, so the tail is a proven bound.  Each best constant of
+``two_operator`` is a norm, with its rows and tail: C <= A C* on ALL and
+NONNEG is C - S* on ALL and NONINCR against u, and C* <= A C against a
+PowerWeight u is (C* - S)D on ALL and NONDECR against w_k = k u_k.  Only
+C* <= A C against a ListWeight u keeps its own rows, with an exact zero tail.
 
 Truncation of the outer supremum is reported honestly in ``NormResult``:
 exact finite problems, and list-u / power-v problems closed by their exact

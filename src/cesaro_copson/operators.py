@@ -408,9 +408,11 @@ def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
 
 def _first_negative_row(kind: OpKind, L: int, max_row: int | None,
                         flip: SignFlip = NO_FLIP) -> int | None:
-    """The first row n >= 2, up to min(L, max_row), whose flipped sum within
-    columns 1..L is negative, or None.  The row sums are B applied to ones."""
-    hi = L if max_row is None else min(L, max_row)
+    """The first row n >= 2, up to min(L + 1, max_row), whose flipped sum
+    within columns 1..L is negative, or None.  The row sums are B applied to
+    ones.  Row L + 1 still reads column L where an entry sits at column
+    n - 1 (the -1/n of (C* - S)D)."""
+    hi = L + 1 if max_row is None else min(L + 1, max_row)
     n = np.arange(2, hi + 1)
     s = apply_batch(kind, np.ones(L), hi)[0, 1:]
     bad = np.flatnonzero(np.where(flip.flipped(n), -s, s) < 0)

@@ -313,7 +313,7 @@ def run_power_consistency_suite(n_max: int = 1_000_000,
     branches must be flagged analytically (or exceed 1e6 in the scan)."""
     out = []
     for alpha in alphas:
-        for kind in (OpKind.C, OpKind.CSTAR, OpKind.C_MINUS_I, OpKind.CSTAR_MINUS_I):
+        for kind in PRINCIPAL_KINDS:
             for cone in Cone:
                 if power_mod.closed_form(kind, cone, alpha) is not None:
                     out.append(_power_consistency_case(kind, cone, alpha, n_max))

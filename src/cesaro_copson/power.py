@@ -199,7 +199,7 @@ def two_op_cstarc_power(alpha: float, cone: Cone) -> PowerCaseResult:
 def closed_form(kind: OpKind, cone: Cone, alpha: float) -> PowerCaseResult | None:
     """Closed form for a single-operator norm on the matched power pair,
     None where the theorems give none (the open nonincreasing case of
-    C*-I, and the two auxiliary operators)."""
+    C*-I, C - S* on the nonnegative and nondecreasing cones, and (C*-S)D)."""
     if kind is OpKind.C:
         return cesaro_power(alpha, cone)
     if kind is OpKind.CSTAR:
@@ -212,6 +212,9 @@ def closed_form(kind: OpKind, cone: Cone, alpha: float) -> PowerCaseResult | Non
         if cone is Cone.NONDECR:
             return PowerCaseResult(0.0, "first row has an infinite sum")
         return copson_minus_id_power(alpha, cone)
+    if kind is OpKind.C_MINUS_SSTAR and cone in (Cone.ALL, Cone.NONINCR):
+        # the norm the C <= A C* constant on ALL or NONNEG is (two_operator)
+        return two_op_cc_power(alpha, Cone.ALL if cone is Cone.ALL else Cone.NONNEG)
     return None
 
 
@@ -256,4 +259,9 @@ def scan_certificate(kind: OpKind, cone: Cone, alpha: float) -> ScanCertificate 
             return ScanCertificate("divergent", math.inf)
         cf = copson_minus_id_power(alpha, cone)
         return ScanCertificate("limit", cf.value)
+    if kind is OpKind.C_MINUS_SSTAR and cone in (Cone.ALL, Cone.NONINCR):
+        cf = closed_form(kind, cone, alpha)
+        if math.isinf(cf.value):
+            return ScanCertificate("divergent", math.inf)
+        return ScanCertificate("attained" if alpha <= 0 else "limit", cf.value)
     return None

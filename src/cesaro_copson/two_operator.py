@@ -5,18 +5,28 @@
 
 over all real x and over nonnegative x, for arbitrary weight pairs.
 
-The C <= A C* direction reduces exactly to norms of C - S* (whole space and
-nonincreasing cone), so those formulas are reused.  The reversed direction
-substitutes w_k = k u_k and, with u_0 = 0, evaluates
+Each constant is a norm of one of the paper's two auxiliary operators, so
+``best_constant`` maps the query to that norm (``_reduced``) and takes its
+rows, tail and supremum from ``norms``:
+
+    C <= A C*  on ALL / NONNEG:  C - S*     on ALL / NONINCR, against u
+    C* <= A C  on ALL / NONNEG:  (C* - S)D  on ALL / NONDECR, against w_k = k u_k
+
+With u_0 = 0 the second reads
 
     A (all x)    = sup_n v_n [ ((n-1)/n) u_{n-1} + sum_{k>=n} u_k/(k+1) ]
     A (x >= 0)   = sup_n v_n sum_{k>=n} (1/(k(k+1))) inf_{j>=k} j u_j
 
+For a PowerWeight u, w = PowerWeight(alpha - 1).  A matched power pair's
+scan carries its theorem as a certificate.
+
 On an L-truncated problem (ListWeight u; sequences x live on 1..L) the
 change of variables z = Ex gives the last column the coefficient 1/L rather
-than 1/(L(L+1)), so the truncated formulas end with a u_L (resp. w_up_L / L)
-term; the proof witnesses attain these exactly, which ``witness_ratio``
-checks end to end by reconstructing x and evaluating both norms directly.
+than 1/(L(L+1)), so the truncated C* <= A C formulas end with a u_L (resp.
+w_up_L / L) term, and the reduction to (C* - S)D does not hold: those rows
+stay here, with the exact zero tail past row L.  The proof witnesses attain
+the truncated formulas exactly, which ``witness_ratio`` checks end to end
+by reconstructing x and evaluating both norms directly.
 """
 
 from __future__ import annotations
@@ -30,11 +40,9 @@ import numpy as np
 
 from . import norms
 from . import power as power_mod
-from .norms import (DEFAULT_TRUNC, NormResult, TruncConfig, _Buffers,
-                    _DivergentTail, _closed_form_result, _row_sup, _Tail,
-                    matched_power_alpha)
-from .operators import NO_FLIP, OpKind, _frac_prev, apply
-from .special_sums import shifted_tail_scaled
+from .norms import (DEFAULT_TRUNC, NormResult, TruncConfig, _closed_form_result,
+                    _Tail, matched_power_alpha)
+from .operators import NO_FLIP, OpKind, apply
 from .weights import (Cone, ListWeight, PowerWeight, SeqWindow, Weight,
                       codomain_values, envelope_down, quotient_norm_weighted,
                       sup_norm_weighted, truncation_length, weight_values)
@@ -89,38 +97,10 @@ def w_envelope(u: Weight, K: int) -> np.ndarray:
     return out
 
 
-def _rows_cstar_le_c(u: Weight, cone: Cone, K: int) -> Callable:
-    """Row terms F(n) of the CSTAR_LE_C formulas (without the v_n factor)."""
-    L = truncation_length(u)
-    if L is None:
-        alpha = u.alpha  # type: ignore[union-attr]
-        bufs = _Buffers()
-        if cone is Cone.ALL:
-            def fn(n: np.ndarray) -> np.ndarray:
-                if alpha <= 0:
-                    raise _DivergentTail
-                # ((n-1)/n) u_{n-1} for rows n >= 1: row 1 reads u_1 in
-                # place of u_0 = 0, as its factor (n-1)/n is 0 either way
-                k = bufs.take("cols", n.size, np.int64)
-                np.maximum(np.subtract(n, 1, out=k), 1, out=k)
-                uprev = np.power(k, -alpha, out=bufs.take("u", n.size), dtype=float)
-                prev = _frac_prev(uprev, n, bufs.take("row", n.size))
-                tail = shifted_tail_scaled(alpha, n, out=uprev)   # u is used up
-                return np.add(prev, tail, out=prev)
-
-            return fn
-
-        def fn(n: np.ndarray) -> np.ndarray:
-            out = bufs.take("row", n.size)
-            if alpha > 1:
-                out[...] = 0.0
-                return out
-            if alpha <= 0:
-                raise _DivergentTail
-            return shifted_tail_scaled(alpha, n, out=out)
-
-        return fn
-
+def _rows_cstar_le_c(u: ListWeight, cone: Cone) -> Callable:
+    """Row terms F(n) of the truncated C* <= A C formulas (without the v_n
+    factor) against a ListWeight u."""
+    L = u.length
     uv = weight_values(u, L)
     k = np.arange(1, L + 1, dtype=float)
     if cone is Cone.ALL:
@@ -149,14 +129,21 @@ def _rows_cstar_le_c(u: Weight, cone: Cone, K: int) -> Callable:
     return fn
 
 
-def _certificate(direction: Direction, cone: Cone, alpha: float) -> power_mod.ScanCertificate | None:
-    """Monotonicity certificates from the two-operator power theorems."""
-    if direction is Direction.C_LE_CSTAR:
-        cf = power_mod.two_op_cc_power(alpha, cone)
-        if math.isinf(cf.value):
-            return power_mod.ScanCertificate("divergent", math.inf)
-        mode = "attained" if alpha <= 0 else "limit"
-        return power_mod.ScanCertificate(mode, cf.value)
+def _reduced(q: TwoOpQuery) -> tuple[OpKind, Cone, Weight] | None:
+    """The norm (kind, cone, domain weight) that q's constant is, or None
+    for C* <= A C against a ListWeight u, which keeps its own rows."""
+    if q.direction is Direction.C_LE_CSTAR:
+        return OpKind.C_MINUS_SSTAR, Cone.ALL if q.cone is Cone.ALL else Cone.NONINCR, q.u
+    if isinstance(q.u, PowerWeight):   # k u_k = k**(1 - alpha)
+        return (OpKind.CSTARSD, Cone.ALL if q.cone is Cone.ALL else Cone.NONDECR,
+                PowerWeight(q.u.alpha - 1.0))
+    return None
+
+
+def _certificate(cone: Cone, alpha: float) -> power_mod.ScanCertificate:
+    """The C* <= A C certificate of a matched power pair, from its theorem:
+    the rows rise to the limit for alpha <= 1 and attain their supremum
+    for alpha > 1."""
     cf = power_mod.two_op_cstarc_power(alpha, cone)
     if math.isinf(cf.value):
         return power_mod.ScanCertificate("divergent", math.inf)
@@ -166,8 +153,8 @@ def _certificate(direction: Direction, cone: Cone, alpha: float) -> power_mod.Sc
 
 def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
     """Best constant for the query; matched power pairs route to the closed
-    forms unless ``use_closed_forms`` is False (then the general formulas are
-    scanned, certified by the theorems' monotonicity facts)."""
+    forms unless ``use_closed_forms`` is False (then the norm the constant
+    reduces to is scanned, certified by the theorems' monotonicity facts)."""
     alpha = matched_power_alpha(q.u, q.v)
     if alpha is not None and use_closed_forms:
         if q.direction is Direction.C_LE_CSTAR:
@@ -176,27 +163,27 @@ def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
             cf = power_mod.two_op_cstarc_power(alpha, q.cone)
         return _closed_form_result(cf)
 
-    rows = _rows(q.direction)
-    certificate = _certificate(q.direction, q.cone, alpha) if alpha is not None else None
-    return _row_sup(lambda w, K: rows(w, q.cone, K), q.u, q.v, q.cfg, certificate,
-                    _tail(q))
+    reduced = _reduced(q)
+    if reduced is None:
+        return norms._row_sup(lambda w, K: _rows_cstar_le_c(w, q.cone), q.u, q.v,
+                              q.cfg, None, _tail(q))
+    kind, cone, u = reduced
+    certificate = None
+    if alpha is not None:
+        certificate = (power_mod.scan_certificate(kind, cone, alpha)
+                       if q.direction is Direction.C_LE_CSTAR
+                       else _certificate(q.cone, alpha))
+    return norms._row_sup(lambda w, K: norms._kind_rows(kind, w, cone, K), u, q.v,
+                          q.cfg, certificate, norms._tail(kind, cone, NO_FLIP, u, q.v))
 
 
 def _tail(q: TwoOpQuery) -> _Tail | None:
-    """The tail against a PowerWeight v.  Past row L of a ListWeight u the
-    C* <= A C rows are 0; no bound is derived for them on a PowerWeight u.
-    The C <= A C* rows are those of C - S* (unflipped, on the cone
-    ``_c_le_cstar_rows`` maps to), so they take its tail: exact for a
-    ListWeight u, an integral-comparison bound for a PowerWeight u."""
+    """The exact tail of C* <= A C against a ListWeight u and a PowerWeight
+    v: past row L the rows are 0."""
     if not isinstance(q.v, PowerWeight):
         return None
-    if q.direction is Direction.CSTAR_LE_C:
-        if not isinstance(q.u, ListWeight):
-            return None
-        L = q.u.length
-        return _Tail(lambda N: 0.0 if N >= L else None, exact=True)
-    return norms._tail(OpKind.C_MINUS_SSTAR, _c_minus_sstar_cone(q.cone), NO_FLIP,
-                       q.u, q.v)
+    L = q.u.length
+    return _Tail(lambda N: 0.0 if N >= L else None, exact=True)
 
 
 def two_op_row_terms(q: TwoOpQuery, N: int) -> np.ndarray:
@@ -204,24 +191,13 @@ def two_op_row_terms(q: TwoOpQuery, N: int) -> np.ndarray:
     and witness selection)."""
     n = np.arange(1, N + 1, dtype=np.int64)
     K = max(N + 1, truncation_length(q.u) or 0)
-    return codomain_values(q.v, N) * _rows(q.direction)(q.u, q.cone, K)(n)
-
-
-def _c_minus_sstar_cone(cone: Cone) -> Cone:
-    """The cone of the C - S* norm that C <= A C* on ``cone`` reduces to."""
-    return Cone.ALL if cone is Cone.ALL else Cone.NONINCR
-
-
-def _c_le_cstar_rows(u: Weight, cone: Cone, K: int) -> Callable:
-    """Row terms of C <= A C*: by the reduction, the engine's unflipped
-    C - S* rows on the mapped cone."""
-    return norms._kind_rows(OpKind.C_MINUS_SSTAR, u, _c_minus_sstar_cone(cone), K)
-
-
-def _rows(direction: Direction) -> Callable[[Weight, Cone, int], Callable]:
-    """The direction's row builder: ``rows(u, cone, K)`` gives F(n) against
-    u on the column horizon K."""
-    return _c_le_cstar_rows if direction is Direction.C_LE_CSTAR else _rows_cstar_le_c
+    reduced = _reduced(q)
+    if reduced is None:
+        rows = _rows_cstar_le_c(q.u, q.cone)
+    else:
+        kind, cone, u = reduced
+        rows = norms._kind_rows(kind, u, cone, K)
+    return codomain_values(q.v, N) * rows(n)
 
 
 def witness_ratio(q: TwoOpQuery, n: int) -> float:

@@ -59,6 +59,17 @@ class TestSpecExamples:
         assert norm_c_minus_sstar(L(1, 1), L(1), Cone.NONNEG).value == pytest.approx(1.0)
         r = norm_c_minus_sstar(P(0), P(0), Cone.NONDECR, FAST)
         assert r.value == pytest.approx(1.0, abs=1e-12)
+        # on ALL and NONINCR it is the C <= A C* constant on ALL and NONNEG:
+        # (2 - a)/(1 - a) and 1/(1 - a) for 0 < a < 1, infinite for a >= 1
+        for cone, value in ((Cone.ALL, 17 / 7), (Cone.NONINCR, 10 / 7)):
+            r = norm_c_minus_sstar(P(0.3), P(0.3), cone)
+            assert r.status is Status.CLOSED_FORM
+            assert r.value == pytest.approx(value, rel=1e-15)
+            r = norm_c_minus_sstar(P(1.3), P(1.3), cone)
+            assert r.status is Status.DIVERGENT and r.value == math.inf
+        # no theorem on the nonnegative cone: it still scans
+        r = norm_c_minus_sstar(P(0.3), P(0.3), Cone.NONNEG, FAST)
+        assert r.status is Status.TRUNCATED_LOWER_BOUND
 
     def test_cstarsd(self):
         r = norm_cstarsd(P(0), P(0), Cone.NONDECR, FAST)
@@ -74,6 +85,22 @@ class TestSpecExamples:
         assert r.value == pytest.approx(1.0)
         r = norm_general(OpKind.C, L(1, 1, 1, 1), L(1, 1, 1, 1), Cone.ALL)
         assert r.value == pytest.approx(1.0)
+
+
+def test_one_column_cstarsd_on_nondecr_is_refused():
+    # with one column the nondecreasing cone is x_1 >= 0, so the true norm
+    # is NONNEG's, max(v_1, v_2) u_1 / 2 = 2**0.3 / 2 = 0.61557.  Row 2 of
+    # the one-column block has sum -1/2, as rows 2..L+1 have sum -1/(L+1)
+    # for any L, so the plan refuses L = 1 as it refuses L >= 2; it used to
+    # return ClosedForm 0.5
+    u, v = L(1), P(0.3)
+    assert norm_cstarsd(u, v, Cone.NONDECR).status is Status.UNSUPPORTED
+    assert norm_general(OpKind.CSTARSD, u, v, Cone.NONDECR).status is Status.UNSUPPORTED
+    assert not cone_plan(OpKind.CSTARSD, Cone.NONDECR, 1).ok
+    assert norm_cstarsd(u, v, Cone.NONNEG).value == pytest.approx(2 ** 0.3 / 2, rel=1e-15)
+    # a one-row v never reads row 2: x_1 >= 0 gives u_1 v_1 / 2
+    assert cone_plan(OpKind.CSTARSD, Cone.NONDECR, 1, max_row=1).ok
+    assert norm_cstarsd(u, L(1), Cone.NONDECR).value == 0.5
 
 
 def test_nonincr_cstarsd_includes_first_row(rng):

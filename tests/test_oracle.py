@@ -257,6 +257,27 @@ def test_exactness_on_truncated_problems(rng):
     assert checked > 100
 
 
+def test_verify_with_unequal_lengths():
+    # u and v of different lengths, one column included: the suites draw
+    # one shared length, so they never see a v longer than u
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    for kind in PRINCIPAL_KINDS:
+        for cone in Cone:
+            if kind is OpKind.CSTAR_MINUS_I and cone is Cone.NONINCR:
+                continue   # the open problem
+            for L_u in (1, 2, 3):
+                for L_v in range(1, 8):
+                    if L_v == L_u or not cone_plan(kind, cone, L_u, max_row=L_v).ok:
+                        continue
+                    u = random_list_weight(rng, L_u)
+                    v = random_list_weight(rng, L_v)
+                    rep = verify(kind, u, v, cone, trials=100, seed=L_u * 8 + L_v)
+                    assert rep.passed, (kind, cone, u, v, rep)
+                    checked += 1
+    assert checked >= 300
+
+
 def test_lower_bound_soundness_on_power(rng):
     for kind in PRINCIPAL_KINDS:
         for cone in Cone:
@@ -312,6 +333,9 @@ def test_suite_runners_smoke():
     assert ids["pass"]
     pc = run_power_consistency_suite(n_max=20000, alphas=(-1.0, 0.5))
     assert all(c["pass"] for c in pc)
+    # every kind with a closed form is checked, C - S* on ALL and NONINCR too
+    assert {("cesaro-minus-shift", "all"), ("cesaro-minus-shift", "nonincr")} <= {
+        (c["op"], c["cone"]) for c in pc}
     oc = run_oracle_suite(pairs=3, trials=60, seed=9)
     assert all(c["pass"] for c in oc)
     assert any(c.get("skipped") for c in oc)  # hypothesis-violating combos

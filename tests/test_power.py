@@ -115,7 +115,12 @@ def test_closed_form_dispatch():
     assert closed_form(OpKind.C, Cone.ALL, 0.5).value == pytest.approx(2.0)
     assert closed_form(OpKind.CSTAR_MINUS_I, Cone.NONINCR, 0.5) is None
     assert closed_form(OpKind.CSTAR_MINUS_I, Cone.NONDECR, 0.5).value == 0.0
-    assert closed_form(OpKind.C_MINUS_SSTAR, Cone.ALL, 0.5) is None
+    # C - S* on ALL and NONINCR is the C <= A C* constant on ALL and NONNEG
+    assert closed_form(OpKind.C_MINUS_SSTAR, Cone.ALL, 0.5).value == 3.0
+    assert closed_form(OpKind.C_MINUS_SSTAR, Cone.NONINCR, 0.5).value == 2.0
+    assert closed_form(OpKind.C_MINUS_SSTAR, Cone.NONNEG, 0.5) is None
+    assert closed_form(OpKind.C_MINUS_SSTAR, Cone.NONDECR, 0.5) is None
+    assert closed_form(OpKind.CSTARSD, Cone.ALL, 0.5) is None
 
 
 class TestMonotoneAverages:

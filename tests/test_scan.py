@@ -218,7 +218,6 @@ def _record_blocks(monkeypatch):
 
     monkeypatch.setattr(norms, "_row_sup", recording_row_sup)
     monkeypatch.setattr(norms, "_scan_sup", recording_scan_sup)
-    monkeypatch.setattr(two_operator, "_row_sup", recording_row_sup)
     return scans
 
 
@@ -447,10 +446,8 @@ def test_best_constant_list_u_power_v_tail_is_exact(direction, cone):
     v = P(0.3)
     r = best_constant(TwoOpQuery(direction, cone, u, v))
     assert r.status is Status.CLOSED_FORM and r.n_used == F
-    rows = two_operator._rows(direction)
-    full = _row_sup(lambda w, K: rows(w, cone, K), u, v, TruncConfig(n_max=2 ** 18),
-                    None, tail=None)
-    assert r.value == pytest.approx(full.value, rel=1e-15, abs=0)
+    full = two_operator.two_op_row_terms(TwoOpQuery(direction, cone, u, v), 2 ** 18).max()
+    assert r.value == pytest.approx(float(full), rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +459,21 @@ MATCHED_ALPHAS = (-1.4, -0.7, -0.3, 0.0, 0.3, 0.6, 0.9, 1.0, 1.7, 2.5)
 
 def _certified_calls(a, cfg):
     """(label, call) for every matched (kind, cone) and C <= A C* cone whose
-    certificate is a limit or an attained value at alpha a."""
+    certificate is a limit or an attained value at alpha a, and for C* <= A C
+    where its rows attain their supremum (alpha > 1)."""
     u = P(a)
     for kind, cone, _ in _plans():
         certificate = power.scan_certificate(kind, cone, a)
         if certificate is not None and certificate.mode != "divergent":
             yield (kind, cone), lambda kind=kind, cone=cone: norm_general(
                 kind, u, u, cone, cfg)
-    for cone in (Cone.ALL, Cone.NONNEG):
-        if two_operator._certificate(Direction.C_LE_CSTAR, cone, a).mode != "divergent":
+    for cone, sstar_cone in ((Cone.ALL, Cone.ALL), (Cone.NONNEG, Cone.NONINCR)):
+        if power.scan_certificate(OpKind.C_MINUS_SSTAR, sstar_cone, a).mode != "divergent":
             yield (Direction.C_LE_CSTAR, cone), lambda cone=cone: best_constant(
                 TwoOpQuery(Direction.C_LE_CSTAR, cone, u, u, cfg), use_closed_forms=False)
+        if a > 1:
+            yield (Direction.CSTAR_LE_C, cone), lambda cone=cone: best_constant(
+                TwoOpQuery(Direction.CSTAR_LE_C, cone, u, u, cfg), use_closed_forms=False)
 
 
 @pytest.mark.parametrize("a", MATCHED_ALPHAS)
@@ -548,8 +549,9 @@ def test_wrong_certificate_never_stops_early(label, monkeypatch):
         "c-le-cstar-all-negative": (Direction.C_LE_CSTAR, Cone.ALL, -0.5),
     }[label]
     cfg = TruncConfig(n_max=2 * B + 4101)
-    true = (two_operator._certificate if isinstance(kind, Direction)
-            else power.scan_certificate)(kind, cone, a)
+    # C <= A C* on ALL reads the certificate of C - S* on ALL
+    true = power.scan_certificate(
+        OpKind.C_MINUS_SSTAR if isinstance(kind, Direction) else kind, cone, a)
 
     def perturbed(certify):
         def fn(*args):
@@ -558,7 +560,6 @@ def test_wrong_certificate_never_stops_early(label, monkeypatch):
         return fn
 
     monkeypatch.setattr(power, "scan_certificate", perturbed(power.scan_certificate))
-    monkeypatch.setattr(two_operator, "_certificate", perturbed(two_operator._certificate))
     if isinstance(kind, Direction):
         def call():
             return best_constant(TwoOpQuery(kind, cone, P(a), P(a), cfg),

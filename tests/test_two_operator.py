@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_list_weight
+from cesaro_copson import norms
 from cesaro_copson.norms import Status, TruncConfig
 from cesaro_copson.two_operator import (Direction, TwoOpQuery, best_constant,
                                         two_op_row_terms, w_envelope,
@@ -69,6 +70,48 @@ def test_alpha_above_one_attained_branch():
     general = best_constant(q, use_closed_forms=False)
     assert general.value == pytest.approx(cf.value, abs=1e-9)
     assert general.status is Status.TRUNCATED_CONVERGED
+
+
+@pytest.mark.parametrize("a", (0.2, 0.6, 1.0, 1.2, 1.45))
+def test_power_rows_match_the_defining_series(a):
+    # rows 1..64 of C* <= A C on the matched pair, against the module
+    # docstring's series summed by mpmath: with T(n) = sum_{k>=n} k^-a/(k+1),
+    #   ALL:     n^a [ ((n-1)/n) (n-1)^-a + T(n) ]
+    #   NONNEG:  n^a sum_{k>=n} inf_{j>=k} j^(1-a) / (k(k+1)),
+    # where the infimum is k^(1-a) for a <= 1 (so the sum is T(n)) and 0
+    # for a > 1.  T(1) is summed by Levin's transform: nsum's default
+    # (Richardson and Shanks) is off in the first digit on this slowly
+    # converging series
+    mpmath = pytest.importorskip("mpmath")
+    N = 64
+    with mpmath.workdps(30):
+        term = lambda k: mpmath.mpf(k) ** -a / (k + 1)   # noqa: E731
+        tails = [mpmath.nsum(term, [1, mpmath.inf], method="levin")]
+        for n in range(1, N):
+            tails.append(tails[-1] - term(n))
+        rows = {Cone.ALL: [], Cone.NONNEG: []}
+        for n in range(1, N + 1):
+            prev = mpmath.mpf(n - 1) / n * mpmath.mpf(n - 1) ** -a if n > 1 else 0
+            rows[Cone.ALL].append(mpmath.mpf(n) ** a * (prev + tails[n - 1]))
+            rows[Cone.NONNEG].append(mpmath.mpf(n) ** a * tails[n - 1] if a <= 1 else 0)
+    for cone, want in rows.items():
+        got = two_op_row_terms(TwoOpQuery(Direction.CSTAR_LE_C, cone, P(a), P(a)), N)
+        want = np.array([float(x) for x in want])
+        assert got.shape == (N,)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (cone, got - want)
+
+
+def test_attained_scan_stops_at_the_first_block(monkeypatch):
+    # for a > 1 the C* <= A C rows peak early: the proven tail meets the
+    # attained certificate at row 256, with the value of a 10^6-row scan
+    q = TwoOpQuery(Direction.CSTAR_LE_C, Cone.ALL, P(1.2), P(1.2))
+    r = best_constant(q, use_closed_forms=False)
+    assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == 256
+    monkeypatch.setattr(norms, "_tail", lambda *args: None)
+    full = best_constant(q, use_closed_forms=False)
+    assert full.n_used == 10 ** 6
+    assert (r.value, r.status) == (full.value, full.status)
+    assert r.value == pytest.approx(best_constant(q).value, rel=1e-12)
 
 
 def test_witness_round_trip_random_pairs(rng):
