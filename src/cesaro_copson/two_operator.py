@@ -43,6 +43,9 @@ from . import power as power_mod
 from .norms import (DEFAULT_TRUNC, NormResult, TruncConfig, _closed_form_result,
                     _Tail, matched_power_alpha)
 from .operators import NO_FLIP, OpKind, apply
+# unused here: bench/tests/test_harness.py checks that the tracer wraps this
+# binding; it goes with that check (ROADMAP item 2)
+from .special_sums import shifted_tail_scaled  # noqa: F401
 from .weights import (Cone, ListWeight, PowerWeight, SeqWindow, Weight,
                       codomain_values, envelope_down, quotient_norm_weighted,
                       sup_norm_weighted, truncation_length, weight_values)
@@ -151,30 +154,39 @@ def _certificate(cone: Cone, alpha: float) -> power_mod.ScanCertificate:
     return power_mod.ScanCertificate(mode, cf.value)
 
 
+def _row_builder(q: TwoOpQuery, reduced) -> tuple[Callable, Weight]:
+    """The row builder (w, K) -> F of q's constant and the domain weight it
+    reads, given ``_reduced(q)``."""
+    if reduced is None:
+        return (lambda w, K: _rows_cstar_le_c(w, q.cone)), q.u
+    kind, cone, u = reduced
+    return (lambda w, K: norms._kind_rows(kind, w, cone, K)), u
+
+
 def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
     """Best constant for the query; matched power pairs route to the closed
     forms unless ``use_closed_forms`` is False (then the norm the constant
     reduces to is scanned, certified by the theorems' monotonicity facts)."""
     alpha = matched_power_alpha(q.u, q.v)
+    reduced = _reduced(q)
     if alpha is not None and use_closed_forms:
         if q.direction is Direction.C_LE_CSTAR:
-            cf = power_mod.two_op_cc_power(alpha, q.cone)
+            cf = power_mod.closed_form(*reduced[:2], alpha)
         else:
             cf = power_mod.two_op_cstarc_power(alpha, q.cone)
         return _closed_form_result(cf)
 
-    reduced = _reduced(q)
+    rows, u = _row_builder(q, reduced)
     if reduced is None:
-        return norms._row_sup(lambda w, K: _rows_cstar_le_c(w, q.cone), q.u, q.v,
-                              q.cfg, None, _tail(q))
-    kind, cone, u = reduced
+        return norms._row_sup(rows, u, q.v, q.cfg, None, _tail(q))
+    kind, cone, _ = reduced
     certificate = None
     if alpha is not None:
         certificate = (power_mod.scan_certificate(kind, cone, alpha)
                        if q.direction is Direction.C_LE_CSTAR
                        else _certificate(q.cone, alpha))
-    return norms._row_sup(lambda w, K: norms._kind_rows(kind, w, cone, K), u, q.v,
-                          q.cfg, certificate, norms._tail(kind, cone, NO_FLIP, u, q.v))
+    return norms._row_sup(rows, u, q.v, q.cfg, certificate,
+                          norms._tail(kind, cone, NO_FLIP, u, q.v))
 
 
 def _tail(q: TwoOpQuery) -> _Tail | None:
@@ -190,14 +202,9 @@ def two_op_row_terms(q: TwoOpQuery, N: int) -> np.ndarray:
     """The first N terms v_n * F(n) of the defining supremum (diagnostics
     and witness selection)."""
     n = np.arange(1, N + 1, dtype=np.int64)
-    K = max(N + 1, truncation_length(q.u) or 0)
-    reduced = _reduced(q)
-    if reduced is None:
-        rows = _rows_cstar_le_c(q.u, q.cone)
-    else:
-        kind, cone, u = reduced
-        rows = norms._kind_rows(kind, u, cone, K)
-    return codomain_values(q.v, N) * rows(n)
+    rows, u = _row_builder(q, _reduced(q))
+    K = max(N + 1, truncation_length(u) or 0)
+    return codomain_values(q.v, N) * rows(u, K)(n)
 
 
 def witness_ratio(q: TwoOpQuery, n: int) -> float:

@@ -534,7 +534,7 @@ def test_tightened_envelopes_are_sound(a, db):
 
 @pytest.mark.parametrize("label", ["cesaro-all", "copson-all", "cesaro-id-all-negative",
                                    "copson-id-nonneg", "c-le-cstar-all",
-                                   "c-le-cstar-all-negative"])
+                                   "c-le-cstar-all-negative", "cstar-le-c-all-attained"])
 def test_wrong_certificate_never_stops_early(label, monkeypatch):
     # a certificate whose value is 1% off disagrees with the tail, so the
     # scan reads the whole horizon.  An attained value then ends as it would
@@ -547,11 +547,16 @@ def test_wrong_certificate_never_stops_early(label, monkeypatch):
         "copson-id-nonneg": (OpKind.CSTAR_MINUS_I, Cone.NONNEG, 0.6),
         "c-le-cstar-all": (Direction.C_LE_CSTAR, Cone.ALL, 0.5),
         "c-le-cstar-all-negative": (Direction.C_LE_CSTAR, Cone.ALL, -0.5),
+        "cstar-le-c-all-attained": (Direction.CSTAR_LE_C, Cone.ALL, 1.2),
     }[label]
     cfg = TruncConfig(n_max=2 * B + 4101)
-    # C <= A C* on ALL reads the certificate of C - S* on ALL
-    true = power.scan_certificate(
-        OpKind.C_MINUS_SSTAR if isinstance(kind, Direction) else kind, cone, a)
+    # C <= A C* on ALL reads the certificate of C - S* on ALL, and C* <= A C
+    # its own, from the two-operator theorem
+    if kind is Direction.CSTAR_LE_C:
+        true = two_operator._certificate(cone, a)
+    else:
+        true = power.scan_certificate(
+            OpKind.C_MINUS_SSTAR if isinstance(kind, Direction) else kind, cone, a)
 
     def perturbed(certify):
         def fn(*args):
@@ -560,6 +565,7 @@ def test_wrong_certificate_never_stops_early(label, monkeypatch):
         return fn
 
     monkeypatch.setattr(power, "scan_certificate", perturbed(power.scan_certificate))
+    monkeypatch.setattr(two_operator, "_certificate", perturbed(two_operator._certificate))
     if isinstance(kind, Direction):
         def call():
             return best_constant(TwoOpQuery(kind, cone, P(a), P(a), cfg),
