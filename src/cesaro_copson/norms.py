@@ -44,10 +44,10 @@ shapes).  For a ListWeight u against a PowerWeight v the rows past the
 column horizon are c * n**e, so the tail is exact.  For a power pair, matched
 or not, each part of a row is bounded by a nonincreasing power of n by
 integral comparison, so the tail is a proven bound.  Each best constant of
-``two_operator`` is a norm, with its rows and tail: C <= A C* on ALL and
-NONNEG is C - S* on ALL and NONINCR against u, and C* <= A C against a
-PowerWeight u is (C* - S)D on ALL and NONDECR against w_k = k u_k.  Only
-C* <= A C against a ListWeight u keeps its own rows, with an exact zero tail.
+``two_operator`` is a norm, with its rows: C <= A C* on ALL and NONNEG is
+C - S* on ALL and NONINCR against u, with its tail, and C* <= A C against
+a PowerWeight u is (C* - S)D on ALL and NONDECR against w_k = k u_k, with
+no tail yet.  C* <= A C against a ListWeight u keeps its own rows.
 
 Truncation of the outer supremum is reported honestly in ``NormResult``:
 exact finite problems, and list-u / power-v problems closed by their exact

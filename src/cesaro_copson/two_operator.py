@@ -7,7 +7,7 @@ over all real x and over nonnegative x, for arbitrary weight pairs.
 
 Each constant is a norm of one of the paper's two auxiliary operators, so
 ``best_constant`` maps the query to that norm (``_reduced``) and takes its
-rows, tail and supremum from ``norms``:
+rows and supremum from ``norms``, and the tail of C - S* too (``_tail``):
 
     C <= A C*  on ALL / NONNEG:  C - S*     on ALL / NONINCR, against u
     C* <= A C  on ALL / NONNEG:  (C* - S)D  on ALL / NONDECR, against w_k = k u_k
@@ -177,22 +177,26 @@ def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
         return _closed_form_result(cf)
 
     rows, u = _row_builder(q, reduced)
-    if reduced is None:
-        return norms._row_sup(rows, u, q.v, q.cfg, None, _tail(q))
-    kind, cone, _ = reduced
     certificate = None
     if alpha is not None:
-        certificate = (power_mod.scan_certificate(kind, cone, alpha)
+        certificate = (power_mod.scan_certificate(*reduced[:2], alpha)
                        if q.direction is Direction.C_LE_CSTAR
                        else _certificate(q.cone, alpha))
-    return norms._row_sup(rows, u, q.v, q.cfg, certificate,
-                          norms._tail(kind, cone, NO_FLIP, u, q.v))
+    return norms._row_sup(rows, u, q.v, q.cfg, certificate, _tail(q, reduced))
 
 
-def _tail(q: TwoOpQuery) -> _Tail | None:
-    """The exact tail of C* <= A C against a ListWeight u and a PowerWeight
-    v: past row L the rows are 0."""
+def _tail(q: TwoOpQuery, reduced) -> _Tail | None:
+    """The tail against a PowerWeight v: C - S*'s for C <= A C*, and 0 past
+    row L of a ListWeight u for C* <= A C.  C* <= A C against a PowerWeight
+    u takes none until the (C* - S)D bound closes for alpha <= 1 too
+    (ROADMAP item 3): alone it stops alpha > 1 scans at row 256 and leaves
+    alpha <= 1 ones at n_max, a hundredfold step in cost at alpha = 1."""
     if not isinstance(q.v, PowerWeight):
+        return None
+    if q.direction is Direction.C_LE_CSTAR:
+        kind, cone, u = reduced
+        return norms._tail(kind, cone, NO_FLIP, u, q.v)
+    if not isinstance(q.u, ListWeight):
         return None
     L = q.u.length
     return _Tail(lambda N: 0.0 if N >= L else None, exact=True)

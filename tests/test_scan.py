@@ -459,8 +459,7 @@ MATCHED_ALPHAS = (-1.4, -0.7, -0.3, 0.0, 0.3, 0.6, 0.9, 1.0, 1.7, 2.5)
 
 def _certified_calls(a, cfg):
     """(label, call) for every matched (kind, cone) and C <= A C* cone whose
-    certificate is a limit or an attained value at alpha a, and for C* <= A C
-    where its rows attain their supremum (alpha > 1)."""
+    certificate is a limit or an attained value at alpha a."""
     u = P(a)
     for kind, cone, _ in _plans():
         certificate = power.scan_certificate(kind, cone, a)
@@ -471,9 +470,6 @@ def _certified_calls(a, cfg):
         if power.scan_certificate(OpKind.C_MINUS_SSTAR, sstar_cone, a).mode != "divergent":
             yield (Direction.C_LE_CSTAR, cone), lambda cone=cone: best_constant(
                 TwoOpQuery(Direction.C_LE_CSTAR, cone, u, u, cfg), use_closed_forms=False)
-        if a > 1:
-            yield (Direction.CSTAR_LE_C, cone), lambda cone=cone: best_constant(
-                TwoOpQuery(Direction.CSTAR_LE_C, cone, u, u, cfg), use_closed_forms=False)
 
 
 @pytest.mark.parametrize("a", MATCHED_ALPHAS)
