@@ -83,8 +83,8 @@ from . import power as power_mod
 from .operators import (INV_K, INV_K_KP1, NO_FLIP, PREFIX, ROW_SHAPES,
                         SCALE_POWERS, SINGLE, TAIL, ConePlan, OpKind, RowShape,
                         SignFlip, cone_plan, row_entries)
-from .special_sums import (_BLOCK, _FIRST_BLOCK, _run_start, hurwitz_tail_scaled,
-                           shifted_tail_scaled)
+from .special_sums import (_BLOCK, _FIRST_BLOCK, _run_start, _value_run_tails,
+                           hurwitz_tail_scaled, shifted_tail_scaled)
 from .weights import (Cone, ListWeight, PowerWeight, Weight, _fill_range,
                       codomain_values, envelope_down, envelope_up,
                       truncation_length, weight_values)
@@ -226,7 +226,8 @@ class _SeqData:
     request reaches below the start of that window, as in a scan over
     increasing row blocks.  A request that does starts over from column 1:
     correct, but O(end) in time and memory.  A value read keeps its
-    evaluation of u for the prefix read that follows it (``_values``).
+    evaluation of u for the prefix or tail read that follows it
+    (``_values``).
 
     In power mode the windows live in block buffers (``_Buffers``): the
     value window is refilled by each value read, and the prefix window by
@@ -258,16 +259,22 @@ class _SeqData:
         self._tails: dict[Callable, np.ndarray] = {}   # per kernel, at its first read
 
     def _values(self, first: int, count: int) -> np.ndarray:
-        """u_first..u_{first+count-1} in power mode, from a window that
-        reaches one column further on either side and is kept until the
-        next prefix or tail read: the rows of C - I and C - S* read the
-        values of a block (columns n-1..n+1) and then its prefix sums, and
+        """u_first..u_{first+count-1} in power mode (first >= 0, u_0 = 0),
+        from a window that reaches one column further on either side and is
+        kept until the next prefix or tail read: the rows of C - I and
+        C - S* read the values of a block (columns n-1..n+1) and then its
+        prefix sums, and those of C* - I and (C* - S)D then its tails, and
         so evaluate u once."""
         win, w0 = self._win, self._w0
         if win is None or first < w0 or first + count > w0 + win.size:
-            w0 = max(first - 1, 1)
+            w0 = max(first - 1, 0)
             size = first + count + 1 - w0
-            win = weight_values(self._u, size, w0, out=self._bufs.take("values", size))
+            win = self._bufs.take("values", size)
+            if w0 == 0:
+                win[0] = 0.0
+                weight_values(self._u, size - 1, 1, out=win[1:])
+            else:
+                weight_values(self._u, size, w0, out=win)
         self._w0, self._win = w0, win
         return _read_only(win[first - w0:first - w0 + count])
 
@@ -285,7 +292,7 @@ class _SeqData:
         k = np.asarray(k)
         if self.mode == "power":
             lo = _run_start(k)
-            if lo is not None and 1 <= lo <= self._cols - k.size + 1:
+            if lo is not None and 0 <= lo <= self._cols - k.size + 1:
                 return self._values(lo, k.size)   # a block of columns
         out = np.zeros(k.shape, dtype=float)
         ok = (k >= 1) & (k <= self._cols)
@@ -336,7 +343,14 @@ class _SeqData:
              out: np.ndarray | None = None) -> np.ndarray:
         """sum over k >= start (within the horizon) of kernel_k * value_k,
         for the tail kernels INV_K and INV_K_KP1 of ``operators``, written
-        into the float array out of start's shape when given."""
+        into the float array out of start's shape when given.
+
+        In power mode the tails are analytic (``special_sums``).  When the
+        kept value window covers a run of start columns (the rows of C* - I
+        and (C* - S)D read their off-sign values first), the run's terms
+        are kernel(u_k, k) formed from the window, at most one rounding
+        more per term than the formula's and within the cells'
+        4096 * 2**-53 bound; other requests form them from the formula."""
         start = np.asarray(start)
         out = np.empty(start.shape) if out is None else out
         if self.mode == "list":   # columns clipped to 1..L+1, where the tail is 0
@@ -352,15 +366,17 @@ class _SeqData:
             if kernel is INV_K:
                 raise _DivergentTail
             return np.divide(1.0, start, out=out)   # telescoping
-        self._win = None   # the tail is analytic: a kept window is not read
-        a = self.alpha
-        if kernel is INV_K:
-            if a <= 0:
-                raise _DivergentTail
-            return hurwitz_tail_scaled(a + 1.0, start, out=out)
-        if a + 1.0 <= 0:
+        a, win, w0 = self.alpha, self._win, self._w0
+        self._win = None
+        shifted = kernel is not INV_K
+        if (a + 1.0 if shifted else a) <= 0:
             raise _DivergentTail
-        return shifted_tail_scaled(a + 1.0, start, out=out)
+        if win is not None:
+            got = _value_run_tails(a + 1.0, shifted, start, kernel, win, w0, out)
+            if got is not None:
+                return got
+        tail = shifted_tail_scaled if shifted else hurwitz_tail_scaled
+        return tail(a + 1.0, start, out=out)
 
 
 # ---------------------------------------------------------------------------

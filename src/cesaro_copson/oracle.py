@@ -5,9 +5,12 @@ Two lower-bound paths probe the defining supremum of every norm:
 * ``extremal_lower_bound`` evaluates, for each row, the witness sequence
   the structure theory prescribes (sign patterns on the whole space,
   positive/negative parts on the nonnegative cone, envelope prefixes or
-  suffixes on the monotone cones).  It reads only ``apply_batch``,
-  ``last_index_of_part`` and ``entry`` - operator functions the tests pin
-  to the defining formulas - and no norm formula.  On truncated problems
+  suffixes on the monotone cones).  One ``apply_batch`` pass gives B w for
+  every row; every row's off-sign column comes from its row shape
+  (``ROW_SHAPES``) in one array pass, and that entry's coefficient from one
+  literal ``entry`` call per row.  The tests pin all three to the defining
+  formulas (the column pass to ``last_index_of_part``); no norm formula is
+  read.  On truncated problems
   this reproduces the formula value; on power-weight problems it is a lower
   bound increasing in the window size N.
 
@@ -35,7 +38,7 @@ from .norms import (DEFAULT_TRUNC, SPECIALIZED_BY_KIND, Status, TruncConfig,
                     norm_general)
 from .operators import (OpKind, PRINCIPAL_KINDS, ROW_SHAPES, apply_batch,
                         check_identity_first, check_identity_second,
-                        cone_plan, entry, last_index_of_part)
+                        cone_plan, entry)
 from .two_operator import Direction, TwoOpQuery, best_constant
 from .weights import (Cone, ListWeight, PowerWeight, SeqWindow, Weight,
                       codomain_values, envelope_down, envelope_up,
@@ -109,16 +112,30 @@ def _finite_max(f: Callable, w: np.ndarray, what: str) -> float:
     return max(top, float(np.max(vals[~over], initial=0.0)))
 
 
+def _off_sign_columns(kind: OpKind, rows: int, cols: int) -> np.ndarray:
+    """The column of the off-sign entry of each row 1..rows within columns
+    1..cols, 0 for a row without one: ``last_index_of_part(kind, n, cols,
+    negative=True)`` for every row n at once, read from the row shape."""
+    sh = ROW_SHAPES[kind]
+    if sh.neg_scale is None:
+        return np.zeros(rows, dtype=np.int64)
+    n = np.arange(1, rows + 1)
+    j = n + sh.neg_at
+    return np.where((j >= 1) & (j <= cols) & (sh.neg_scale(1.0, n) != 0.0), j, 0)
+
+
 def extremal_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
                          N: int) -> float:
     """max over rows n <= N of v_n (B x^(n))_n, x^(n) the structure theory's
     witness for row n over w (u, or its envelope on the monotone cones).
 
     Each row is a single-signed block plus at most one entry of the other
-    sign: B w gives block + single for every row, and one ``entry`` per row
-    splits them.  The value is both parts (ALL), the larger (NONNEG), or the
-    positive part of the flipped row, which the plan's sign order puts inside
-    the witness window (NONINCR, NONDECR)."""
+    sign: B w gives block + single for every row, and that entry splits
+    them, at the column ``_off_sign_columns`` finds for all rows and with
+    its coefficient from one ``entry`` call per row.  The value is both
+    parts (ALL), the larger (NONNEG), or the positive part of the flipped
+    row, which the plan's sign order puts inside the witness window
+    (NONINCR, NONDECR)."""
     rows, cols = _horizons(u, v, N)
     if kind is OpKind.CSTAR_MINUS_I and cone is Cone.NONINCR:
         raise UnsupportedConeError("open problem: nonincreasing cone for C*-I")
@@ -131,6 +148,7 @@ def extremal_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
         vvals = codomain_values(v, rows)
         w = (envelope_down(u, cols) if cone is Cone.NONINCR else
              envelope_up(u, cols) if cone is Cone.NONDECR else weight_values(u, cols))
+    off_cols = _off_sign_columns(kind, rows, cols)
 
     def values(w: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
         sel = slice(None) if idx is None else idx
@@ -138,10 +156,12 @@ def extremal_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
         np.negative(block, out=block, where=plan.flip.flipped(n))
         single = 0.0
         if ROW_SHAPES[kind].neg_scale is not None:
-            wl = w.tolist()
-            js = ((m, last_index_of_part(kind, m, cols, negative=True)) for m in n.tolist())
-            single = np.array([entry(kind, m, j, plan.flip) * wl[j - 1] if j else 0.0
-                               for m, j in js])
+            js = off_cols[sel]
+            at = np.flatnonzero(js)
+            coefs = np.fromiter((entry(kind, m, j, plan.flip) for m, j in
+                                 zip(n[at].tolist(), js[at].tolist())), float, at.size)
+            single = np.zeros(js.size)
+            single[at] = coefs * w[js[at] - 1]
             block -= single
         if cone is Cone.ALL:
             val = np.abs(block) + np.abs(single)
@@ -155,8 +175,10 @@ def extremal_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
 
 
 def _sample_cone(rng: np.random.Generator, cone: Cone, trials: int,
-                 uvals: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """A (trials, K) batch of cone samples, one per row."""
+                 uvals: np.ndarray, down: np.ndarray | None,
+                 up: np.ndarray | None) -> np.ndarray:
+    """A (trials, K) batch of cone samples, one per row: down (up) is
+    read, and needed, only on the nonincreasing (nondecreasing) cone."""
     shape = (trials, len(uvals))
     if cone is Cone.ALL:
         return rng.uniform(-1.0, 1.0, shape) * uvals
@@ -188,14 +210,19 @@ def random_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
     for name, vals in (("domain", uvals), ("codomain", vvals)):
         if not np.isfinite(vals).all():
             raise ValueError(f"the {name} weight overflows float64")
-    down = envelope_down(u, cols)
-    up = envelope_up(u, cols)
+    # only the envelope the cone's samples are drawn against
+    down = envelope_down(u, cols) if cone is Cone.NONINCR else None
+    up = envelope_up(u, cols) if cone is Cone.NONDECR else None
     X = _sample_cone(np.random.default_rng(seed), cone, trials, uvals, down, up)
     pos = uvals > 0
-    ratios = np.abs(X[:, pos]) / uvals[pos]
-    dens = np.max(ratios, axis=1) if np.any(pos) else np.zeros(trials)
-    bad = np.any(np.abs(X[:, ~pos]) > 0, axis=1)  # nonzero over zero weight
-    ok = ~bad & (dens > 0)
+    if pos.all():   # no zero weight: no masked copies
+        dens = np.max(np.abs(X) / uvals, axis=1)
+        ok = dens > 0
+    else:
+        ratios = np.abs(X[:, pos]) / uvals[pos]
+        dens = np.max(ratios, axis=1) if np.any(pos) else np.zeros(trials)
+        bad = np.any(np.abs(X[:, ~pos]) > 0, axis=1)  # nonzero over zero weight
+        ok = ~bad & (dens > 0)
 
     def best_ratios(samples: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
         t = slice(None) if idx is None else idx

@@ -39,6 +39,15 @@ are positive and summed smallest first, so the error of a row is its anchor's
 error (E-M remainder plus Horner rounding) plus at most _BLOCK * 2**-53
 (~4.5e-13) relative.  Runs whose terms k**(-s) or scales n**p would leave the
 normal float range keep the per-row path.
+
+A caller that already holds the values u_k = k**(1 - s) (Hurwitz) or
+k**(1 - beta) (shifted) over a run's columns can have the run's terms formed
+from them, u_k / k or u_k / (k (k + 1)), and summed on the same grid with
+the same anchors (``_value_run_tails``): no power per term.  Such a term
+meets at most one rounding more than the formula's (the division by k, or
+the product k (k + 1) past 2**26), so it stays within a few 2**-53 of the
+term, and a row stays inside its cell's _BLOCK * 2**-53 bound plus the
+anchor's error.
 """
 
 from __future__ import annotations
@@ -396,3 +405,24 @@ def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0,
     if np.any(big):
         out[big] = _em_scaled(beta + 1.0, _GEOM_J, n[big], p)
     return out
+
+
+def _value_run_tails(param: float, shifted: bool, n: np.ndarray, kernel: Callable,
+                     vals: np.ndarray, v0: int, out: np.ndarray) -> np.ndarray | None:
+    """hurwitz_tail_scaled(param, n, out=out), or shifted_tail_scaled when
+    shifted, on a run n that the run path takes, with each term formed as
+    kernel(u_k, k, t) from values the caller holds: vals[i] is
+    u_{v0 + i} = (v0 + i)**(1 - param), and kernel writes x / k (Hurwitz)
+    or x / (k (k + 1)) (shifted) into t.  None, with nothing written, when
+    n is not such a run or vals misses a column of its run as extended to
+    row _RUN_ANCHOR - 1."""
+    s, terms = (param + 1.0, _GEOM_J) if shifted else (param, 1)
+    run = _run_bounds(n, s, 0.0)
+    if run is None:
+        return None
+    n0, n1 = run
+    if n0 < v0 or max(n1, _RUN_ANCHOR - 1) >= v0 + vals.size:
+        return None
+    x = vals[n0 - v0:]
+    return _run_tails(n, n0, n1, 0.0, lambda k, t: kernel(x[:k.size], k, t),
+                      lambda a: _em_scaled(s, terms, a), out)

@@ -93,7 +93,7 @@ def w_envelope(u: Weight, K: int) -> np.ndarray:
         k = np.arange(1, K + 1, dtype=float)
         return np.power(k, 1.0 - u.alpha)
     L = u.length
-    w = np.arange(1, L + 1, dtype=float) * np.asarray(u.values)
+    w = np.arange(1, L + 1, dtype=float) * u.array
     suff = np.minimum.accumulate(w[::-1])[::-1]
     out = np.zeros(K)
     out[: min(K, L)] = suff[: min(K, L)]

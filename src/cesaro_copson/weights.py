@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -73,17 +73,23 @@ class PowerWeight:
 
 @dataclass(frozen=True)
 class ListWeight:
-    """Explicit nonnegative weights w_1..w_L; defines an L-truncated problem."""
+    """Explicit nonnegative weights w_1..w_L; defines an L-truncated problem.
+
+    ``array`` holds the same values as a read-only float64 array, built
+    once; ``repr``, ``==`` and ``hash`` read the tuple ``values`` alone."""
 
     values: tuple[float, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValueError("ListWeight needs at least one value")
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float)   # a copy: never the caller's array
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValueError("ListWeight values must be finite and >= 0")
+        arr.flags.writeable = False
         object.__setattr__(self, "values", tuple(float(x) for x in arr))
+        object.__setattr__(self, "array", arr)
 
     @property
     def length(self) -> int:
@@ -155,7 +161,7 @@ def weight_at(w: Weight, k: int) -> float:
 
 def _list_vals(w: ListWeight, out: np.ndarray, first: int) -> np.ndarray:
     lo, hi = min(first - 1, w.length), min(first - 1 + out.size, w.length)
-    out[: hi - lo] = w.values[lo:hi]
+    out[: hi - lo] = w.array[lo:hi]
     out[hi - lo:] = 0.0
     return out
 
@@ -231,8 +237,7 @@ def envelope_up(u: Weight, K: int) -> np.ndarray:
             return np.zeros(K)
         return weight_values(u, K)  # nondecreasing u is its own minorant
     L = u.length
-    vals = np.asarray(u.values, dtype=float)
-    suff = np.minimum.accumulate(vals[::-1])[::-1]
+    suff = np.minimum.accumulate(u.array[::-1])[::-1]
     out = np.zeros(K)
     m = min(K, L)
     out[:m] = suff[:m]

@@ -161,6 +161,15 @@ def test_one_entry_per_row_at_most(monkeypatch):
     assert 0 < len(calls) <= 2000
 
 
+@pytest.mark.parametrize("K", [1, 2, 7, 2000])
+def test_off_sign_columns_are_last_index_of_part(K):
+    # the one array pass the witnesses read, against the per-row scalar
+    # code, on rows past the column horizon as well
+    for kind in OpKind:
+        want = [last_index_of_part(kind, n, K, negative=True) for n in range(1, K + 3)]
+        assert oracle._off_sign_columns(kind, K + 2, K).tolist() == want, kind
+
+
 def masked_witness_values(kind, u, v, cone, N):
     """The literal O(N^2) witness evaluation: every row from row_entries and
     every witness a full-width array, masked by the row's signs or by where

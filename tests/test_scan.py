@@ -18,7 +18,7 @@ from cesaro_copson.norms import (SPECIALIZED_BY_KIND, NormResult, Status,
                                  dist_cesaro_identity, norm_c_minus_sstar,
                                  norm_cesaro, norm_copson, norm_cstarsd,
                                  norm_general)
-from cesaro_copson.operators import PRINCIPAL_KINDS, OpKind, cone_plan
+from cesaro_copson.operators import PRINCIPAL_KINDS, ROW_SHAPES, OpKind, cone_plan
 from cesaro_copson.power import ScanCertificate
 from cesaro_copson.special_sums import _BLOCK as F
 from cesaro_copson.special_sums import _FIRST_BLOCK as S
@@ -245,6 +245,65 @@ def test_scan_rows_match_one_request(monkeypatch):
         assert np.array_equal(np.concatenate([b[1] for b in blocks]), whole)
         checked += len(blocks) > 3   # the scan read the long blocks
     assert checked >= 25   # of the 28 calls, all that scan
+
+
+def _count_window_tails(monkeypatch):
+    """Whether each tail request was formed from the kept value window."""
+    formed = []
+    value_run_tails = norms._value_run_tails
+
+    def counting(*args):
+        out = value_run_tails(*args)
+        formed.append(out is not None)
+        return out
+
+    monkeypatch.setattr(norms, "_value_run_tails", counting)
+    return formed
+
+
+# C*-I reads u_n, then the tails from column n + 1; (C*-S)D reads u_{n-1},
+# then the tails from column n
+WINDOW_TAILS = [(OpKind.CSTAR_MINUS_I, special_sums.hurwitz_tail_scaled),
+                (OpKind.CSTARSD, special_sums.shifted_tail_scaled)]
+
+
+@pytest.mark.parametrize("kind, formula", WINDOW_TAILS, ids=["cstar-minus-i", "cstarsd"])
+@pytest.mark.parametrize("lo, hi", [(1, S), (F - 40, F + 40), (B - 40, B + 40), (1, 20)],
+                         ids=["first-block", "across-4096", "across-65536", "below-31"])
+def test_window_tails_match_the_formula_terms(kind, formula, lo, hi, monkeypatch):
+    formed = _count_window_tails(monkeypatch)
+    sh = ROW_SHAPES[kind]
+    n = np.arange(lo, hi + 1)
+    a = 0.6
+    sd = norms._SeqData(P(a), "id", hi + 2)
+    vals = sd.vals_at(n + sh.neg_at)
+    # a run from column 0 (the first (C*-S)D block) reads u_0 = 0, as the
+    # scattered path does
+    scattered = norms._SeqData(P(a), "id", hi + 2).vals_at((n + sh.neg_at)[::-1])[::-1]
+    np.testing.assert_array_equal(vals, scattered)
+    got = sd.tail(sh.scale, n + sh.at)
+    want = formula(a + 1.0, n + sh.at)
+    # a run that ends below row 31 is extended past the window: the formula
+    # forms its terms
+    covered = hi + sh.at >= special_sums._RUN_ANCHOR - 1
+    assert formed == [covered]
+    if covered:   # at most one rounding more per term, within the cells' bound
+        np.testing.assert_allclose(got, want, rtol=2 * F * 2.0 ** -53, atol=0)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", [k for k, _ in WINDOW_TAILS], ids=["cstar-minus-i", "cstarsd"])
+def test_window_tails_keep_a_blocked_scans_bits(kind, monkeypatch):
+    formed = _count_window_tails(monkeypatch)
+    n_max = 2 * B + 4101
+    u = P(0.6)
+    rows = _kind_rows(kind, u, Cone.ALL, n_max + 1)
+    blocked = np.concatenate([rows(np.arange(lo, hi + 1)).copy()
+                              for lo, hi in norms._scan_blocks(n_max)])
+    whole = _kind_rows(kind, u, Cone.ALL, n_max + 1)(np.arange(1, n_max + 1))
+    np.testing.assert_array_equal(blocked, whole)
+    assert len(formed) == len(list(norms._scan_blocks(n_max))) + 1 and all(formed)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -47,6 +47,25 @@ def test_values_from_a_first_row_are_a_slice_of_the_whole(w, first, K):
         weight_values(w, K, 0)
 
 
+def test_list_weight_array_is_the_tuple_read_only():
+    raw = np.array([3.0, 0.0, 2.5, 1.0])
+    w = ListWeight(raw)
+    L = w.length
+    assert not w.array.flags.writeable
+    with pytest.raises(ValueError):
+        w.array[0] = 1.0
+    assert raw.flags.writeable   # the caller's array is copied, not frozen
+    assert w.array.dtype == np.float64 and w.array.tolist() == list(w.values)
+    for first in (1, L, L + 3):
+        want = [w.values[k - 1] if k <= L else 0.0 for k in range(first, first + 5)]
+        assert weight_values(w, 5, first).tolist() == want
+        assert codomain_values(w, 5, first).tolist() == want
+    # repr, == and hash read the tuple alone
+    same = ListWeight((3, 0, 2.5, 1))
+    assert w == same and hash(w) == hash(same)
+    assert repr(w) == "ListWeight(values=(3.0, 0.0, 2.5, 1.0))"
+
+
 def test_validation():
     with pytest.raises(ValueError):
         ListWeight((1.0, -0.5))
