@@ -53,13 +53,13 @@ Truncation of the outer supremum is reported honestly in ``NormResult``:
 exact finite problems, and list-u / power-v problems closed by their exact
 tail, are ClosedForm.  A scan is TruncatedConverged when a tail bound is
 within the tolerance of the running supremum (residual: the gap); for a
-matched power pair, whose scan carries a monotonicity certificate from the
-power theorems, only once that bound also meets the certificate (most
-matched pairs do at row 256, the end of the first block).  A certificate
-the bound does not meet is checked numerically at the end of the scan
-instead.  A scan is also TruncatedConverged when the running supremum has
-stalled below the tolerance (a heuristic), and TruncatedLowerBound
-otherwise.  Divergence is decided analytically for power weights
+matched power pair, whose scan carries its closed-form branch from the
+power theorems as a certificate, only once that bound also meets the
+certificate (most matched pairs do at row 256, the end of the first block).
+A certificate the bound does not meet is checked numerically at the end of
+the scan instead.  Every other scan is TruncatedLowerBound, with the rise of
+the running supremum over its last 10% of rows as the residual.  Divergence
+is decided analytically for power weights
 (divergent inner tails, divergent closed-form branches, prefix rows that
 grow on the whole space and the nonnegative cone) and list-u / power-v
 problems (an unbounded exact tail), and by a threshold heuristic
@@ -516,11 +516,11 @@ def _scan_blocks(N: int):
 
 
 def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
-              certificate: power_mod.ScanCertificate | None,
+              certificate: power_mod.PowerCaseResult | None,
               tail: _Tail | None = None) -> NormResult:
     """Supremum of values_fn over rows 1..n_max, called on the contiguous
     blocks of ``_scan_blocks``.  Running state across blocks (max and first
-    argmax, max up to the stall cut, most negative step) gives the decision
+    argmax, max up to the 90% cut, most negative step) gives the decision
     a whole-array scan would give, in O(block) memory; the per-block arrays
     live in block buffers.  values_fn may return a buffer of its own that
     its next call overwrites: nothing of a block is kept but scalars.
@@ -535,11 +535,13 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
     of the limit and the rows read so far verify it; an "attained" value
     stops once m is within tolerance of it.  A certificate the bound or the
     rows disagree with never stops a scan early, and at the end of the scan
-    a limit above both m and the last tail bound is refused."""
-    if certificate is not None and certificate.mode == "divergent":
+    a limit above both m and the last tail bound is refused.  An infinite
+    certificate is Divergent before any row is read.  What nothing proves
+    is TruncatedLowerBound, with residual the rise of m over the rows after
+    the first 90% (0 when N == 1)."""
+    if certificate is not None and math.isinf(certificate.value):
         return _divergent()
     N = cfg.n_max
-    # stall window: the rows after the first 90% (empty when N == 1)
     cut = max(1, int(0.9 * N))
     steps = certificate is not None and certificate.mode == "limit"
     m = m_cut = -math.inf
@@ -592,7 +594,6 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
                 return NormResult(m, Status.TRUNCATED_CONVERGED, hi, max(0.0, t - m))
     if m > cfg.divergence_threshold:
         return _divergent(argmax)
-    delta = m - m_cut
     if (steps and t is not None
             and max(m, t) < certificate.value * (1.0 - 1e-9) - 1e-12):
         # no row reaches the limit, read or past N: a correct limit is at
@@ -602,13 +603,10 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
         if certificate.mode == "limit":
             return NormResult(certificate.value, Status.TRUNCATED_CONVERGED, N, 1e-12)
         return NormResult(m, Status.TRUNCATED_CONVERGED, N, abs(certificate.value - m))
-    # no certificate, or it did not verify: the heuristic statuses
-    if cut < N and delta <= cfg.tol:
-        return NormResult(m, Status.TRUNCATED_CONVERGED, N, delta)
-    return NormResult(m, Status.TRUNCATED_LOWER_BOUND, N, delta)
+    return NormResult(m, Status.TRUNCATED_LOWER_BOUND, N, m - m_cut)
 
 
-def _verifies(certificate: power_mod.ScanCertificate, m: float, min_step: float,
+def _verifies(certificate: power_mod.PowerCaseResult, m: float, min_step: float,
               tol: float) -> bool:
     """Whether the rows read so far, with running max m and most negative
     step min_step, agree with a "limit" or "attained" certificate: a limit
@@ -623,7 +621,7 @@ def _verifies(certificate: power_mod.ScanCertificate, m: float, min_step: float,
 
 def _row_sup(rows: Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]],
              u: Weight, v: Weight, cfg: TruncConfig,
-             certificate: power_mod.ScanCertificate | None,
+             certificate: power_mod.PowerCaseResult | None,
              tail: _Tail | None = None) -> NormResult:
     """Supremum over rows n of v_n * F(n), where ``rows(w, K)`` returns F
     against the domain weight w on the column horizon K.  A truncated v
@@ -793,14 +791,12 @@ def _dense_norm(kind: OpKind, u: Weight, v: Weight, cone: Cone,
     neg = np.clip(-M, 0.0, None)
 
     def rows(w: Weight) -> np.ndarray:
+        uv = _envelope(w, _ENV[cone], L_u)
         if cone is Cone.ALL:
-            return (pos + neg) @ weight_values(w, L_u)
+            return (pos + neg) @ uv
         if cone is Cone.NONNEG:
-            uv = weight_values(w, L_u)
             return np.maximum(pos @ uv, neg @ uv)
-        if cone is Cone.NONINCR:
-            return pos @ envelope_down(w, L_u)
-        return pos @ envelope_up(w, L_u)
+        return pos @ uv
 
     return _finite_sup(rows, u, codomain_values(v, L_v), False)
 

@@ -15,10 +15,17 @@ attained at an integer selected by the breakpoints
 a strictly increasing negative sequence tending to 0: the maximiser is n=m+1
 exactly when s_m < a <= s_{m+1}, and adjacent branches agree at a = s_m.
 
-``scan_certificate`` exposes the monotonicity facts behind these proofs so
-the general scan engine can certify its truncated suprema: each scanned
-functional is either monotone increasing to the closed form ("limit"),
-or attains its supremum inside any reasonable scan window ("attained").
+Each finite branch also names, as its ``mode``, how the rows v_n F(n) that
+the general engine scans reach its value, from the monotone-average facts
+behind the proofs (n**(a-1) sum_{k<=n} k**(-a) moves monotonically with n,
+in a direction set by the sign of a; the tail averages n**a sum_{k>=n}
+k**(-a-1) decrease; the strict-tail averages n**a sum_{k>n} k**(-a-1)
+increase): "limit" when they rise monotonically to it, so that it is their
+limit, and "attained" when their maximum over any reasonable scan window is
+the value.
+A branch whose rows are never scanned has no mode, and an infinite value
+says the rows diverge.  ``scan_certificate`` reads these branches for the
+scan engine, which uses them to certify its truncated suprema.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from .weights import Cone
 
 __all__ = [
     "PowerCaseResult",
-    "ScanCertificate",
     "breakpoint_s",
     "breakpoint_index",
     "cesaro_power",
@@ -53,19 +59,7 @@ class PowerCaseResult:
     zeta_arg: float | None = None
     m_alpha_value: float | None = None
     m_breakpoint: int | None = None
-
-
-@dataclass(frozen=True)
-class ScanCertificate:
-    """How a scanned power functional relates to its closed form.
-
-    mode "limit": the functional increases to ``value`` (the supremum is the
-    limit, never attained); "attained": the supremum equals the scan maximum
-    inside the window; "divergent": the supremum is +inf.
-    """
-
-    mode: str
-    value: float
+    mode: str | None = None   # "limit" or "attained": see the module docstring
 
 
 def breakpoint_s(m: int) -> float:
@@ -99,12 +93,12 @@ def cesaro_power(alpha: float, cone: Cone) -> PowerCaseResult:
     """Norm of the averaging operator on power-weighted l-infinity cones."""
     if cone is Cone.NONDECR:
         if alpha <= 0:
-            return PowerCaseResult(1.0, "alpha <= 0")
-        return PowerCaseResult(0.0, "alpha > 0")
+            return PowerCaseResult(1.0, "alpha <= 0", mode="attained")
+        return PowerCaseResult(0.0, "alpha > 0", mode="attained")
     if alpha < 0:
-        return PowerCaseResult(1.0, "alpha < 0")
+        return PowerCaseResult(1.0, "alpha < 0", mode="attained")
     if alpha < 1:
-        return PowerCaseResult(1.0 / (1.0 - alpha), "0 <= alpha < 1")
+        return PowerCaseResult(1.0 / (1.0 - alpha), "0 <= alpha < 1", mode="limit")
     return PowerCaseResult(math.inf, "alpha >= 1")
 
 
@@ -115,34 +109,35 @@ def copson_power(alpha: float, cone: Cone) -> PowerCaseResult:
     if alpha <= 0:
         return PowerCaseResult(math.inf, "alpha <= 0")
     return PowerCaseResult(zeta(alpha + 1.0).value, "alpha > 0",
-                           zeta_arg=alpha + 1.0)
+                           zeta_arg=alpha + 1.0, mode="attained")
 
 
 def cesaro_minus_id_power(alpha: float, cone: Cone) -> PowerCaseResult:
     """Distance of the averaging operator to the identity."""
     if cone is Cone.ALL:
         if alpha < 1:
-            return PowerCaseResult((2.0 - alpha) / (1.0 - alpha), "alpha < 1")
+            return PowerCaseResult((2.0 - alpha) / (1.0 - alpha), "alpha < 1",
+                                   mode="limit")
         return PowerCaseResult(math.inf, "alpha >= 1")
     if cone is Cone.NONNEG:
         if alpha < 0:
-            return PowerCaseResult(1.0, "alpha < 0")
+            return PowerCaseResult(1.0, "alpha < 0", mode="limit")
         if alpha < 1:
-            return PowerCaseResult(1.0 / (1.0 - alpha), "0 <= alpha < 1")
+            return PowerCaseResult(1.0 / (1.0 - alpha), "0 <= alpha < 1", mode="limit")
         return PowerCaseResult(math.inf, "alpha >= 1")
     if cone is Cone.NONINCR:
         if alpha < 0:
             m = breakpoint_index(alpha)
             val = (m + 1.0) ** (alpha - 1.0) * m
             return PowerCaseResult(val, f"s_m < alpha <= s_(m+1), m={m}",
-                                   m_breakpoint=m)
+                                   m_breakpoint=m, mode="attained")
         if alpha < 1:
-            return PowerCaseResult(1.0 / (1.0 - alpha), "0 <= alpha < 1")
+            return PowerCaseResult(1.0 / (1.0 - alpha), "0 <= alpha < 1", mode="limit")
         return PowerCaseResult(math.inf, "alpha >= 1")
     # NONDECR
     if alpha <= 0:
-        return PowerCaseResult(1.0, "alpha <= 0")
-    return PowerCaseResult(0.0, "alpha > 0")
+        return PowerCaseResult(1.0, "alpha <= 0", mode="limit")
+    return PowerCaseResult(0.0, "alpha > 0", mode="attained")
 
 
 def copson_minus_id_power(alpha: float, cone: Cone) -> PowerCaseResult:
@@ -151,13 +146,13 @@ def copson_minus_id_power(alpha: float, cone: Cone) -> PowerCaseResult:
     if cone is Cone.ALL:
         if alpha <= 0:
             return PowerCaseResult(math.inf, "alpha <= 0")
-        return PowerCaseResult(1.0 + 1.0 / alpha, "alpha > 0")
+        return PowerCaseResult(1.0 + 1.0 / alpha, "alpha > 0", mode="limit")
     if cone is Cone.NONNEG:
         if alpha <= 0:
             return PowerCaseResult(math.inf, "alpha <= 0")
         if alpha < 1:
-            return PowerCaseResult(1.0 / alpha, "0 < alpha < 1")
-        return PowerCaseResult(1.0, "alpha >= 1")
+            return PowerCaseResult(1.0 / alpha, "0 < alpha < 1", mode="limit")
+        return PowerCaseResult(1.0, "alpha >= 1", mode="limit")
     raise ValueError("copson_minus_id_power covers cones ALL and NONNEG only")
 
 
@@ -165,15 +160,16 @@ def two_op_cc_power(alpha: float, cone: Cone) -> PowerCaseResult:
     """Best constant in ||Cx|| <= A ||C*x|| for the matched power pair."""
     if cone is Cone.ALL:
         if alpha <= 0:
-            return PowerCaseResult(1.0 + 2.0 ** (-alpha), "alpha <= 0")
+            return PowerCaseResult(1.0 + 2.0 ** (-alpha), "alpha <= 0", mode="attained")
         if alpha < 1:
-            return PowerCaseResult((2.0 - alpha) / (1.0 - alpha), "0 < alpha < 1")
+            return PowerCaseResult((2.0 - alpha) / (1.0 - alpha), "0 < alpha < 1",
+                                   mode="limit")
         return PowerCaseResult(math.inf, "alpha >= 1")
     if cone is Cone.NONNEG:
         if alpha <= 0:
-            return PowerCaseResult(1.0, "alpha <= 0")
+            return PowerCaseResult(1.0, "alpha <= 0", mode="attained")
         if alpha < 1:
-            return PowerCaseResult(1.0 / (1.0 - alpha), "0 < alpha < 1")
+            return PowerCaseResult(1.0 / (1.0 - alpha), "0 < alpha < 1", mode="limit")
         return PowerCaseResult(math.inf, "alpha >= 1")
     raise ValueError("two_op_cc_power covers cones ALL and NONNEG only")
 
@@ -184,15 +180,16 @@ def two_op_cstarc_power(alpha: float, cone: Cone) -> PowerCaseResult:
         if alpha <= 0:
             return PowerCaseResult(math.inf, "alpha <= 0")
         if alpha <= 1:
-            return PowerCaseResult(1.0 + 1.0 / alpha, "0 < alpha <= 1")
+            return PowerCaseResult(1.0 + 1.0 / alpha, "0 < alpha <= 1", mode="limit")
         ma = m_alpha(alpha).value
-        return PowerCaseResult(2.0 ** alpha * ma, "alpha > 1", m_alpha_value=ma)
+        return PowerCaseResult(2.0 ** alpha * ma, "alpha > 1", m_alpha_value=ma,
+                               mode="attained")
     if cone is Cone.NONNEG:
         if alpha <= 0:
             return PowerCaseResult(math.inf, "alpha <= 0")
         if alpha <= 1:
-            return PowerCaseResult(1.0 / alpha, "0 < alpha <= 1")
-        return PowerCaseResult(0.0, "alpha > 1")
+            return PowerCaseResult(1.0 / alpha, "0 < alpha <= 1", mode="limit")
+        return PowerCaseResult(0.0, "alpha > 1", mode="attained")
     raise ValueError("two_op_cstarc_power covers cones ALL and NONNEG only")
 
 
@@ -200,6 +197,26 @@ def closed_form(kind: OpKind, cone: Cone, alpha: float) -> PowerCaseResult | Non
     """Closed form for a single-operator norm on the matched power pair,
     None where the theorems give none (the open nonincreasing case of
     C*-I, C - S* on the nonnegative and nondecreasing cones, and (C*-S)D)."""
+    return _branch(kind, cone, alpha)
+
+
+def scan_certificate(kind: OpKind, cone: Cone, alpha: float) -> PowerCaseResult | None:
+    """The closed-form branch of a matched power pair as the certificate of
+    its scan: a branch with a mode, or an infinite one (divergent rows).
+    None where there is no closed form or its branch is never scanned.  The
+    scan trusts a certificate only where the rows it has read agree with it
+    (monotone steps up to a limit, a maximum at an attained value), and
+    stops early only once its proven tail bound also meets it."""
+    cf = _branch(kind, cone, alpha)
+    if cf is None or (cf.mode is None and not math.isinf(cf.value)):
+        return None
+    return cf
+
+
+def _branch(kind: OpKind, cone: Cone, alpha: float) -> PowerCaseResult | None:
+    """The branch table of the kind.  ``closed_form`` and
+    ``scan_certificate`` both read it, under this separate name so that a
+    tracer that wraps one of them does not count the other's reads."""
     if kind is OpKind.C:
         return cesaro_power(alpha, cone)
     if kind is OpKind.CSTAR:
@@ -215,53 +232,4 @@ def closed_form(kind: OpKind, cone: Cone, alpha: float) -> PowerCaseResult | Non
     if kind is OpKind.C_MINUS_SSTAR and cone in (Cone.ALL, Cone.NONINCR):
         # the norm the C <= A C* constant on ALL or NONNEG is (two_operator)
         return two_op_cc_power(alpha, Cone.ALL if cone is Cone.ALL else Cone.NONNEG)
-    return None
-
-
-def scan_certificate(kind: OpKind, cone: Cone, alpha: float) -> ScanCertificate | None:
-    """Monotonicity certificate for the scanned functional of a matched
-    power pair.  Backed by the monotone-average facts: n**(a-1) sum_{k<=n}
-    k**(-a) moves monotonically with n (direction per sign of a), the
-    tail averages n**a sum_{k>=n} k**(-a-1) decrease, and the strict-tail
-    averages n**a sum_{k>n} k**(-a-1) increase.  The scan trusts a
-    certificate only where the rows it has read agree with it (monotone
-    steps up to a limit, a maximum at an attained value), and stops early
-    only once its proven tail bound also meets it."""
-    if kind is OpKind.C:
-        if cone is Cone.NONDECR:
-            if alpha > 0:
-                return ScanCertificate("attained", 0.0)
-            return ScanCertificate("attained", 1.0)
-        if alpha < 0:
-            return ScanCertificate("attained", 1.0)
-        if alpha < 1:
-            return ScanCertificate("limit", 1.0 / (1.0 - alpha))
-        return ScanCertificate("divergent", math.inf)
-    if kind is OpKind.CSTAR:
-        if cone is Cone.NONDECR:
-            return None  # trivial cone, never scanned
-        if alpha <= 0:
-            return ScanCertificate("divergent", math.inf)
-        return ScanCertificate("attained", zeta(alpha + 1.0).value)
-    if kind is OpKind.C_MINUS_I:
-        cf = cesaro_minus_id_power(alpha, cone)
-        if math.isinf(cf.value):
-            return ScanCertificate("divergent", math.inf)
-        if cone is Cone.NONINCR and alpha < 0:
-            return ScanCertificate("attained", cf.value)
-        if cone is Cone.NONDECR and alpha > 0:
-            return ScanCertificate("attained", 0.0)
-        return ScanCertificate("limit", cf.value)
-    if kind is OpKind.CSTAR_MINUS_I:
-        if cone in (Cone.NONINCR, Cone.NONDECR):
-            return None
-        if alpha <= 0:
-            return ScanCertificate("divergent", math.inf)
-        cf = copson_minus_id_power(alpha, cone)
-        return ScanCertificate("limit", cf.value)
-    if kind is OpKind.C_MINUS_SSTAR and cone in (Cone.ALL, Cone.NONINCR):
-        cf = closed_form(kind, cone, alpha)
-        if math.isinf(cf.value):
-            return ScanCertificate("divergent", math.inf)
-        return ScanCertificate("attained" if alpha <= 0 else "limit", cf.value)
     return None

@@ -143,17 +143,6 @@ def _reduced(q: TwoOpQuery) -> tuple[OpKind, Cone, Weight] | None:
     return None
 
 
-def _certificate(cone: Cone, alpha: float) -> power_mod.ScanCertificate:
-    """The C* <= A C certificate of a matched power pair, from its theorem:
-    the rows rise to the limit for alpha <= 1 and attain their supremum
-    for alpha > 1."""
-    cf = power_mod.two_op_cstarc_power(alpha, cone)
-    if math.isinf(cf.value):
-        return power_mod.ScanCertificate("divergent", math.inf)
-    mode = "attained" if alpha > 1 else "limit"
-    return power_mod.ScanCertificate(mode, cf.value)
-
-
 def _row_builder(q: TwoOpQuery, reduced) -> tuple[Callable, Weight]:
     """The row builder (w, K) -> F of q's constant and the domain weight it
     reads, given ``_reduced(q)``."""
@@ -166,22 +155,17 @@ def _row_builder(q: TwoOpQuery, reduced) -> tuple[Callable, Weight]:
 def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
     """Best constant for the query; matched power pairs route to the closed
     forms unless ``use_closed_forms`` is False (then the norm the constant
-    reduces to is scanned, certified by the theorems' monotonicity facts)."""
+    reduces to is scanned, with the theorem's branch as its certificate)."""
     alpha = matched_power_alpha(q.u, q.v)
-    reduced = _reduced(q)
-    if alpha is not None and use_closed_forms:
-        if q.direction is Direction.C_LE_CSTAR:
-            cf = power_mod.closed_form(*reduced[:2], alpha)
-        else:
-            cf = power_mod.two_op_cstarc_power(alpha, q.cone)
-        return _closed_form_result(cf)
-
-    rows, u = _row_builder(q, reduced)
     certificate = None
     if alpha is not None:
-        certificate = (power_mod.scan_certificate(*reduced[:2], alpha)
-                       if q.direction is Direction.C_LE_CSTAR
-                       else _certificate(q.cone, alpha))
+        theorem = (power_mod.two_op_cc_power if q.direction is Direction.C_LE_CSTAR
+                   else power_mod.two_op_cstarc_power)
+        certificate = theorem(alpha, q.cone)
+        if use_closed_forms:
+            return _closed_form_result(certificate)
+    reduced = _reduced(q)
+    rows, u = _row_builder(q, reduced)
     return norms._row_sup(rows, u, q.v, q.cfg, certificate, _tail(q, reduced))
 
 

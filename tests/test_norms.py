@@ -5,7 +5,8 @@ import pytest
 
 from conftest import random_list_weight
 from cesaro_copson import norms
-from cesaro_copson.norms import (SPECIALIZED_BY_KIND, Status, TruncConfig,
+from cesaro_copson.norms import (DEFAULT_TRUNC, SPECIALIZED_BY_KIND, Status,
+                                 TruncConfig,
                                  _finite_sup, _part_values, _SeqData,
                                  dist_cesaro_identity, dist_copson_identity,
                                  norm_c_minus_sstar, norm_cesaro, norm_copson,
@@ -232,7 +233,8 @@ def test_statuses_on_scans():
     # an unmatched power pair stops where its proven tail bound closes
     r = norm_cesaro(P(0.5), P(0.3), Cone.ALL, TruncConfig(n_max=50000))
     assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == 256
-    # threshold divergence for a rapidly growing unmatched pair
+    # a rapidly growing unmatched pair: its prefix rows grow like n**4, so
+    # analysis (_power_diverges) decides it before any scan
     r = norm_cesaro(P(-1.0), P(3.0), Cone.ALL,
                     TruncConfig(n_max=100000, divergence_threshold=1e9))
     assert r.status is Status.DIVERGENT and r.value == math.inf
@@ -244,8 +246,23 @@ def test_statuses_on_scans():
     assert r.residual_estimate <= 1e-9
 
 
+@pytest.mark.parametrize("call", [
+    lambda: norm_copson(P(0.3), P(0.301), Cone.ALL),
+    lambda: norm_general(OpKind.C, P(-0.7), P(-0.699), Cone.NONDECR),
+    lambda: norm_general(OpKind.C_MINUS_SSTAR, P(-0.7), P(-0.699), Cone.NONDECR),
+], ids=["copson-all", "cesaro-nondecr", "c-minus-sstar-nondecr"])
+def test_stalled_infinite_norm_is_only_a_lower_bound(call):
+    # the rows grow like n**0.001 without bound, far too slowly for the
+    # running max to move over 10^6 rows; a stalled max used to be
+    # reported as TruncatedConverged
+    r = call()
+    assert r.status is Status.TRUNCATED_LOWER_BOUND
+    assert r.n_used == DEFAULT_TRUNC.n_max and r.residual_estimate == 0.0
+
+
 def test_single_row_scan_is_only_a_lower_bound():
-    # with n_max = 1 the stall window is empty; the supremum 1.0588 is at n = 3
+    # one row proves nothing (its tail bound does not close); the supremum
+    # 1.0588 is at n = 3
     r = norm_cesaro(P(0.5), P(0.3), Cone.ALL, TruncConfig(n_max=1))
     assert r.status is Status.TRUNCATED_LOWER_BOUND
     assert r.value == pytest.approx(1.0)

@@ -1,6 +1,7 @@
 """The blocked supremum scan: block edges against a whole-array reference,
 memory that does not grow with n_max, and the tails that stop a scan early."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -19,7 +20,7 @@ from cesaro_copson.norms import (SPECIALIZED_BY_KIND, NormResult, Status,
                                  norm_cesaro, norm_copson, norm_cstarsd,
                                  norm_general)
 from cesaro_copson.operators import PRINCIPAL_KINDS, ROW_SHAPES, OpKind, cone_plan
-from cesaro_copson.power import ScanCertificate
+from cesaro_copson.power import PowerCaseResult
 from cesaro_copson.special_sums import _BLOCK as F
 from cesaro_copson.special_sums import _FIRST_BLOCK as S
 from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
@@ -32,7 +33,7 @@ EDGES = (S, F, B, 2 * B)   # the first four block ends of a long scan
 
 def whole_array_scan(values_fn, cfg, certificate):
     """The scan before blocking: every row in one values_fn call."""
-    if certificate is not None and certificate.mode == "divergent":
+    if certificate is not None and math.isinf(certificate.value):
         return _divergent()
     N = cfg.n_max
     n = np.arange(1, N + 1, dtype=np.int64)
@@ -57,8 +58,6 @@ def whole_array_scan(values_fn, cfg, certificate):
             if abs(m - certificate.value) <= max(cfg.tol, 1e-9 * scale):
                 return NormResult(m, Status.TRUNCATED_CONVERGED, N,
                                   abs(certificate.value - m))
-    if cut < N and delta <= cfg.tol:
-        return NormResult(m, Status.TRUNCATED_CONVERGED, N, delta)
     return NormResult(m, Status.TRUNCATED_LOWER_BOUND, N, delta)
 
 
@@ -69,14 +68,14 @@ def _rows(N, feature, rows):
     certificate = None
     if feature in ("dip", "small-dip"):
         vals = 1.0 - 1.0 / (n + 1.0)   # increasing to the limit 1
-        certificate = ScanCertificate("limit", 1.0)
+        certificate = PowerCaseResult(1.0, "rows rise to 1", mode="limit")
     else:
         vals = 1.0 / n
     for r in rows:
         i = r - 1
         if feature == "max":
             vals[i] = 5.0
-            certificate = ScanCertificate("attained", 5.0)
+            certificate = PowerCaseResult(5.0, "rows reach 5", mode="attained")
         elif feature == "tie":          # above the threshold: the first row wins
             vals[i:i + 2] = 2e15
         elif feature == "huge":
@@ -128,7 +127,7 @@ def test_block_edges_match_whole_array_scan(N, feature, offset):
 def test_stall_cut_at_a_block_edge(offset):
     # choose n_max so that the 90% cut is the row next to a block edge; the
     # values rise by distinct steps across the cut, so an off-by-one in the
-    # stall window changes the residual
+    # window after the cut changes the lower bound's residual
     cut = B + offset
     N = next(m for m in range(int(cut / 0.9) - 3, int(cut / 0.9) + 4)
              if int(0.9 * m) == cut)
@@ -522,13 +521,52 @@ def _certified_calls(a, cfg):
     u = P(a)
     for kind, cone, _ in _plans():
         certificate = power.scan_certificate(kind, cone, a)
-        if certificate is not None and certificate.mode != "divergent":
+        if certificate is not None and math.isfinite(certificate.value):
             yield (kind, cone), lambda kind=kind, cone=cone: norm_general(
                 kind, u, u, cone, cfg)
-    for cone, sstar_cone in ((Cone.ALL, Cone.ALL), (Cone.NONNEG, Cone.NONINCR)):
-        if power.scan_certificate(OpKind.C_MINUS_SSTAR, sstar_cone, a).mode != "divergent":
+    for cone in (Cone.ALL, Cone.NONNEG):
+        if math.isfinite(power.two_op_cc_power(a, cone).value):
             yield (Direction.C_LE_CSTAR, cone), lambda cone=cone: best_constant(
                 TwoOpQuery(Direction.C_LE_CSTAR, cone, u, u, cfg), use_closed_forms=False)
+
+
+def _branch_rows(a, N):
+    """(label, branch, v_n F(n) over rows 1..N) for every matched (kind,
+    cone) with a finite certificate at alpha a and every two-operator
+    direction and cone, its rows read from the engine."""
+    u = P(a)
+    n = np.arange(1, N + 1, dtype=np.int64)
+    for kind, cone, plan in _plans():
+        branch = power.scan_certificate(kind, cone, a)
+        if branch is not None and math.isfinite(branch.value):
+            rows = codomain_values(u, N) * _kind_rows(kind, u, cone, N + 1, plan.flip)(n)
+            yield (kind, cone), branch, rows
+    for direction, theorem in ((Direction.C_LE_CSTAR, power.two_op_cc_power),
+                               (Direction.CSTAR_LE_C, power.two_op_cstarc_power)):
+        for cone in (Cone.ALL, Cone.NONNEG):
+            branch = theorem(a, cone)
+            if math.isfinite(branch.value):
+                rows = two_operator.two_op_row_terms(TwoOpQuery(direction, cone, u, u), N)
+                yield (direction, cone), branch, rows
+
+
+@pytest.mark.parametrize("a", MATCHED_ALPHAS)
+def test_branch_modes_match_the_rows(a):
+    # each finite branch's mode, read straight from the rows: a limit is
+    # approached by monotone steps from below, an attained value is the
+    # maximum of the first 2^16 rows
+    checked = 0
+    for label, branch, rows in _branch_rows(a, 2 ** 16):
+        scale = 1.0 + abs(branch.value)
+        top = float(rows.max())
+        if branch.mode == "limit":
+            assert float(np.diff(rows).min()) >= -1e-9 * scale, label
+            assert top <= branch.value * (1.0 + 1e-9), label
+        else:
+            assert branch.mode == "attained", label
+            assert abs(top - branch.value) <= 1e-9 * scale, label
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("a", MATCHED_ALPHAS)
@@ -605,22 +643,24 @@ def test_wrong_certificate_never_stops_early(label, monkeypatch):
         "cstar-le-c-all-attained": (Direction.CSTAR_LE_C, Cone.ALL, 1.2),
     }[label]
     cfg = TruncConfig(n_max=2 * B + 4101)
-    # C <= A C* on ALL reads the certificate of C - S* on ALL, and C* <= A C
-    # its own, from the two-operator theorem
-    if kind is Direction.CSTAR_LE_C:
-        true = two_operator._certificate(cone, a)
+    # a norm reads its certificate from scan_certificate, and a best
+    # constant from its direction's two-operator theorem
+    theorem = {Direction.C_LE_CSTAR: power.two_op_cc_power,
+               Direction.CSTAR_LE_C: power.two_op_cstarc_power}
+    if isinstance(kind, Direction):
+        true = theorem[kind](a, cone)
     else:
-        true = power.scan_certificate(
-            OpKind.C_MINUS_SSTAR if isinstance(kind, Direction) else kind, cone, a)
+        true = power.scan_certificate(kind, cone, a)
 
     def perturbed(certify):
         def fn(*args):
             c = certify(*args)
-            return ScanCertificate(c.mode, c.value * 1.01)
+            return dataclasses.replace(c, value=c.value * 1.01)
         return fn
 
     monkeypatch.setattr(power, "scan_certificate", perturbed(power.scan_certificate))
-    monkeypatch.setattr(two_operator, "_certificate", perturbed(two_operator._certificate))
+    for fn in theorem.values():
+        monkeypatch.setattr(power, fn.__name__, perturbed(fn))
     if isinstance(kind, Direction):
         def call():
             return best_constant(TwoOpQuery(kind, cone, P(a), P(a), cfg),
