@@ -27,11 +27,12 @@ row by row from ``operators.row_entries`` (which the tests pin to
 Infinite problems scan rows 1..n_max in contiguous blocks (rows 1..256,
 then up to 4096, then up to 65,536, then _SCAN_BLOCK rows each), ending on
 rows of the tails' grid (``special_sums``), keeping only running state
-between blocks, so a scan's memory does not depend on n_max.  ``_SeqData``
-serves the blocks without tables of the horizon's length: power prefix sums
-are carried from block to block, which assumes requests move forward (an
-earlier request is recomputed from column 1).  Every per-block array of a
-scan (row indices, v_n, the row parts, the value and prefix windows, the
+between blocks, so a scan's memory does not depend on n_max.  Every
+caller passes the engine a run of rows, so ``_SeqData`` serves each block
+by column range, without tables of the horizon's length: u is evaluated
+once per block, over the columns its row shape reads, and power prefix
+sums are carried from block to block.  Every per-block array of a scan
+(row indices, v_n, the row parts, the value window, the prefix sums, the
 tails) is written with ``out=`` into block buffers (``_Buffers``) that the
 later blocks reuse, with the same operations in the same order as a fresh
 array would get, so a scan allocates a few arrays instead of some twenty
@@ -83,7 +84,7 @@ from . import power as power_mod
 from .operators import (INV_K, INV_K_KP1, NO_FLIP, PREFIX, ROW_SHAPES,
                         SCALE_POWERS, SINGLE, TAIL, ConePlan, OpKind, RowShape,
                         SignFlip, cone_plan, row_entries)
-from .special_sums import (_BLOCK, _FIRST_BLOCK, _run_start, _value_run_tails,
+from .special_sums import (_BLOCK, _FIRST_BLOCK, _RUN_ANCHOR, _value_run_tails,
                            hurwitz_tail_scaled, shifted_tail_scaled)
 from .weights import (Cone, ListWeight, PowerWeight, Weight, _fill_range,
                       codomain_values, envelope_down, envelope_up,
@@ -191,8 +192,8 @@ class _Buffers:
     What a take returns is overwritten by the next take of the same name.
 
     A scan's first two blocks end at rows _FIRST_BLOCK and _BLOCK; past
-    them it reads blocks of up to _SCAN_BLOCK rows, and a window adds two
-    columns to a block: a longer request gets a buffer of at least that
+    them it reads blocks of up to _SCAN_BLOCK rows, and a window adds a
+    column to a block: a longer request gets a buffer of at least that
     size at once, not a second one at the fourth block."""
 
     def __init__(self) -> None:
@@ -201,7 +202,7 @@ class _Buffers:
     def take(self, name: str, size: int, dtype=float) -> np.ndarray:
         buf = self._bufs.get(name)
         if buf is None or buf.size < size:
-            cap = size if size <= _BLOCK + 2 else max(size, _SCAN_BLOCK + 2)
+            cap = size if size <= _BLOCK + 1 else max(size, _SCAN_BLOCK + 1)
             buf = self._bufs[name] = np.empty(cap, dtype)
         return buf[:size]
 
@@ -211,226 +212,209 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _range_read(table: np.ndarray, first: int, out: np.ndarray,
+                pad: float) -> np.ndarray:
+    """table[first:first + out.size] (first >= 0) written into out, with pad
+    past the table's end."""
+    got = table[first:first + out.size]
+    out[:got.size] = got
+    out[got.size:] = pad
+    return out
+
+
 class _SeqData:
-    """Envelope-applied domain weight over columns 1..K: values, prefix sums
-    and kernel tails at requested columns, without any table of length K.
+    """Envelope-applied domain weight: values, prefix sums and kernel tails
+    over a run of columns, read by (first column, count), without any table
+    of the horizon's length.  Column 0 holds u_0 = 0.
 
     A ListWeight keeps its tables up to L = min(K, length): past L the
-    values are 0, so prefix sums are constant and tails are 0 there.  Power,
-    ones and zeros modes evaluate values from the formula and tails
-    analytically.  Power prefix sums are carried from one request to the
-    next: a request past the last computed end extends it by
-    cumsum([carry, terms]), which gives the same bits as one long cumsum
-    from column 1, and the carry keeps only the window the last request
-    needed (one scan block).  Precondition for O(request) cost: no prefix
-    request reaches below the start of that window, as in a scan over
-    increasing row blocks.  A request that does starts over from column 1:
-    correct, but O(end) in time and memory.  A value read keeps its
-    evaluation of u for the prefix or tail read that follows it
-    (``_values``).
+    values are 0, the prefix sums keep their last value and the tails are
+    0.  Power, ones and zeros modes are infinite sequences: their values
+    come from the formula and their tails are analytic.
 
-    In power mode the windows live in block buffers (``_Buffers``): the
-    value window is refilled by each value read, and the prefix window by
-    each prefix read that extends it, its carry moved to the front.  A
-    slice handed out for a run of columns is a read-only view of such a
-    buffer: it is valid only until the next request to this object, so
-    copy it or use it before asking for anything else.
+    In power mode u is evaluated once per row block: ``load(first, last)``
+    puts u_first..u_last in the block's window, and the block's value and
+    prefix reads come from it.  A prefix read continues the sums of the
+    last one, cumsum([carry, terms]), which gives the bits of one long
+    cumsum from column 1; a read that does not start where the last ended
+    sums its head again (correct, but O(first)).  A tail run that the
+    window covers, as extended to row _RUN_ANCHOR - 1, forms its terms from
+    it, kernel(u_k, k): at most one rounding more per term than the
+    formula's, within the cells' 4096 * 2**-53 bound.  Other tail runs,
+    and every run of a block that loads no window, take the formula.
+
+    What a read returns is a block buffer (``_Buffers``) or a read-only
+    view of one: valid only until the next load or read of the same kind.
     """
 
     def __init__(self, u: Weight, env: str, K: int):
         self._u = u
-        self._cols = K    # columns that may hold a nonzero value
+        self._bufs = _Buffers()
+        self._win, self._c0 = None, 0   # the block's window, u[_c0..]
         if isinstance(u, PowerWeight):
             a = u.alpha
             if env == "id" or (env == "down" and a >= 0) or (env == "up" and a <= 0):
                 self.mode, self.alpha = "power", a
-                self._bufs = _Buffers()
-                self._p0, self._pwin = 0, np.zeros(1)   # prefix sums P[_p0..]
-                self._w0, self._win = 1, None           # values u[_w0..]
+                self._end, self._carry = 0, 0.0   # the last prefix read's P[_end]
             elif env == "down":
                 self.mode, self.alpha = "ones", 0.0
             else:
                 self.mode, self.alpha = "zeros", 0.0
             return
         self.mode, self.alpha = "list", 0.0
-        self._cols = Lk = min(K, u.length)
-        self._vals = base = _envelope(u, env, Lk)
-        self._prefix = np.concatenate([[0.0], np.cumsum(base)])
+        base = _envelope(u, env, min(K, u.length))
+        self._vals = np.concatenate([[0.0], base])              # u_0..u_L
+        self._prefix = np.concatenate([[0.0], np.cumsum(base)])  # P_0..P_L
         self._tails: dict[Callable, np.ndarray] = {}   # per kernel, at its first read
 
-    def _values(self, first: int, count: int) -> np.ndarray:
-        """u_first..u_{first+count-1} in power mode (first >= 0, u_0 = 0),
-        from a window that reaches one column further on either side and is
-        kept until the next prefix or tail read: the rows of C - I and
-        C - S* read the values of a block (columns n-1..n+1) and then its
-        prefix sums, and those of C* - I and (C* - S)D then its tails, and
-        so evaluate u once."""
-        win, w0 = self._win, self._w0
-        if win is None or first < w0 or first + count > w0 + win.size:
-            w0 = max(first - 1, 0)
-            size = first + count + 1 - w0
-            win = self._bufs.take("values", size)
-            if w0 == 0:
-                win[0] = 0.0
-                weight_values(self._u, size - 1, 1, out=win[1:])
-            else:
-                weight_values(self._u, size, w0, out=win)
-        self._w0, self._win = w0, win
-        return _read_only(win[first - w0:first - w0 + count])
-
-    def _powers_into(self, first: int, count: int, out: np.ndarray) -> None:
-        """u_first..u_{first+count-1} written into out, from the kept value
-        window when it covers them; the window is dropped."""
-        win, w0 = self._win, self._w0
-        self._win = None
-        if win is not None and w0 <= first and first + count <= w0 + win.size:
-            out[...] = win[first - w0:first - w0 + count]
+    def load(self, first: int, last: int) -> None:
+        """In power mode, u over columns first..last (first >= 0) as the
+        block's window, or no window when first > last; a no-op otherwise."""
+        if self.mode != "power":
+            return
+        if first > last:
+            self._win = None
+            return
+        win = self._bufs.take("window", last - first + 1)
+        if first == 0:
+            win[0] = 0.0
+            weight_values(self._u, win.size - 1, 1, out=win[1:])
         else:
-            weight_values(self._u, count, first, out=out)
+            weight_values(self._u, win.size, first, out=win)
+        self._c0, self._win = first, _read_only(win)
 
-    def vals_at(self, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k)
+    def _window(self, first: int, count: int) -> np.ndarray:
+        i = first - self._c0
+        if self._win is None or i < 0 or i + count > self._win.size:
+            raise ValueError(f"columns {first}..{first + count - 1} are not loaded")
+        return self._win[i:i + count]
+
+    def vals_at(self, first: int, count: int) -> np.ndarray:
+        """u_first..u_{first+count-1} (first >= 0)."""
         if self.mode == "power":
-            lo = _run_start(k)
-            if lo is not None and 0 <= lo <= self._cols - k.size + 1:
-                return self._values(lo, k.size)   # a block of columns
-        out = np.zeros(k.shape, dtype=float)
-        ok = (k >= 1) & (k <= self._cols)
+            return self._window(first, count)
+        out = self._bufs.take("values", count)
         if self.mode == "list":
-            out[ok] = self._vals[k[ok] - 1]
-        elif self.mode == "ones":
-            out[ok] = 1.0
-        elif self.mode == "power" and np.any(ok):
-            kk = k[ok]
-            lo = int(kk.min())
-            out[ok] = self._values(lo, int(kk.max()) - lo + 1)[kk - lo]
+            return _range_read(self._vals, first, out, 0.0)
+        out[...] = 1.0 if self.mode == "ones" else 0.0
+        if first == 0:
+            out[:1] = 0.0   # u_0
         return out
 
-    def prefix(self, end: np.ndarray) -> np.ndarray:
-        end = np.asarray(end)
-        # a run of columns inside 0..K needs no clipping
-        first = _run_start(end) if self.mode == "power" else None
-        if first is None or first < 0 or first + end.size - 1 > self._cols:
-            end, first = np.clip(end, 0, self._cols), None
+    def prefix(self, first: int, count: int) -> np.ndarray:
+        """P_first..P_{first+count-1}, P_c = u_1 + ... + u_c (first >= 0)."""
+        out = self._bufs.take("prefix", count)
         if self.mode == "list":
-            return self._prefix[end]
+            return _range_read(self._prefix, first, out, self._prefix[-1])
         if self.mode == "ones":
-            return end.astype(float)
-        if self.mode == "zeros" or end.size == 0:
-            return np.zeros(end.shape, dtype=float)
-        lo, hi = (first, first + end.size - 1) if first is not None else (
-            int(end.min()), int(end.max()))
-        if lo < self._p0:
-            self._p0, self._pwin = 0, np.zeros(1)
-        last = self._p0 + self._pwin.size - 1
-        if hi > last:
-            # the kept sums P[start..last] moved to the front of the
-            # buffer, then the new terms summed in place from the carry
-            # P[last] on
-            start = min(lo, last)
-            keep = last - start + 1
-            win = self._bufs.take("prefix", hi - start + 1)
-            win[:keep] = self._pwin[start - self._p0:]
-            self._powers_into(last + 1, hi - last, win[keep:])
-            run = win[keep - 1:]
-            np.cumsum(run, out=run)
-            self._p0, self._pwin = start, win
-        if first is not None:
-            return _read_only(self._pwin[lo - self._p0:hi - self._p0 + 1])
-        return self._pwin[end - self._p0]
-
-    def tail(self, kernel: Callable, start: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-        """sum over k >= start (within the horizon) of kernel_k * value_k,
-        for the tail kernels INV_K and INV_K_KP1 of ``operators``, written
-        into the float array out of start's shape when given.
-
-        In power mode the tails are analytic (``special_sums``).  When the
-        kept value window covers a run of start columns (the rows of C* - I
-        and (C* - S)D read their off-sign values first), the run's terms
-        are kernel(u_k, k) formed from the window, at most one rounding
-        more per term than the formula's and within the cells'
-        4096 * 2**-53 bound; other requests form them from the formula."""
-        start = np.asarray(start)
-        out = np.empty(start.shape) if out is None else out
-        if self.mode == "list":   # columns clipped to 1..L+1, where the tail is 0
-            if kernel not in self._tails:
-                k = np.arange(1, self._cols + 1, dtype=float)
-                self._tails[kernel] = np.append(
-                    np.cumsum(kernel(self._vals, k)[::-1])[::-1], 0.0)
-            return np.take(self._tails[kernel], start - 1, out=out, mode="clip")
+            return _fill_range(out, first)
         if self.mode == "zeros":
             out[...] = 0.0
             return out
-        if self.mode == "ones":
-            if kernel is INV_K:
-                raise _DivergentTail
-            return np.divide(1.0, start, out=out)   # telescoping
-        a, win, w0 = self.alpha, self._win, self._w0
-        self._win = None
+        out[...] = self._window(first, count)
+        if first - 1 != self._end:   # not the run after the last read
+            self._carry = (float(np.cumsum(weight_values(self._u, first - 1))[-1])
+                           if first > 1 else 0.0)
+        out[0] += self._carry
+        np.cumsum(out, out=out)
+        self._end, self._carry = first + count - 1, float(out[-1])
+        return out
+
+    def tail(self, kernel: Callable, first: int, count: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """sum over k >= c of kernel_k * u_k for the columns c = first..
+        first+count-1 (first >= 1) and the tail kernels INV_K and INV_K_KP1
+        of ``operators``, written into out when given."""
+        out = np.empty(count) if out is None else out
+        if self.mode == "list":
+            table = self._tails.get(kernel)
+            if table is None:
+                k = np.arange(1, self._vals.size, dtype=float)
+                table = self._tails[kernel] = np.cumsum(kernel(self._vals[1:], k)[::-1])[::-1]
+            return _range_read(table, first - 1, out, 0.0)
+        if self.mode == "zeros":
+            out[...] = 0.0
+            return out
         shifted = kernel is not INV_K
+        if self.mode == "ones":
+            if not shifted:
+                raise _DivergentTail
+            return np.divide(1.0, _fill_range(out, first), out=out)   # telescoping
+        a, last = self.alpha, first + count - 1
         if (a + 1.0 if shifted else a) <= 0:
             raise _DivergentTail
-        if win is not None:
-            got = _value_run_tails(a + 1.0, shifted, start, kernel, win, w0, out)
+        cols = _fill_range(self._bufs.take("cols", count, np.int64), first)
+        win, c0 = self._win, self._c0
+        if (win is not None and c0 <= first
+                and max(last, _RUN_ANCHOR - 1) < c0 + win.size):
+            got = _value_run_tails(a + 1.0, shifted, cols, first, last, kernel,
+                                   win[first - c0:], out)
             if got is not None:
                 return got
         tail = shifted_tail_scaled if shifted else hurwitz_tail_scaled
-        return tail(a + 1.0, start, out=out)
+        return tail(a + 1.0, cols, out=out)
 
 
 # ---------------------------------------------------------------------------
 # The row engine: row functionals from the operator structure
 # ---------------------------------------------------------------------------
 
-def _columns(n: np.ndarray, at: int, bufs: _Buffers) -> np.ndarray:
-    """Columns n + at of the rows n (n itself when at is 0)."""
-    return n if at == 0 else np.add(n, at, out=bufs.take("cols", n.size, np.int64))
-
-
 def _part_values(kind: OpKind, part: str, sd: _SeqData, n: np.ndarray,
                  bufs: _Buffers | None = None) -> np.ndarray:
-    """(B+ u~)_n or (B- u~)_n for the unflipped operator at the 1-D rows n,
-    vectorised, read from the kind's row shape, into the buffer named after
-    the part."""
+    """(B+ u~)_n or (B- u~)_n for the unflipped operator at the rows n, a
+    run n[0]..n[-1], read from the kind's row shape, into the buffer named
+    after the part.  In power mode sd's window must hold the columns read
+    (``_load``)."""
     bufs = _Buffers() if bufs is None else bufs
     sh = ROW_SHAPES[kind]
     out = bufs.take(part, n.size)
+    n0 = int(n[0])
     if part == "neg":
         if sh.neg_scale is None:
             out[...] = 0.0
             return out
-        return sh.neg_scale(sd.vals_at(_columns(n, sh.neg_at, bufs)), n, out)
-    cols = _columns(n, sh.at, bufs)
+        return sh.neg_scale(sd.vals_at(n0 + sh.neg_at, n.size), n, out)
     if sh.block is TAIL:
-        return sd.tail(sh.scale, cols, out)
+        return sd.tail(sh.scale, n0 + sh.at, n.size, out)
     read = sd.prefix if sh.block is PREFIX else sd.vals_at
-    return sh.scale(read(cols), n, out)
+    return sh.scale(read(n0 + sh.at, n.size), n, out)
+
+
+def _load(sd: _SeqData, sh: RowShape, parts: tuple[str, ...], n0: int, n1: int) -> None:
+    """Load u over the columns that the parts of the rows n0..n1 read: the
+    span of their offsets.  A tail block read alone loads nothing, so its
+    tails come from the formula."""
+    offsets = [sh.neg_at] if "neg" in parts and sh.neg_scale is not None else []
+    if "pos" in parts and (offsets or sh.block is not TAIL):
+        offsets.append(sh.at)
+    if offsets:
+        sd.load(n0 + min(offsets), n1 + max(offsets))
+    else:
+        sd.load(1, 0)
 
 
 def _generic_row_values(kind: OpKind, cone: Cone, flip: SignFlip, sd: _SeqData,
                         n: np.ndarray, bufs: _Buffers) -> np.ndarray:
-    """Row functional at rows n, after the row flips flip of the monotone
-    cones; sd is u with the cone's envelope _ENV[cone].  The negative part,
-    a value read, goes first, so that a prefix read of the positive part can
-    reuse its evaluation of u.  The result is one of the buffers of bufs."""
+    """Row functional at the rows n, a run n[0]..n[-1], after the row flips
+    flip of the monotone cones; sd is u with the cone's envelope
+    _ENV[cone].  The result is one of the buffers of bufs."""
+    sh = ROW_SHAPES[kind]
     if cone in (Cone.ALL, Cone.NONNEG):
-        if ROW_SHAPES[kind].neg_scale is None:   # F is the positive part
-            return _part_values(kind, "pos", sd, n, bufs)
-        neg = _part_values(kind, "neg", sd, n, bufs)
-        pos = _part_values(kind, "pos", sd, n, bufs)
-        if cone is Cone.ALL:
-            return np.add(pos, neg, out=pos)
+        parts = ("pos",) if sh.neg_scale is None else ("pos", "neg")
+    elif not flip.flip_rows:   # every row flipped alike
+        parts = ("neg",) if flip.flip_all else ("pos",)
+    else:
+        flipped = flip.flipped(n)
+        parts = (("pos",) if not flipped.any() else ("neg",) if flipped.all()
+                 else ("pos", "neg"))
+    _load(sd, sh, parts, int(n[0]), int(n[-1]))
+    if len(parts) == 1:
+        return _part_values(kind, parts[0], sd, n, bufs)
+    pos, neg = (_part_values(kind, part, sd, n, bufs) for part in parts)
+    if cone is Cone.ALL:
+        return np.add(pos, neg, out=pos)
+    if cone is Cone.NONNEG:
         return np.maximum(pos, neg, out=pos)
-    if not flip.flip_rows:   # every row flipped alike
-        return _part_values(kind, "neg" if flip.flip_all else "pos", sd, n, bufs)
-    flipped = flip.flipped(n)
-    if not flipped.any():   # a block of unflipped rows, or of flipped ones
-        return _part_values(kind, "pos", sd, n, bufs)
-    if flipped.all():
-        return _part_values(kind, "neg", sd, n, bufs)
-    neg = _part_values(kind, "neg", sd, n, bufs)
-    pos = _part_values(kind, "pos", sd, n, bufs)
     np.copyto(pos, neg, where=flipped)
     return pos
 
@@ -438,8 +422,10 @@ def _generic_row_values(kind: OpKind, cone: Cone, flip: SignFlip, sd: _SeqData,
 def _kind_rows(kind: OpKind, u: Weight, cone: Cone, K: int,
                flip: SignFlip = NO_FLIP) -> Callable[[np.ndarray], np.ndarray]:
     """The row engine: F(n) of the kind's rows flipped by flip, against u
-    with the cone's envelope over the column horizon K.  What the returned
-    function gives is valid only until its next call."""
+    with the cone's envelope over the column horizon K.  A row block is a
+    run: the returned function reads the rows n[0]..n[-1] of its integer
+    array n, and reads them as the columns of u they need, by range.  What
+    it gives is valid only until its next call."""
     sd = _SeqData(u, _ENV[cone], K)
     bufs = _Buffers()
     return lambda n: _generic_row_values(kind, cone, flip, sd, n, bufs)
@@ -559,9 +545,9 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
                 vals = values_fn(n)
             except _DivergentTail:
                 return _divergent()
-            if not np.isfinite(vals, out=bufs.take("finite", size, bool)).all():
-                return _divergent(N)
             top = float(vals.max())
+            if not math.isfinite(top):   # rows are >= 0: NaN and inf show in the max
+                return _divergent(N)
             if top > m:
                 m, argmax = top, lo + int(vals.argmax())
             if hi <= cut:

@@ -4,14 +4,15 @@ Matrices are never materialised.  ``entry`` gives b_{n,k} by its defining
 formula, written out per kind: it is the ground truth the tests pin
 ``row_entries``, ``apply_batch`` and ``last_index_of_part`` to.  The dense
 path (``norms``) reads rows through ``row_entries``; the oracle reads B w
-for all rows from ``apply_batch`` and, per row, the column of the entry of
-the other sign from ``last_index_of_part`` and its value from ``entry``
-itself.  Everything else reads one row shape per kind
-(``ROW_SHAPES``): row n is a nonnegative block, the prefix 1..n+at, the tail
-from n+at or the single column n+at, plus at most one negative entry at
-column n+neg_at.  Dense rows, row sums and sign patterns, witness endpoints,
-``apply`` / ``apply_batch`` and the engine's part values (``norms``) are all
-derived from it, with the float operations of the formulas (x / n, not
+for all rows from ``apply_batch``, each row's column of the entry of the
+other sign from ``oracle._off_sign_columns`` (which the tests pin to
+``last_index_of_part``), and that entry's value from ``entry`` itself.
+Everything else reads one row shape per kind (``ROW_SHAPES``): row n is a
+nonnegative block, the prefix 1..n+at, the tail from n+at or the single
+column n+at, plus at most one negative entry at column n+neg_at.  Dense
+rows, row sums and sign patterns, witness endpoints, ``apply`` /
+``apply_batch`` and the engine's part values (``norms``) are all derived
+from it, with the float operations of the formulas (x / n, not
 x * (1/n)), so each derived value has the bits a per-kind formula gives.
 
 Kinds

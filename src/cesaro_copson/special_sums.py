@@ -407,22 +407,18 @@ def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0,
     return out
 
 
-def _value_run_tails(param: float, shifted: bool, n: np.ndarray, kernel: Callable,
-                     vals: np.ndarray, v0: int, out: np.ndarray) -> np.ndarray | None:
+def _value_run_tails(param: float, shifted: bool, n: np.ndarray, n0: int, n1: int,
+                     kernel: Callable, vals: np.ndarray,
+                     out: np.ndarray) -> np.ndarray | None:
     """hurwitz_tail_scaled(param, n, out=out), or shifted_tail_scaled when
-    shifted, on a run n that the run path takes, with each term formed as
+    shifted, on the run n = n0..n1 (n0 >= 1), with each term formed as
     kernel(u_k, k, t) from values the caller holds: vals[i] is
-    u_{v0 + i} = (v0 + i)**(1 - param), and kernel writes x / k (Hurwitz)
-    or x / (k (k + 1)) (shifted) into t.  None, with nothing written, when
-    n is not such a run or vals misses a column of its run as extended to
-    row _RUN_ANCHOR - 1."""
+    u_{n0 + i} = (n0 + i)**(1 - param) up to column max(n1, _RUN_ANCHOR - 1),
+    and kernel writes x / k (Hurwitz) or x / (k (k + 1)) (shifted) into t.
+    None, with nothing written, when the run's terms would leave the normal
+    float range."""
     s, terms = (param + 1.0, _GEOM_J) if shifted else (param, 1)
-    run = _run_bounds(n, s, 0.0)
-    if run is None:
+    if s * math.log(max(n1, _RUN_ANCHOR) + 1.0) >= _LOG_NORMAL:
         return None
-    n0, n1 = run
-    if n0 < v0 or max(n1, _RUN_ANCHOR - 1) >= v0 + vals.size:
-        return None
-    x = vals[n0 - v0:]
-    return _run_tails(n, n0, n1, 0.0, lambda k, t: kernel(x[:k.size], k, t),
+    return _run_tails(n, n0, n1, 0.0, lambda k, t: kernel(vals[:k.size], k, t),
                       lambda a: _em_scaled(s, terms, a), out)

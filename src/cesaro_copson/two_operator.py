@@ -41,7 +41,7 @@ import numpy as np
 from . import norms
 from . import power as power_mod
 from .norms import (DEFAULT_TRUNC, NormResult, TruncConfig, _closed_form_result,
-                    _Tail, matched_power_alpha)
+                    _range_read, _Tail, matched_power_alpha)
 from .operators import NO_FLIP, OpKind, apply
 # unused here: bench/tests/test_harness.py checks that the tracer wraps this
 # binding; it goes with that check (ROADMAP item 2)
@@ -102,7 +102,8 @@ def w_envelope(u: Weight, K: int) -> np.ndarray:
 
 def _rows_cstar_le_c(u: ListWeight, cone: Cone) -> Callable:
     """Row terms F(n) of the truncated C* <= A C formulas (without the v_n
-    factor) against a ListWeight u."""
+    factor) against a ListWeight u, at the rows n[0]..n[-1] of a run n:
+    rows 1..L from a table, 0 past row L."""
     L = u.length
     uv = weight_values(u, L)
     k = np.arange(1, L + 1, dtype=float)
@@ -110,26 +111,14 @@ def _rows_cstar_le_c(u: ListWeight, cone: Cone) -> Callable:
         # coefficients of |z_k|: u_k/(k+1) for k < L and u_L at k = L
         coef = uv / (k + 1.0)
         coef[L - 1] = uv[L - 1]
-        tails = np.concatenate([np.cumsum(coef[::-1])[::-1], [0.0]])
-        upad = np.concatenate([[0.0], uv])  # u_0 = 0
-
-        def fn(n: np.ndarray) -> np.ndarray:
-            nf = n.astype(float)
-            prev = np.where(n <= L + 1, (nf - 1.0) / nf * upad[np.minimum(n, L + 1) - 1], 0.0)
-            tail = tails[np.minimum(n, L + 1) - 1]
-            return np.where(n <= L, prev + tail, 0.0)
-
-        return fn
-
-    wup = w_envelope(u, L)
-    coef = wup / (k * (k + 1.0))
-    coef[L - 1] = wup[L - 1] / L
-    tails = np.concatenate([np.cumsum(coef[::-1])[::-1], [0.0]])
-
-    def fn(n: np.ndarray) -> np.ndarray:
-        return np.where(n <= L, tails[np.minimum(n, L + 1) - 1], 0.0)
-
-    return fn
+        upad = np.concatenate([[0.0], uv[:-1]])   # u_{n-1}, u_0 = 0
+        rows = (k - 1.0) / k * upad + np.cumsum(coef[::-1])[::-1]
+    else:
+        wup = w_envelope(u, L)
+        coef = wup / (k * (k + 1.0))
+        coef[L - 1] = wup[L - 1] / L
+        rows = np.cumsum(coef[::-1])[::-1]
+    return lambda n: _range_read(rows, int(n[0]) - 1, np.empty(n.size), 0.0)
 
 
 def _reduced(q: TwoOpQuery) -> tuple[OpKind, Cone, Weight] | None:

@@ -323,14 +323,75 @@ def test_float_overflow_on_a_finite_problem_is_not_divergence(call, length):
 @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.name)
 def test_part_values_match_entry(kind, rng):
     # the engine's positive and negative parts come from the row-shape
-    # table; check them against the dense rows of entry applied to u
+    # table; check them against the dense rows of entry applied to u, on
+    # runs of rows from row 1, from inside, and past the horizon
     u = random_list_weight(rng, 40)
-    n = np.arange(1, 61, dtype=np.int64)
-    M = np.array([[entry(kind, int(r), k) for k in range(1, 41)] for r in n])
+    M = np.array([[entry(kind, r, k) for k in range(1, 41)] for r in range(1, 62)])
     uv = np.array(u.values)
-    for part, dense in (("pos", np.clip(M, 0.0, None)), ("neg", np.clip(-M, 0.0, None))):
-        got = _part_values(kind, part, _SeqData(u, "id", 61), n)
-        np.testing.assert_allclose(got, dense @ uv, rtol=1e-13, atol=0, err_msg=part)
+    for lo, hi in ((1, 60), (2, 41), (39, 61)):
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        for part, dense in (("pos", np.clip(M, 0.0, None)), ("neg", np.clip(-M, 0.0, None))):
+            got = _part_values(kind, part, _SeqData(u, "id", 61), n)
+            np.testing.assert_allclose(got, dense[lo - 1:hi] @ uv, rtol=1e-13, atol=0,
+                                       err_msg=f"{part} rows {lo}..{hi}")
+
+
+RANGE_K = 40   # the column horizon of the range reads below
+RANGE_SEQS = {   # mode: (u, envelope, u~ over columns 1..RANGE_K + 2)
+    "list": (ListWeight(tuple(1.0 + 0.1 * ((7 * k) % 11) for k in range(45))), "id",
+             np.r_[1.0 + 0.1 * ((7 * np.arange(RANGE_K)) % 11), 0.0, 0.0]),
+    "list-short": (ListWeight(tuple(2.0 - 0.05 * k for k in range(RANGE_K - 3))), "down",
+                   np.r_[2.0 - 0.05 * np.arange(RANGE_K - 3), [0.0] * 5]),
+    "power": (P(0.6), "id", np.arange(1, RANGE_K + 3) ** -0.6),
+    "ones": (P(-0.5), "down", np.ones(RANGE_K + 2)),
+    "zeros": (P(0.5), "up", np.zeros(RANGE_K + 2)),
+}
+
+
+def _entry_rows(kind, cols):
+    return np.array([[entry(kind, c, k) for k in range(1, cols + 1)]
+                     for c in range(1, cols + 1)])
+
+
+@pytest.mark.parametrize("mode", list(RANGE_SEQS))
+def test_range_reads_match_dense_rows(mode):
+    # values, prefix sums and both kernel tails read by (first column,
+    # count) at the horizon's edges (column 0, last column K and K + 1),
+    # against dense rows of entry applied to u~: I for values, E for
+    # prefix sums, C* for tails under 1/k and the positive part of (C* - S)D
+    # for tails under 1/(k(k+1)).  u_0 = 0.  The infinite modes' tails are
+    # checked against the formula, on its scattered path, instead.
+    u, env, ut = RANGE_SEQS[mode]
+    K, cols = RANGE_K, RANGE_K + 2
+    values = np.r_[0.0, _entry_rows(OpKind.I, cols) @ ut]   # column 0 first
+    prefix = np.r_[0.0, _entry_rows(OpKind.E, cols) @ ut]
+    tails = {norms.INV_K: np.r_[np.nan, _entry_rows(OpKind.CSTAR, cols) @ ut],
+             norms.INV_K_KP1: np.r_[np.nan, np.clip(_entry_rows(OpKind.CSTARSD, cols), 0.0,
+                                                    None) @ ut]}
+    sd = _SeqData(u, env, K)
+    assert sd.mode == mode.split("-")[0]
+    for first, count in ((0, K + 2), (0, 1), (1, K), (K - 1, 2), (K, 2), (K + 1, 1)):
+        last = first + count - 1
+        sd.load(first, last)
+        np.testing.assert_array_equal(sd.vals_at(first, count), values[first:last + 1])
+        np.testing.assert_allclose(sd.prefix(first, count), prefix[first:last + 1],
+                                   rtol=1e-14, atol=0)
+        if first == 0:
+            continue
+        for kernel, dense in tails.items():
+            c = np.arange(first, last + 1)
+            if mode == "power":
+                formula = (norms.hurwitz_tail_scaled if kernel is norms.INV_K
+                           else norms.shifted_tail_scaled)
+                want = formula(1.6, c[::-1])[::-1]
+            elif mode == "ones" and kernel is norms.INV_K:
+                with pytest.raises(norms._DivergentTail):
+                    sd.tail(kernel, first, count)
+                continue
+            else:
+                want = 1.0 / c if mode == "ones" else dense[first:last + 1]
+            np.testing.assert_allclose(sd.tail(kernel, first, count), want,
+                                       rtol=1e-12, atol=0)
 
 
 def dense_entry_norm(kind, u, v, cone):

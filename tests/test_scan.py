@@ -275,17 +275,19 @@ def test_window_tails_match_the_formula_terms(kind, formula, lo, hi, monkeypatch
     n = np.arange(lo, hi + 1)
     a = 0.6
     sd = norms._SeqData(P(a), "id", hi + 2)
-    vals = sd.vals_at(n + sh.neg_at)
-    # a run from column 0 (the first (C*-S)D block) reads u_0 = 0, as the
-    # scattered path does
-    scattered = norms._SeqData(P(a), "id", hi + 2).vals_at((n + sh.neg_at)[::-1])[::-1]
-    np.testing.assert_array_equal(vals, scattered)
-    got = sd.tail(sh.scale, n + sh.at)
+    norms._load(sd, sh, ("pos", "neg"), lo, hi)   # as the engine loads a block
+    first = lo + sh.neg_at
+    vals = sd.vals_at(first, n.size)
+    if first == 0:   # the first (C*-S)D block reads u_0 = 0
+        assert vals[0] == 0.0
+        vals, first = vals[1:], 1
+    np.testing.assert_array_equal(vals, weights.weight_values(P(a), vals.size, first))
+    got = sd.tail(sh.scale, lo + sh.at, n.size)
     want = formula(a + 1.0, n + sh.at)
     # a run that ends below row 31 is extended past the window: the formula
-    # forms its terms
+    # forms its terms, and the window is not offered
     covered = hi + sh.at >= special_sums._RUN_ANCHOR - 1
-    assert formed == [covered]
+    assert formed == [True] * covered
     if covered:   # at most one rounding more per term, within the cells' bound
         np.testing.assert_allclose(got, want, rtol=2 * F * 2.0 ** -53, atol=0)
     else:
