@@ -14,8 +14,9 @@ sets both sides at once, and ``list:<path>`` reads one value per line from a
 CSV file and poses the truncated problem.
 
 Exit codes: 0 success (divergence is a correct answer, reported as the
-string "inf"), 1 parse errors, 2 unsupported case (the open problem), 3
-verification failure.
+string "inf"), 1 parse errors, 2 unsupported case (the open problem, or a
+cone whose hypotheses the operator's rows fail; the reason is printed on
+stderr), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ def _emit_result(head: dict, res: NormResult) -> int:
         doc.update({"value": None, "status": res.status.value,
                     "n_used": res.n_used, "residual": None})
         print(json.dumps(doc))
-        print("unsupported: open problem (no formula is known for this case)",
-              file=sys.stderr)
+        print(f"unsupported: {res.reason}", file=sys.stderr)
         return 2
     doc.update({
         "value": _json_value(res.value),

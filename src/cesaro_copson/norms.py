@@ -73,10 +73,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,10 +84,10 @@ from . import power as power_mod
 from .operators import (INV_K, INV_K_KP1, NO_FLIP, PREFIX, ROW_SHAPES,
                         SCALE_POWERS, SINGLE, TAIL, ConePlan, OpKind, RowShape,
                         SignFlip, cone_plan, row_entries)
-from .special_sums import (_BLOCK, _FIRST_BLOCK, _RUN_ANCHOR, _value_run_tails,
-                           hurwitz_tail_scaled, shifted_tail_scaled)
-from .weights import (Cone, ListWeight, PowerWeight, Weight, _fill_range,
-                      codomain_values, envelope_down, envelope_up,
+from .special_sums import (_BLOCK, _FIRST_BLOCK, _RUN_ANCHOR, _formula_run_tails,
+                           _value_run_tails, hurwitz_tail_scaled, shifted_tail_scaled)
+from .weights import (_RAMPS, Cone, ListWeight, PowerWeight, Weight, _fill_range,
+                      _power_vals, codomain_values, envelope_down, envelope_up,
                       truncation_length, weight_values)
 
 __all__ = [
@@ -139,18 +139,22 @@ DEFAULT_TRUNC = TruncConfig()
 
 @dataclass(frozen=True)
 class NormResult:
+    """An answer and how far it is proven.  ``reason`` says why an
+    Unsupported answer was refused; it is not part of ``repr`` or ``==``."""
+
     value: float
     status: Status
     n_used: int
     residual_estimate: float
+    reason: str = field(default="", repr=False, compare=False)
 
     @property
     def is_finite(self) -> bool:
         return math.isfinite(self.value) and self.status is not Status.UNSUPPORTED
 
 
-def _unsupported(reason: str = "") -> NormResult:
-    return NormResult(0.0, Status.UNSUPPORTED, 0, math.inf)
+def _unsupported(reason: str) -> NormResult:
+    return NormResult(0.0, Status.UNSUPPORTED, 0, math.inf, reason)
 
 
 def _divergent(n_used: int = 0) -> NormResult:
@@ -183,33 +187,35 @@ def _envelope(u: Weight, env: str, K: int) -> np.ndarray:
 
 
 _SCAN_BLOCK = 2 ** 16   # rows per values_fn call, a multiple of special_sums._BLOCK
+_NO_COLUMNS = _RAMPS["f"][:0]
 
 
-class _Buffers:
+class _Buffers(dict):
     """Named block buffers of one scan.  ``take(name, size)`` returns the
     first ``size`` entries of that buffer, allocated again only when a block
     is longer than any before it, so a scan's blocks reuse the same memory.
     What a take returns is overwritten by the next take of the same name.
 
     A scan's first two blocks end at rows _FIRST_BLOCK and _BLOCK; past
-    them it reads blocks of up to _SCAN_BLOCK rows, and a window adds a
-    column to a block: a longer request gets a buffer of at least that
-    size at once, not a second one at the fourth block."""
-
-    def __init__(self) -> None:
-        self._bufs: dict[str, np.ndarray] = {}
+    them it reads blocks of up to _SCAN_BLOCK rows, and the block's columns
+    add two: a longer request gets a buffer of at least that size at once,
+    not a second one at the fourth block."""
 
     def take(self, name: str, size: int, dtype=float) -> np.ndarray:
-        buf = self._bufs.get(name)
+        buf = self.get(name)
         if buf is None or buf.size < size:
-            cap = size if size <= _BLOCK + 1 else max(size, _SCAN_BLOCK + 1)
-            buf = self._bufs[name] = np.empty(cap, dtype)
+            cap = size if size <= _BLOCK + 2 else max(size, _SCAN_BLOCK + 2)
+            buf = self[name] = np.empty(cap, dtype)
         return buf[:size]
 
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    def range(self, name: str, first: int, count: int, kind: str = "f") -> np.ndarray:
+        """first..first+count-1 as floats (integers for kind "i"): a slice
+        of the ramp while it holds them (as ``weights._range``), past it
+        written into the named buffer."""
+        ramp = _RAMPS[kind]
+        if first + count <= ramp.size:
+            return ramp[first:first + count]
+        return _fill_range(self.take(name, count, ramp.dtype), first)
 
 
 def _range_read(table: np.ndarray, first: int, out: np.ndarray,
@@ -232,25 +238,32 @@ class _SeqData:
     0.  Power, ones and zeros modes are infinite sequences: their values
     come from the formula and their tails are analytic.
 
-    In power mode u is evaluated once per row block: ``load(first, last)``
-    puts u_first..u_last in the block's window, and the block's value and
-    prefix reads come from it.  A prefix read continues the sums of the
-    last one, cumsum([carry, terms]), which gives the bits of one long
-    cumsum from column 1; a read that does not start where the last ended
-    sums its head again (correct, but O(first)).  A tail run that the
-    window covers, as extended to row _RUN_ANCHOR - 1, forms its terms from
-    it, kernel(u_k, k): at most one rounding more per term than the
-    formula's, within the cells' 4096 * 2**-53 bound.  Other tail runs,
-    and every run of a block that loads no window, take the formula.
+    The engine reads a row block as one range of columns: ``load(first,
+    last)`` holds the columns first..last that the block's parts read, as
+    floats (a slice of the ramp in the first blocks), which give the rows to
+    the scales and the columns to the tails, and in power mode u over them,
+    their powers, as the block's window; the block's value and prefix reads
+    come from it.  A prefix read continues the sums of the last one,
+    cumsum([carry, terms]), which gives the bits of one long cumsum from
+    column 1; a read that does not start where the last ended sums its
+    head again (correct, but O(first)).  A tail run that the window covers,
+    as extended to row _RUN_ANCHOR - 1, forms its terms from it,
+    kernel(u_k, k): at most one rounding more per term than the formula's,
+    within the cells' 4096 * 2**-53 bound.  Other tail runs, and every run
+    of a block that loads no window, take the formula.  The tails take
+    their run from the block (``special_sums._value_run_tails`` and
+    ``_formula_run_tails``), not from an array of column indices.
 
-    What a read returns is a block buffer (``_Buffers``) or a read-only
-    view of one: valid only until the next load or read of the same kind.
+    What a read returns is a block buffer (``_Buffers``), a view of one or
+    of the ramp: valid only until the next load or read of the same kind,
+    and not to be written.
     """
 
     def __init__(self, u: Weight, env: str, K: int):
         self._u = u
-        self._bufs = _Buffers()
-        self._win, self._c0 = None, 0   # the block's window, u[_c0..]
+        self.bufs = _Buffers()   # the engine's part buffers are named apart
+        self._cols, self._c0 = _NO_COLUMNS, 0   # the block's columns, from _c0
+        self._win = None                         # u over them, in power mode
         if isinstance(u, PowerWeight):
             a = u.alpha
             if env == "id" or (env == "down" and a >= 0) or (env == "up" and a <= 0):
@@ -268,20 +281,31 @@ class _SeqData:
         self._tails: dict[Callable, np.ndarray] = {}   # per kernel, at its first read
 
     def load(self, first: int, last: int) -> None:
-        """In power mode, u over columns first..last (first >= 0) as the
-        block's window, or no window when first > last; a no-op otherwise."""
-        if self.mode != "power":
-            return
+        """The columns first..last (first >= 0) as the block's: as floats,
+        and in power mode u over them as the window; no window when
+        first > last."""
         if first > last:
             self._win = None
             return
-        win = self._bufs.take("window", last - first + 1)
+        self._c0 = first
+        self._cols = cols = self.bufs.range("cols", first, last - first + 1)
+        if self.mode != "power":
+            return
+        self._win = win = self.bufs.take("window", cols.size)
         if first == 0:
             win[0] = 0.0
-            weight_values(self._u, win.size - 1, 1, out=win[1:])
+            _power_vals(self.alpha, cols[1:], win[1:])
         else:
-            weight_values(self._u, win.size, first, out=win)
-        self._c0, self._win = first, _read_only(win)
+            _power_vals(self.alpha, cols, win)
+
+    def columns(self, first: int, count: int) -> np.ndarray:
+        """The columns first..first+count-1 (first >= 0) as floats: a slice
+        of the loaded ones when they hold them, else a range of their own,
+        valid until the next such call."""
+        i = first - self._c0
+        if i >= 0 and i + count <= self._cols.size:
+            return self._cols[i:i + count]
+        return self.bufs.range("columns", first, count)
 
     def _window(self, first: int, count: int) -> np.ndarray:
         i = first - self._c0
@@ -293,7 +317,7 @@ class _SeqData:
         """u_first..u_{first+count-1} (first >= 0)."""
         if self.mode == "power":
             return self._window(first, count)
-        out = self._bufs.take("values", count)
+        out = self.bufs.take("values", count)
         if self.mode == "list":
             return _range_read(self._vals, first, out, 0.0)
         out[...] = 1.0 if self.mode == "ones" else 0.0
@@ -303,11 +327,12 @@ class _SeqData:
 
     def prefix(self, first: int, count: int) -> np.ndarray:
         """P_first..P_{first+count-1}, P_c = u_1 + ... + u_c (first >= 0)."""
-        out = self._bufs.take("prefix", count)
+        out = self.bufs.take("prefix", count)
         if self.mode == "list":
             return _range_read(self._prefix, first, out, self._prefix[-1])
         if self.mode == "ones":
-            return _fill_range(out, first)
+            out[...] = self.columns(first, count)
+            return out
         if self.mode == "zeros":
             out[...] = 0.0
             return out
@@ -316,7 +341,7 @@ class _SeqData:
             self._carry = (float(np.cumsum(weight_values(self._u, first - 1))[-1])
                            if first > 1 else 0.0)
         out[0] += self._carry
-        np.cumsum(out, out=out)
+        np.add.accumulate(out, out=out)   # np.cumsum, without its wrapper
         self._end, self._carry = first + count - 1, float(out[-1])
         return out
 
@@ -339,51 +364,54 @@ class _SeqData:
         if self.mode == "ones":
             if not shifted:
                 raise _DivergentTail
-            return np.divide(1.0, _fill_range(out, first), out=out)   # telescoping
+            return np.divide(1.0, self.columns(first, count), out=out)   # telescoping
         a, last = self.alpha, first + count - 1
         if (a + 1.0 if shifted else a) <= 0:
             raise _DivergentTail
-        cols = _fill_range(self._bufs.take("cols", count, np.int64), first)
+        k = self.columns(first, count)
         win, c0 = self._win, self._c0
         if (win is not None and c0 <= first
                 and max(last, _RUN_ANCHOR - 1) < c0 + win.size):
-            got = _value_run_tails(a + 1.0, shifted, cols, first, last, kernel,
-                                   win[first - c0:], out)
+            got = _value_run_tails(a + 1.0, shifted, first, last, kernel,
+                                   win[first - c0:], out, k)
             if got is not None:
                 return got
+        got = _formula_run_tails(a + 1.0, shifted, first, last, out, 0.0, k)
+        if got is not None:
+            return got
+        # terms past the normal float range: the per-row path
         tail = shifted_tail_scaled if shifted else hurwitz_tail_scaled
-        return tail(a + 1.0, cols, out=out)
+        return tail(a + 1.0, np.arange(first, last + 1), out=out)
 
 
 # ---------------------------------------------------------------------------
 # The row engine: row functionals from the operator structure
 # ---------------------------------------------------------------------------
 
-def _part_values(kind: OpKind, part: str, sd: _SeqData, n: np.ndarray,
+def _part_values(sh: RowShape, part: str, sd: _SeqData, n: np.ndarray,
                  bufs: _Buffers | None = None) -> np.ndarray:
-    """(B+ u~)_n or (B- u~)_n for the unflipped operator at the rows n, a
-    run n[0]..n[-1], read from the kind's row shape, into the buffer named
-    after the part.  In power mode sd's window must hold the columns read
-    (``_load``)."""
-    bufs = _Buffers() if bufs is None else bufs
-    sh = ROW_SHAPES[kind]
-    out = bufs.take(part, n.size)
+    """(B+ u~)_n or (B- u~)_n for the unflipped operator of row shape sh at
+    the rows n, a run n[0]..n[-1], into the buffer named after the part.  In
+    power mode sd's window must hold the columns read (``_load``)."""
+    bufs = sd.bufs if bufs is None else bufs
+    size = n.size
+    out = bufs.take(part, size)
     n0 = int(n[0])
     if part == "neg":
         if sh.neg_scale is None:
             out[...] = 0.0
             return out
-        return sh.neg_scale(sd.vals_at(n0 + sh.neg_at, n.size), n, out)
+        return sh.neg_scale(sd.vals_at(n0 + sh.neg_at, size), sd.columns(n0, size), out)
     if sh.block is TAIL:
-        return sd.tail(sh.scale, n0 + sh.at, n.size, out)
+        return sd.tail(sh.scale, n0 + sh.at, size, out)
     read = sd.prefix if sh.block is PREFIX else sd.vals_at
-    return sh.scale(read(n0 + sh.at, n.size), n, out)
+    return sh.scale(read(n0 + sh.at, size), sd.columns(n0, size), out)
 
 
 def _load(sd: _SeqData, sh: RowShape, parts: tuple[str, ...], n0: int, n1: int) -> None:
-    """Load u over the columns that the parts of the rows n0..n1 read: the
-    span of their offsets.  A tail block read alone loads nothing, so its
-    tails come from the formula."""
+    """Load the columns that the parts of the rows n0..n1 read: the span of
+    their offsets.  A tail block read alone loads nothing, so its tails come
+    from the formula."""
     offsets = [sh.neg_at] if "neg" in parts and sh.neg_scale is not None else []
     if "pos" in parts and (offsets or sh.block is not TAIL):
         offsets.append(sh.at)
@@ -399,7 +427,7 @@ def _generic_row_values(kind: OpKind, cone: Cone, flip: SignFlip, sd: _SeqData,
     flip of the monotone cones; sd is u with the cone's envelope
     _ENV[cone].  The result is one of the buffers of bufs."""
     sh = ROW_SHAPES[kind]
-    if cone in (Cone.ALL, Cone.NONNEG):
+    if cone is Cone.ALL or cone is Cone.NONNEG:
         parts = ("pos",) if sh.neg_scale is None else ("pos", "neg")
     elif not flip.flip_rows:   # every row flipped alike
         parts = ("neg",) if flip.flip_all else ("pos",)
@@ -409,8 +437,9 @@ def _generic_row_values(kind: OpKind, cone: Cone, flip: SignFlip, sd: _SeqData,
                  else ("pos", "neg"))
     _load(sd, sh, parts, int(n[0]), int(n[-1]))
     if len(parts) == 1:
-        return _part_values(kind, parts[0], sd, n, bufs)
-    pos, neg = (_part_values(kind, part, sd, n, bufs) for part in parts)
+        return _part_values(sh, parts[0], sd, n, bufs)
+    pos = _part_values(sh, "pos", sd, n, bufs)
+    neg = _part_values(sh, "neg", sd, n, bufs)
     if cone is Cone.ALL:
         return np.add(pos, neg, out=pos)
     if cone is Cone.NONNEG:
@@ -424,11 +453,10 @@ def _kind_rows(kind: OpKind, u: Weight, cone: Cone, K: int,
     """The row engine: F(n) of the kind's rows flipped by flip, against u
     with the cone's envelope over the column horizon K.  A row block is a
     run: the returned function reads the rows n[0]..n[-1] of its integer
-    array n, and reads them as the columns of u they need, by range.  What
-    it gives is valid only until its next call."""
+    array n, and reads them as one range of columns.  What it gives is
+    valid only until its next call."""
     sd = _SeqData(u, _ENV[cone], K)
-    bufs = _Buffers()
-    return lambda n: _generic_row_values(kind, cone, flip, sd, n, bufs)
+    return partial(_generic_row_values, kind, cone, flip, sd, bufs=sd.bufs)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +505,7 @@ def _rescaled_sup(row_values: Callable[[Weight], np.ndarray], u: Weight,
     return max(top, float(np.max(rest))) if rest.size else top
 
 
-@dataclass(frozen=True)
-class _Tail:
+class _Tail(NamedTuple):
     """sup over rows n > N of v_n * F(n), as ``at(N)``: that supremum itself
     when ``exact``, otherwise a proven upper bound on it.  ``at`` returns
     None while N is too small for it to say anything."""
@@ -540,16 +567,16 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _scan_blocks(N):
             size = hi - lo + 1
-            n = _fill_range(bufs.take("rows", size, np.int64), lo)
             try:
-                vals = values_fn(n)
+                vals = values_fn(bufs.range("rows", lo, size, "i"))
             except _DivergentTail:
                 return _divergent()
-            top = float(vals.max())
+            i = int(vals.argmax())   # the first max, or the first NaN
+            top = float(vals[i])
             if not math.isfinite(top):   # rows are >= 0: NaN and inf show in the max
                 return _divergent(N)
             if top > m:
-                m, argmax = top, lo + int(vals.argmax())
+                m, argmax = top, lo + i
             if hi <= cut:
                 m_cut = max(m_cut, top)
             elif lo <= cut:
@@ -627,7 +654,8 @@ def _row_sup(rows: Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]],
     bufs = _Buffers()
 
     def values_fn(n: np.ndarray) -> np.ndarray:
-        vals = codomain_values(v, len(n), int(n[0]), out=bufs.take("v", len(n)))
+        size = n.size
+        vals = codomain_values(v, size, int(n[0]), out=bufs.take("v", size))
         return np.multiply(vals, row_fn(n), out=vals)
 
     return _scan_sup(values_fn, cfg, certificate, tail)
@@ -733,16 +761,20 @@ def _power_tail(sh: RowShape, alpha: float, b: float,
     parts = [_block_envelope(sh, alpha)]
     if sh.neg_scale is not None:
         parts.append(_entry_envelope(sh.neg_scale, sh.neg_at, alpha))
-    if any(part is None for part in parts):
-        return None
-    parts = [(r + (b - alpha), f) for r, f in parts]
-    if any(e > 0 for e, _ in parts):
-        return None
+    bounds = []   # (exponent, factor) of each part
+    for part in parts:
+        if part is None:
+            return None
+        r, f = part
+        e = r + (b - alpha)
+        if e > 0:
+            return None
+        bounds.append((e, f))
 
     def at(N: int) -> float:
         n = N + 1.0
         try:
-            return join(n ** e * f(n) for e, f in parts) * (1.0 + 1e-12)
+            return join([n ** e * f(n) for e, f in bounds]) * (1.0 + 1e-12)
         except OverflowError:   # a factor past float range: no stop here
             return math.inf
 

@@ -86,6 +86,8 @@ class OpKind(Enum):
     E = "partial-sums"
     I = "identity"  # noqa: E741  (the customary name)
 
+    __hash__ = object.__hash__   # by identity, as weights.Cone
+
 
 PRINCIPAL_KINDS = (
     OpKind.C,
@@ -345,6 +347,9 @@ class ConePlan:
     reason: str = ""
 
 
+_AS_IS = ConePlan(True)   # the rows as they are: no flips
+
+
 def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
               max_row: int | None = None) -> ConePlan:
     """Canonical row flips making the monotone-cone hypotheses hold.
@@ -356,14 +361,14 @@ def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
     row the problem can see (None = all rows).
     """
     if cone in (Cone.ALL, Cone.NONNEG):
-        return ConePlan(True)
+        return _AS_IS
 
     nonneg_kinds = (OpKind.C, OpKind.CSTAR, OpKind.S, OpKind.SSTAR,
                     OpKind.D, OpKind.E, OpKind.I)
 
     if cone is Cone.NONINCR:
         if kind in nonneg_kinds or kind in (OpKind.C_MINUS_I, OpKind.C_MINUS_SSTAR):
-            return ConePlan(True)
+            return _AS_IS
         if kind is OpKind.CSTARSD:
             # rows >= 2 flipped; flipped sums are 1/(L+1) (or 0), row 1 stays
             return ConePlan(True, SignFlip(flip_all=True, flip_rows=frozenset({1})))
@@ -381,7 +386,7 @@ def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
     if kind in nonneg_kinds:
         if kind is OpKind.CSTAR and L is None:
             return ConePlan(True, trivially_zero=True)
-        return ConePlan(True)
+        return _AS_IS
     if kind is OpKind.C_MINUS_I:
         if L is None:
             return ConePlan(True, SignFlip(flip_all=True))
@@ -397,13 +402,13 @@ def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
         n = _first_negative_row(kind, L, max_row)
         if n is not None:
             return ConePlan(False, reason=f"row {n} has negative sum")
-        return ConePlan(True)
+        return _AS_IS
     if kind is OpKind.CSTARSD:
         if L is None:
-            return ConePlan(True)
+            return _AS_IS
         if _first_negative_row(kind, L, max_row) is not None:
             return ConePlan(False, reason="truncated rows of (C*-S)D have sum -1/(L+1)")
-        return ConePlan(True)
+        return _AS_IS
     raise ValueError(f"unknown kind {kind}")
 
 

@@ -348,16 +348,17 @@ def run_power_consistency_suite(n_max: int = 1_000_000,
                   for d in Direction for c in (Cone.ALL, Cone.NONNEG)]
 
 
-def _oracle_pair_case(kind: OpKind, cone: Cone, pair_idx: int, L: int,
+def _oracle_pair_case(kind: OpKind, cone: Cone, pair_idx: int, L_u: int, L_v: int,
                       trials: int, seed: int) -> dict:
     rng = np.random.default_rng([seed, 971, pair_idx])
-    uu = rng.uniform(0.0, 1.0, L)
-    vv = rng.uniform(0.0, 1.0, L)
-    uu[rng.uniform(0.0, 1.0, L) < 0.1] = 0.0
-    vv[rng.uniform(0.0, 1.0, L) < 0.1] = 0.0
+    uu = rng.uniform(0.0, 1.0, L_u)
+    vv = rng.uniform(0.0, 1.0, L_v)
+    uu[rng.uniform(0.0, 1.0, L_u) < 0.1] = 0.0
+    vv[rng.uniform(0.0, 1.0, L_v) < 0.1] = 0.0
     u = ListWeight(tuple(uu))
     v = ListWeight(tuple(vv))
-    head = {"suite": "oracle", "op": kind.value, "cone": cone.value, "pair": pair_idx}
+    head = {"suite": "oracle", "op": kind.value, "cone": cone.value, "pair": pair_idx,
+            "L_u": L_u, "L_v": L_v}
     try:
         rep = verify(kind, u, v, cone, trials=trials, seed=seed)
     except UnsupportedConeError:
@@ -369,16 +370,22 @@ def run_oracle_suite(pairs: int = 50, L_max: int = 20, trials: int = 500,
                      seed: int = 7) -> list[dict]:
     """Formula = extremal witness value (exactly, on truncated problems) and
     formula >= randomized search, over principal operators x cones x random
-    weight pairs; hypothesis-violating combinations are recorded as skips."""
+    weight pairs; hypothesis-violating combinations are recorded as skips.
+    The lengths L_u of u and L_v of v are drawn apart from 1..L_max, and the
+    first pair has L_u = 1: a one-column u is where the cone plans have been
+    wrong before."""
     rng = np.random.default_rng([seed, 13])
-    sizes = [int(x) for x in rng.integers(1, L_max + 1, size=pairs)]
+    L_u = [int(x) for x in rng.integers(1, L_max + 1, size=pairs)]
+    L_v = [int(x) for x in rng.integers(1, L_max + 1, size=pairs)]
+    if L_u:
+        L_u[0] = 1
     out = []
     for kind in PRINCIPAL_KINDS:
         for cone in Cone:
             if kind is OpKind.CSTAR_MINUS_I and cone is Cone.NONINCR:
                 continue  # open problem
-            for i, L in enumerate(sizes):
-                out.append(_oracle_pair_case(kind, cone, i, L, trials, seed))
+            for i, lengths in enumerate(zip(L_u, L_v)):
+                out.append(_oracle_pair_case(kind, cone, i, *lengths, trials, seed))
     return out
 
 

@@ -59,6 +59,8 @@ from typing import Callable
 
 import numpy as np
 
+from .weights import _range
+
 __all__ = [
     "CertifiedValue",
     "zeta",
@@ -140,7 +142,7 @@ def _em_scaled(s: float, terms: int, n: np.ndarray, p: float = 0.0) -> np.ndarra
     if nf.size <= _FEW:
         rows = nf.tolist()
         poly = np.array([_horner(P, 1.0 / x) for x in rows])
-        steep = any(x < cut for x in rows)
+        steep = bool(rows) and min(rows) < cut
     else:
         poly = _horner(P, 1.0 / nf)
         steep = True
@@ -281,25 +283,21 @@ def _run_start(n: np.ndarray) -> int | None:
     return int(n[0])
 
 
-def _run_bounds(n: np.ndarray, s: float, p: float) -> tuple[int, int] | None:
-    """(n0, n1) when n is n0, n0+1, ..., n1 with n0 >= 1 and the terms
-    k**(-s) and the scales k**p of the (extended) run are normal floats."""
-    n0 = _run_start(n)
-    if n0 is None or n0 < 1:
-        return None
-    n1 = n0 + n.size - 1
+def _normal_run(s: float, p: float, n1: int) -> bool:
+    """Whether the terms k**(-s) and the scales k**p of a run ending at row
+    n1, as extended to row _RUN_ANCHOR - 1, are normal floats."""
     log_end = math.log(max(n1, _RUN_ANCHOR) + 1.0)
-    if s * log_end >= _LOG_NORMAL or abs(p) * log_end >= _LOG_NORMAL:
-        return None
-    return n0, n1
+    return s * log_end < _LOG_NORMAL and abs(p) * log_end < _LOG_NORMAL
 
 
-def _run_tails(n: np.ndarray, n0: int, n1: int, p: float,
+def _run_tails(k: np.ndarray | None, n0: int, n1: int, p: float,
                term: Callable[[np.ndarray, np.ndarray], object],
                em_tail: Callable[[np.ndarray], np.ndarray],
                out: np.ndarray) -> np.ndarray:
-    """n**p * tail(n), tail(n) = sum_{k>=n} term(k), for the run n = n0..n1,
-    written into out.
+    """n**p * tail(n), tail(n) = sum_{k>=n} term(k), for the run n = n0..n1
+    (n0 >= 1, ``_normal_run``), written into out.  k holds the run's
+    columns n0..n1 as floats when the caller has them (the ramp or a new
+    range serves otherwise).
 
     The run is extended to row _RUN_ANCHOR - 1 and cut into the grid's
     cells: before the period that starts past row g0 (the first multiple of
@@ -310,22 +308,27 @@ def _run_tails(n: np.ndarray, n0: int, n1: int, p: float,
     are one reverse cumsum of the positive, decreasing terms, so they are
     summed smallest first (relative rounding error <= _BLOCK * 2**-53); each
     cell is anchored by the certified tail ``em_tail`` at the first row past
-    it, all anchors in one call.  ``term(k, t)`` writes the terms at the run
-    k into t.  The terms, sums and anchors are formed in place in out,
-    unless the run is extended.
+    it, all anchors in one call.  ``term(k, t)`` writes the terms at the
+    float columns k into t.  The terms, sums and anchors are formed in place
+    in out, unless the run is extended.
     """
     end = max(n1, _RUN_ANCHOR - 1)
-    t, k = (out, n) if end == n1 else (np.empty(end - n0 + 1), np.arange(n0, end + 1))
+    if k is None or end > n1:
+        k = _range(n0, end - n0 + 1)
+    t = out if end == n1 else np.empty(end - n0 + 1)
     term(k, t)
     g0 = max(_BLOCK, -(-(n0 - 1) // _BLOCK) * _BLOCK)
     periods = max(end - g0, 0) // _BLOCK
     g1 = g0 + periods * _BLOCK
-    ends = [e for e in (_FIRST_BLOCK, _FIRST_BLOCK + 1) if n0 <= e < min(end, g0)]
+    # the cells outside the whole periods, by their last rows
+    ends = []
     if n0 <= g0:
-        ends.append(min(end, g0))
+        top = min(end, g0)
+        ends = [e for e in (_FIRST_BLOCK, _FIRST_BLOCK + 1) if n0 <= e < top]
+        ends.append(top)
     if end > g1:
-        ends += [g1 + 1] + ([end] if end > g1 + 1 else [])
-    rows = [e + 1 for e in ends]
+        ends += [g1 + 1, end] if end > g1 + 1 else [g1 + 1]
+    rows = np.array([e + 1 for e in ends])
     if periods:
         g = g0 + _BLOCK * np.arange(periods)
         rows = np.concatenate([rows, g + 2, g + (_BLOCK + 1)])
@@ -334,30 +337,33 @@ def _run_tails(n: np.ndarray, n0: int, n1: int, p: float,
     for e, anc in zip(ends, anchors[:len(ends)].tolist()):
         if e > g1:   # past the whole periods
             lo = max(lo, g1 + 1)
-        seg = t[lo - n0:e - n0 + 1]
-        rev = seg[::-1]
-        np.cumsum(rev, out=rev)
-        seg += anc
+        if e == lo:
+            t[e - n0] += anc
+        else:
+            seg = t[lo - n0:e - n0 + 1]
+            rev = seg[::-1]
+            np.add.accumulate(rev, out=rev)   # np.cumsum, without its wrapper
+            seg += anc
         lo = e + 1
     if periods:
         body = t[g0 + 1 - n0:g1 + 1 - n0].reshape(periods, _BLOCK)
         cells = body[:, 1:]
         rev = cells[:, ::-1]
-        np.cumsum(rev, axis=1, out=rev)
+        np.add.accumulate(rev, axis=1, out=rev)
         cells += anchors[len(ends) + periods:, None]
         body[:, 0] += anchors[len(ends):len(ends) + periods]
     if t is not out:
         out[...] = t[: n1 - n0 + 1]
     if p != 0.0:
-        out *= np.power(np.arange(n0, n1 + 1, dtype=float), p)
+        out *= np.power(k[: n1 - n0 + 1], p)
     return out
 
 
 def _shifted_terms(beta: float, k: np.ndarray, t: np.ndarray) -> None:
-    """k**-beta / (k + 1) written into t: on the run k, k + 1 is k one
-    place on."""
-    np.power(k, -beta, out=t, dtype=float)
-    np.divide(t[:-1], k[1:], out=t[:-1], dtype=float)
+    """k**-beta / (k + 1) written into t: on the run k (floats), k + 1 is k
+    one place on."""
+    np.power(k, -beta, out=t)
+    np.divide(t[:-1], k[1:], out=t[:-1])
     t[-1] /= k[-1] + 1.0
 
 
@@ -369,10 +375,11 @@ def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0,
         raise ValueError("hurwitz_tail_scaled requires s > 1")
     n = np.asarray(n)
     out = np.empty(n.shape) if out is None else out
-    run = _run_bounds(n, s, p)
-    if run is not None:
-        return _run_tails(n, *run, p, lambda k, t: np.power(k, -s, out=t, dtype=float),
-                          lambda a: _em_scaled(s, 1, a), out)
+    n0 = _run_start(n)
+    if n0 is not None and n0 >= 1:
+        got = _formula_run_tails(s, False, n0, n0 + n.size - 1, out, p)
+        if got is not None:
+            return got
     small = n < 16
     if np.any(small):
         for idx in np.nonzero(small)[0]:
@@ -392,10 +399,11 @@ def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0,
         raise ValueError("shifted_tail_scaled requires beta > 0")
     n = np.asarray(n)
     out = np.empty(n.shape) if out is None else out
-    run = _run_bounds(n, beta + 1.0, p)
-    if run is not None:
-        return _run_tails(n, *run, p, lambda k, t: _shifted_terms(beta, k, t),
-                          lambda a: _em_scaled(beta + 1.0, _GEOM_J, a), out)
+    n0 = _run_start(n)
+    if n0 is not None and n0 >= 1:
+        got = _formula_run_tails(beta, True, n0, n0 + n.size - 1, out, p)
+        if got is not None:
+            return got
     small = n < 32
     if np.any(small):
         for idx in np.nonzero(small)[0]:
@@ -407,18 +415,41 @@ def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0,
     return out
 
 
-def _value_run_tails(param: float, shifted: bool, n: np.ndarray, n0: int, n1: int,
-                     kernel: Callable, vals: np.ndarray,
-                     out: np.ndarray) -> np.ndarray | None:
-    """hurwitz_tail_scaled(param, n, out=out), or shifted_tail_scaled when
-    shifted, on the run n = n0..n1 (n0 >= 1), with each term formed as
-    kernel(u_k, k, t) from values the caller holds: vals[i] is
-    u_{n0 + i} = (n0 + i)**(1 - param) up to column max(n1, _RUN_ANCHOR - 1),
-    and kernel writes x / k (Hurwitz) or x / (k (k + 1)) (shifted) into t.
-    None, with nothing written, when the run's terms would leave the normal
-    float range."""
+# The run entries: hurwitz_tail_scaled(param, n, p, out), or
+# shifted_tail_scaled when shifted, on the run n = n0..n1 (n0 >= 1) that the
+# caller already knows, so no array of rows is formed or checked.  k holds
+# the run's columns as floats when the caller has them.  None, with nothing
+# written, when the run's terms or scales leave the normal float range: the
+# per-row path of the public functions serves those rows.
+
+def _em_run(param: float, shifted: bool, p: float, n1: int):
+    """The anchors of the tail's table for a run ending at row n1, or None
+    when the run leaves the normal float range."""
     s, terms = (param + 1.0, _GEOM_J) if shifted else (param, 1)
-    if s * math.log(max(n1, _RUN_ANCHOR) + 1.0) >= _LOG_NORMAL:
+    if not _normal_run(s, p, n1):
         return None
-    return _run_tails(n, n0, n1, 0.0, lambda k, t: kernel(vals[:k.size], k, t),
-                      lambda a: _em_scaled(s, terms, a), out)
+    return lambda rows: _em_scaled(s, terms, rows)
+
+
+def _formula_run_tails(param: float, shifted: bool, n0: int, n1: int, out: np.ndarray,
+                       p: float = 0.0, k: np.ndarray | None = None) -> np.ndarray | None:
+    """The run entry with the terms from their formulas."""
+    em_tail = _em_run(param, shifted, p, n1)
+    if em_tail is None:
+        return None
+    term = ((lambda k, t: _shifted_terms(param, k, t)) if shifted
+            else (lambda k, t: np.power(k, -param, out=t)))
+    return _run_tails(k, n0, n1, p, term, em_tail, out)
+
+
+def _value_run_tails(param: float, shifted: bool, n0: int, n1: int, kernel: Callable,
+                     vals: np.ndarray, out: np.ndarray,
+                     k: np.ndarray | None = None) -> np.ndarray | None:
+    """The run entry (p = 0) with each term formed as kernel(u_k, k, t) from
+    values the caller holds: vals[i] is u_{n0 + i} = (n0 + i)**(1 - param)
+    up to column max(n1, _RUN_ANCHOR - 1), and kernel writes x / k (Hurwitz)
+    or x / (k (k + 1)) (shifted) into t."""
+    em_tail = _em_run(param, shifted, 0.0, n1)
+    if em_tail is None:
+        return None
+    return _run_tails(k, n0, n1, 0.0, lambda k, t: kernel(vals[:k.size], k, t), em_tail, out)

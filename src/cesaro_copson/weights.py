@@ -58,6 +58,11 @@ class Cone(Enum):
     NONINCR = "nonincr"  # nonnegative, nonincreasing
     NONDECR = "nondecr"  # nonnegative, nondecreasing
 
+    # Members compare by identity, so they may hash by it too: Enum's own
+    # __hash__ is a Python call, paid on every dict lookup keyed by a cone
+    # (several per norm query).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class PowerWeight:
@@ -121,17 +126,22 @@ class SeqWindow:
         return 0.0
 
 
-def _power_vals(alpha: float, k: np.ndarray) -> np.ndarray:
-    """k**-alpha in place over the float array k, which is returned."""
+def _power_vals(alpha: float, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """k**-alpha over the float array k, written into out (which may be k)."""
     # libm pow is exact for integer exponents and uniformly accurate otherwise
-    return np.power(k, -alpha, out=k)
+    return np.power(k, -alpha, out=out)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # 0, 1, 2, ...: the head that _fill_range doubles, as integers and as floats
-# (a ramp of out's kind adds without a casting loop).  A scan's first two
-# blocks (rows 1..256 and 257..4096), and a window of either a column wider
-# on each side, fill in one addition.
-_RAMPS = {"i": np.arange(8192), "f": np.arange(8192, dtype=float)}
+# (a ramp of out's kind adds without a casting loop), read-only.  A scan's
+# first two blocks (rows 1..256 and 257..4096), and their columns one wider
+# on each side, are slices of them (``_range``), with no fill at all.
+_RAMPS = {"i": _read_only(np.arange(8192)), "f": _read_only(np.arange(8192, dtype=float))}
 
 
 def _fill_range(out: np.ndarray, first: int) -> np.ndarray:
@@ -146,6 +156,17 @@ def _fill_range(out: np.ndarray, first: int) -> np.ndarray:
         np.add(out[:m], w, out=out[w:w + m])
         w += m
     return out
+
+
+def _range(first: int, count: int, out: np.ndarray | None = None,
+           kind: str = "f") -> np.ndarray:
+    """first, first+1, ..., first+count-1 (first >= 0) as floats, or as
+    integers for kind "i": a read-only slice of that ramp when it holds
+    them, else written into out (a new array when None) by ``_fill_range``."""
+    ramp = _RAMPS[kind]
+    if first + count <= ramp.size:
+        return ramp[first:first + count]
+    return _fill_range(np.empty(count, ramp.dtype) if out is None else out, first)
 
 
 def weight_at(w: Weight, k: int) -> float:
@@ -175,7 +196,7 @@ def weight_values(w: Weight, K: int, first: int = 1,
         raise ValueError("first row must be >= 1")
     out = np.empty(K) if out is None else out
     if isinstance(w, PowerWeight):
-        return _power_vals(w.alpha, _fill_range(out, first))
+        return _power_vals(w.alpha, _range(first, K, out), out)
     return _list_vals(w, out, first)
 
 
@@ -199,7 +220,7 @@ def codomain_values(w: Weight, N: int, first: int = 1,
         raise ValueError("first row must be >= 1")
     out = np.empty(N) if out is None else out
     if isinstance(w, PowerWeight):
-        return np.power(_fill_range(out, first), w.alpha, out=out)
+        return np.power(_range(first, N, out), w.alpha, out=out)
     return _list_vals(w, out, first)
 
 

@@ -39,6 +39,22 @@ def test_norm_open_problem_exits_2():
     assert json.loads(r.stdout)["value"] is None
 
 
+def test_unsupported_cone_prints_its_own_reason(tmp_path):
+    # the rows of (C*-S)D on three columns fail the nondecreasing-cone
+    # hypotheses: the refusal names that reason, not the open problem, and
+    # the JSON keys and the exit code are those of every unsupported case
+    path = tmp_path / "w.csv"
+    path.write_text("1\n2\n3\n")
+    r = run("norm", "--op", "copson-minus-shift-diag", "--cone", "nondecr",
+            "--u", f"list:{path}", "--v", f"list:{path}")
+    assert r.returncode == 2
+    assert r.stderr.strip() == ("unsupported: truncated rows of (C*-S)D have sum "
+                                "-1/(L+1)")
+    doc = json.loads(r.stdout)
+    assert set(doc) == {"op", "cone", "value", "status", "n_used", "residual"}
+    assert doc["status"] == "Unsupported" and doc["value"] is None
+
+
 def test_norm_list_weights(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("1\n1\n1\n1\n")

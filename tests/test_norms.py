@@ -11,7 +11,7 @@ from cesaro_copson.norms import (DEFAULT_TRUNC, SPECIALIZED_BY_KIND, Status,
                                  dist_cesaro_identity, dist_copson_identity,
                                  norm_c_minus_sstar, norm_cesaro, norm_copson,
                                  norm_cstarsd, norm_general)
-from cesaro_copson.operators import PRINCIPAL_KINDS, OpKind, cone_plan, entry
+from cesaro_copson.operators import PRINCIPAL_KINDS, ROW_SHAPES, OpKind, cone_plan, entry
 from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
 from cesaro_copson.weights import (Cone, ListWeight, PowerWeight, codomain_values,
                                    envelope_down, envelope_up, weight_values)
@@ -331,7 +331,7 @@ def test_part_values_match_entry(kind, rng):
     for lo, hi in ((1, 60), (2, 41), (39, 61)):
         n = np.arange(lo, hi + 1, dtype=np.int64)
         for part, dense in (("pos", np.clip(M, 0.0, None)), ("neg", np.clip(-M, 0.0, None))):
-            got = _part_values(kind, part, _SeqData(u, "id", 61), n)
+            got = _part_values(ROW_SHAPES[kind], part, _SeqData(u, "id", 61), n)
             np.testing.assert_allclose(got, dense[lo - 1:hi] @ uv, rtol=1e-13, atol=0,
                                        err_msg=f"{part} rows {lo}..{hi}")
 

@@ -459,12 +459,13 @@ def test_one_power_evaluation_per_block(fn, cone, monkeypatch):
     calls = []
     power_vals = weights._power_vals
 
-    def counting(alpha, k):
+    def counting(alpha, k, out):
         if alpha == 1.5:
             calls.append(np.size(k))
-        return power_vals(alpha, k)
+        return power_vals(alpha, k, out)
 
     monkeypatch.setattr(weights, "_power_vals", counting)
+    monkeypatch.setattr(norms, "_power_vals", counting)   # the block's window
     # no prefix bound is derived for alpha >= 1: no tail, four blocks
     r = fn(P(1.5), P(0.7), cone, TruncConfig(n_max=B + 100))
     assert r.n_used == B + 100
