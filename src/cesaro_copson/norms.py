@@ -29,16 +29,21 @@ then up to 4096, then up to 65,536, then _SCAN_BLOCK rows each), ending on
 rows of the tails' grid (``special_sums``), keeping only running state
 between blocks, so a scan's memory does not depend on n_max.  Every
 caller passes the engine a run of rows, so ``_SeqData`` serves each block
-by column range, without tables of the horizon's length: u is evaluated
-once per block, over the columns its row shape reads, and power prefix
-sums are carried from block to block.  Every per-block array of a scan
-(row indices, v_n, the row parts, the value window, the prefix sums, the
-tails) is written with ``out=`` into block buffers (``_Buffers``) that the
-later blocks reuse, with the same operations in the same order as a fresh
-array would get, so a scan allocates a few arrays instead of some twenty
-per block, and the allocator does not hand memory back to the kernel and
-fault it in again between blocks.  What a row function or ``_SeqData``
-returns is valid only until its next call.
+as one range of columns, without tables of the horizon's length: u is
+evaluated once per block, as the powers of the columns its row shape
+reads, those columns give the scales their rows and the tails their run,
+and power prefix sums are carried from block to block.  A block's rows,
+its columns and v_n's rows are slices of a ramp of the integers and
+floats 0..8191 (``weights._range``) in the first two blocks, so a scan
+that its first block closes fills no range, and one fill each past them.
+Every other per-block array of a scan (v_n, the row parts, the value
+window, the prefix sums, the tails) is written with ``out=`` into block
+buffers (``_Buffers``) that the later blocks reuse, with the same
+operations in the same order as a fresh array would get, so a scan
+allocates a few arrays instead of some twenty per block, and the
+allocator does not hand memory back to the kernel and fault it in again
+between blocks.  What a row function or ``_SeqData`` returns is valid
+only until its next call.
 
 A scan may stop after any block, at its tail (``_tail``, read from the row
 shapes).  For a ListWeight u against a PowerWeight v the rows past the
@@ -84,8 +89,8 @@ from . import power as power_mod
 from .operators import (INV_K, INV_K_KP1, NO_FLIP, PREFIX, ROW_SHAPES,
                         SCALE_POWERS, SINGLE, TAIL, ConePlan, OpKind, RowShape,
                         SignFlip, cone_plan, row_entries)
-from .special_sums import (_BLOCK, _FIRST_BLOCK, _RUN_ANCHOR, _formula_run_tails,
-                           _value_run_tails, hurwitz_tail_scaled, shifted_tail_scaled)
+from .special_sums import (_BLOCK, _FIRST_BLOCK, _RUN_ANCHOR, _value_run_tails,
+                           hurwitz_tail_scaled, shifted_tail_scaled)
 from .weights import (_RAMPS, Cone, ListWeight, PowerWeight, Weight, _fill_range,
                       _power_vals, codomain_values, envelope_down, envelope_up,
                       truncation_length, weight_values)
@@ -251,8 +256,8 @@ class _SeqData:
     kernel(u_k, k): at most one rounding more per term than the formula's,
     within the cells' 4096 * 2**-53 bound.  Other tail runs, and every run
     of a block that loads no window, take the formula.  The tails take
-    their run from the block (``special_sums._value_run_tails`` and
-    ``_formula_run_tails``), not from an array of column indices.
+    their run as a range (``special_sums._value_run_tails`` takes (first,
+    last)), not as an array of column indices that must be checked.
 
     What a read returns is a block buffer (``_Buffers``), a view of one or
     of the ramp: valid only until the next load or read of the same kind,
@@ -275,9 +280,11 @@ class _SeqData:
                 self.mode, self.alpha = "zeros", 0.0
             return
         self.mode, self.alpha = "list", 0.0
-        base = _envelope(u, env, min(K, u.length))
-        self._vals = np.concatenate([[0.0], base])              # u_0..u_L
-        self._prefix = np.concatenate([[0.0], np.cumsum(base)])  # P_0..P_L
+        L = min(K, u.length)
+        self._vals = np.zeros(L + 1)     # u_0..u_L
+        self._vals[1:] = _envelope(u, env, L)
+        self._prefix = np.zeros(L + 1)   # P_0..P_L, as np.cumsum
+        np.add.accumulate(self._vals[1:], out=self._prefix[1:])
         self._tails: dict[Callable, np.ndarray] = {}   # per kernel, at its first read
 
     def load(self, first: int, last: int) -> None:
@@ -354,8 +361,9 @@ class _SeqData:
         if self.mode == "list":
             table = self._tails.get(kernel)
             if table is None:
-                k = np.arange(1, self._vals.size, dtype=float)
-                table = self._tails[kernel] = np.cumsum(kernel(self._vals[1:], k)[::-1])[::-1]
+                k = self.bufs.range("columns", 1, self._vals.size - 1)
+                terms = kernel(self._vals[1:], k)
+                table = self._tails[kernel] = np.add.accumulate(terms[::-1])[::-1]
             return _range_read(table, first - 1, out, 0.0)
         if self.mode == "zeros":
             out[...] = 0.0
@@ -368,20 +376,15 @@ class _SeqData:
         a, last = self.alpha, first + count - 1
         if (a + 1.0 if shifted else a) <= 0:
             raise _DivergentTail
-        k = self.columns(first, count)
         win, c0 = self._win, self._c0
         if (win is not None and c0 <= first
                 and max(last, _RUN_ANCHOR - 1) < c0 + win.size):
             got = _value_run_tails(a + 1.0, shifted, first, last, kernel,
-                                   win[first - c0:], out, k)
+                                   win[first - c0:], out, self.columns(first, count))
             if got is not None:
                 return got
-        got = _formula_run_tails(a + 1.0, shifted, first, last, out, 0.0, k)
-        if got is not None:
-            return got
-        # terms past the normal float range: the per-row path
         tail = shifted_tail_scaled if shifted else hurwitz_tail_scaled
-        return tail(a + 1.0, np.arange(first, last + 1), out=out)
+        return tail(a + 1.0, range(first, last + 1), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +699,7 @@ def _list_tail(sh: RowShape, flip: SignFlip, u: ListWeight, env: str,
         q, exact = SCALE_POWERS[sh.scale]
         if not exact:
             return None
-        c = float(np.cumsum(_envelope(u, env, u.length))[-1])   # as the prefix sums
+        c = float(np.add.accumulate(_envelope(u, env, u.length))[-1])   # as the prefix sums
         e = b + q
 
     def at(N: int) -> float | None:

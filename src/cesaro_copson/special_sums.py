@@ -48,6 +48,13 @@ meets at most one rounding more than the formula's (the division by k, or
 the product k (k + 1) past 2**26), so it stays within a few 2**-53 of the
 term, and a row stays inside its cell's _BLOCK * 2**-53 bound plus the
 anchor's error.
+
+The public functions check that an array of rows is a run.  A caller that
+already knows its run (the scan engine) passes it as a ``range`` instead,
+and ``_value_run_tails`` takes (n0, n1): no array of rows is formed or
+checked.  The terms are formed from the run's columns as floats (a slice
+of ``weights._range``'s ramp, or a range of their own past it), with the
+same ufuncs, and so the same bits, as from integer ones.
 """
 
 from __future__ import annotations
@@ -283,19 +290,12 @@ def _run_start(n: np.ndarray) -> int | None:
     return int(n[0])
 
 
-def _normal_run(s: float, p: float, n1: int) -> bool:
-    """Whether the terms k**(-s) and the scales k**p of a run ending at row
-    n1, as extended to row _RUN_ANCHOR - 1, are normal floats."""
-    log_end = math.log(max(n1, _RUN_ANCHOR) + 1.0)
-    return s * log_end < _LOG_NORMAL and abs(p) * log_end < _LOG_NORMAL
-
-
 def _run_tails(k: np.ndarray | None, n0: int, n1: int, p: float,
                term: Callable[[np.ndarray, np.ndarray], object],
                em_tail: Callable[[np.ndarray], np.ndarray],
                out: np.ndarray) -> np.ndarray:
     """n**p * tail(n), tail(n) = sum_{k>=n} term(k), for the run n = n0..n1
-    (n0 >= 1, ``_normal_run``), written into out.  k holds the run's
+    (n0 >= 1, in the normal float range: ``_em_run``), written into out.  k holds the run's
     columns n0..n1 as floats when the caller has them (the ramp or a new
     range serves otherwise).
 
@@ -320,15 +320,19 @@ def _run_tails(k: np.ndarray | None, n0: int, n1: int, p: float,
     g0 = max(_BLOCK, -(-(n0 - 1) // _BLOCK) * _BLOCK)
     periods = max(end - g0, 0) // _BLOCK
     g1 = g0 + periods * _BLOCK
-    # the cells outside the whole periods, by their last rows
-    ends = []
+    ends = []   # the last rows of the cells outside the whole periods
     if n0 <= g0:
         top = min(end, g0)
-        ends = [e for e in (_FIRST_BLOCK, _FIRST_BLOCK + 1) if n0 <= e < top]
+        if n0 <= _FIRST_BLOCK < top:
+            ends.append(_FIRST_BLOCK)
+        if n0 <= _FIRST_BLOCK + 1 < top:
+            ends.append(_FIRST_BLOCK + 1)
         ends.append(top)
     if end > g1:
-        ends += [g1 + 1, end] if end > g1 + 1 else [g1 + 1]
-    rows = np.array([e + 1 for e in ends])
+        ends.append(g1 + 1)
+        if end > g1 + 1:
+            ends.append(end)
+    rows = np.add(ends, 1)
     if periods:
         g = g0 + _BLOCK * np.arange(periods)
         rows = np.concatenate([rows, g + 2, g + (_BLOCK + 1)])
@@ -367,88 +371,82 @@ def _shifted_terms(beta: float, k: np.ndarray, t: np.ndarray) -> None:
     t[-1] /= k[-1] + 1.0
 
 
-def hurwitz_tail_scaled(s: float, n: np.ndarray, p: float = 0.0,
+def hurwitz_tail_scaled(s: float, n: np.ndarray | range, p: float = 0.0,
                         out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise n**p * sum_{k>=n} k**(-s) for an integer array n (s > 1),
-    written into the float array out of n's shape when given."""
+    written into the float array out of n's shape when given.  n may also
+    be a range of rows, a run that needs no check."""
     if s <= 1.0:
         raise ValueError("hurwitz_tail_scaled requires s > 1")
-    n = np.asarray(n)
-    out = np.empty(n.shape) if out is None else out
-    n0 = _run_start(n)
-    if n0 is not None and n0 >= 1:
-        got = _formula_run_tails(s, False, n0, n0 + n.size - 1, out, p)
-        if got is not None:
-            return got
-    small = n < 16
-    if np.any(small):
-        for idx in np.nonzero(small)[0]:
-            ni = int(n[idx])
-            out[idx] = hurwitz_tail(s, ni).value * float(ni) ** p
-    big = ~small
-    if np.any(big):
-        out[big] = _em_scaled(s, 1, n[big], p)
-    return out
+    return _tails_scaled(s, False, n, p, out)
 
 
-def shifted_tail_scaled(beta: float, n: np.ndarray, p: float = 0.0,
+def shifted_tail_scaled(beta: float, n: np.ndarray | range, p: float = 0.0,
                         out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise n**p * sum_{k>=n} k**(-beta)/(k+1) (beta > 0), written
-    into the float array out of n's shape when given."""
+    into the float array out of n's shape when given.  n may also be a range
+    of rows, a run that needs no check."""
     if beta <= 0.0:
         raise ValueError("shifted_tail_scaled requires beta > 0")
-    n = np.asarray(n)
+    return _tails_scaled(beta, True, n, p, out)
+
+
+def _tails_scaled(param: float, shifted: bool, n: np.ndarray | range, p: float,
+                  out: np.ndarray | None) -> np.ndarray:
+    """hurwitz_tail_scaled(param, n, p, out), or shifted_tail_scaled when
+    shifted: the run's tails (``_run_tails``) when n is a run n0..n1 with
+    n0 >= 1 (a range is one by construction; an array is checked) in the
+    normal float range, the per-row path otherwise."""
+    if isinstance(n, range) and n.step == 1 and n.start >= 1 and len(n):
+        run = (n.start, n.stop - 1)
+    else:
+        n = np.asarray(n)
+        n0 = _run_start(n)
+        run = (n0, n0 + n.size - 1) if n0 is not None and n0 >= 1 else None
+    if run is not None:
+        em_tail = _em_run(param, shifted, p, run[1])
+        if em_tail is not None:
+            out = np.empty(run[1] - run[0] + 1) if out is None else out
+            term = ((lambda k, t: _shifted_terms(param, k, t)) if shifted
+                    else (lambda k, t: np.power(k, -param, out=t)))
+            return _run_tails(None, *run, p, term, em_tail, out)
+    n = np.asarray(n)   # a range's rows, for the per-row path
     out = np.empty(n.shape) if out is None else out
-    n0 = _run_start(n)
-    if n0 is not None and n0 >= 1:
-        got = _formula_run_tails(beta, True, n0, n0 + n.size - 1, out, p)
-        if got is not None:
-            return got
-    small = n < 32
+    first, single = (32, shifted_tail) if shifted else (16, hurwitz_tail)
+    small = n < first
     if np.any(small):
         for idx in np.nonzero(small)[0]:
             ni = int(n[idx])
-            out[idx] = shifted_tail(beta, ni).value * float(ni) ** p
+            out[idx] = single(param, ni).value * float(ni) ** p
     big = ~small
     if np.any(big):
-        out[big] = _em_scaled(beta + 1.0, _GEOM_J, n[big], p)
+        s, terms = (param + 1.0, _GEOM_J) if shifted else (param, 1)
+        out[big] = _em_scaled(s, terms, n[big], p)
     return out
 
-
-# The run entries: hurwitz_tail_scaled(param, n, p, out), or
-# shifted_tail_scaled when shifted, on the run n = n0..n1 (n0 >= 1) that the
-# caller already knows, so no array of rows is formed or checked.  k holds
-# the run's columns as floats when the caller has them.  None, with nothing
-# written, when the run's terms or scales leave the normal float range: the
-# per-row path of the public functions serves those rows.
 
 def _em_run(param: float, shifted: bool, p: float, n1: int):
     """The anchors of the tail's table for a run ending at row n1, or None
-    when the run leaves the normal float range."""
+    when the terms k**(-s) or the scales k**p of the run, as extended to
+    row _RUN_ANCHOR - 1, leave the normal float range."""
     s, terms = (param + 1.0, _GEOM_J) if shifted else (param, 1)
-    if not _normal_run(s, p, n1):
+    log_end = math.log(max(n1, _RUN_ANCHOR) + 1.0)
+    if s * log_end >= _LOG_NORMAL or abs(p) * log_end >= _LOG_NORMAL:
         return None
     return lambda rows: _em_scaled(s, terms, rows)
-
-
-def _formula_run_tails(param: float, shifted: bool, n0: int, n1: int, out: np.ndarray,
-                       p: float = 0.0, k: np.ndarray | None = None) -> np.ndarray | None:
-    """The run entry with the terms from their formulas."""
-    em_tail = _em_run(param, shifted, p, n1)
-    if em_tail is None:
-        return None
-    term = ((lambda k, t: _shifted_terms(param, k, t)) if shifted
-            else (lambda k, t: np.power(k, -param, out=t)))
-    return _run_tails(k, n0, n1, p, term, em_tail, out)
 
 
 def _value_run_tails(param: float, shifted: bool, n0: int, n1: int, kernel: Callable,
                      vals: np.ndarray, out: np.ndarray,
                      k: np.ndarray | None = None) -> np.ndarray | None:
-    """The run entry (p = 0) with each term formed as kernel(u_k, k, t) from
-    values the caller holds: vals[i] is u_{n0 + i} = (n0 + i)**(1 - param)
-    up to column max(n1, _RUN_ANCHOR - 1), and kernel writes x / k (Hurwitz)
-    or x / (k (k + 1)) (shifted) into t."""
+    """hurwitz_tail_scaled(param, range(n0, n1 + 1), out=out), or
+    shifted_tail_scaled when shifted, with each term formed as
+    kernel(u_k, k, t) from values the caller holds: vals[i] is
+    u_{n0 + i} = (n0 + i)**(1 - param) up to column max(n1,
+    _RUN_ANCHOR - 1), and kernel writes x / k (Hurwitz) or x / (k (k + 1))
+    (shifted) into t; k holds the run's columns as floats when the caller
+    has them.  None, with nothing written, when the run's terms would leave
+    the normal float range."""
     em_tail = _em_run(param, shifted, 0.0, n1)
     if em_tail is None:
         return None

@@ -15,6 +15,11 @@ a *codomain* weight it is v_n = n**(+alpha).  ``weight_at`` returns the domain
 value; ``codomain_weight_at`` the codomain value.  A ``ListWeight`` is the
 same sequence in both roles and defines an L-truncated problem: suprema over
 rows and sums over columns run over 1..L.
+
+Power values over a run first..first+K-1 are the powers of that run as
+floats: a read-only slice of a ramp of 0..8191 while it holds them
+(``_range``), so a scan's first blocks form no range at all, and a range
+filled into the output past it; the bits are the same either way.
 """
 
 from __future__ import annotations

@@ -337,6 +337,17 @@ def test_zero_weight_all_paths_zero():
     assert rep.random_best == 0.0 and rep.passed
 
 
+def test_oracle_suite_draws_the_two_lengths_apart():
+    # L_u and L_v are drawn separately, the first pair has a one-column u,
+    # and every report names both lengths
+    oc = run_oracle_suite(pairs=6, trials=40, seed=3)
+    assert all(c["pass"] for c in oc)
+    lengths = {(c["pair"], c["L_u"], c["L_v"]) for c in oc}
+    assert len(lengths) == 6
+    assert all(L_u == 1 for pair, L_u, _ in lengths if pair == 0)
+    assert any(L_u != L_v for _, L_u, L_v in lengths)
+
+
 def test_suite_runners_smoke():
     ids = run_identity_suite(count=50, N=30, seed=1)
     assert ids["pass"]

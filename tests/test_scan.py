@@ -472,6 +472,55 @@ def test_one_power_evaluation_per_block(fn, cone, monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("kind, cone", [(OpKind.CSTAR, Cone.ALL), (OpKind.CSTARSD, Cone.NONDECR)],
+                         ids=["cstar-all", "cstarsd-nondecr"])
+def test_tail_read_alone_loads_no_window(kind, cone, monkeypatch):
+    # a block whose one part is a tail evaluates no power of u: its tails
+    # come from the formula, over the block's columns
+    calls = []
+    power_vals = weights._power_vals
+
+    def counting(alpha, k, out):
+        calls.append(np.size(k))
+        return power_vals(alpha, k, out)
+
+    monkeypatch.setattr(weights, "_power_vals", counting)
+    monkeypatch.setattr(norms, "_power_vals", counting)
+    u = P(-0.4) if cone is Cone.NONDECR else P(0.6)
+    r = norm_general(kind, u, P(0.6 + 1e-3), cone, TruncConfig(n_max=B + 100))
+    assert r.n_used == B + 100
+    assert calls == []
+
+
+def _closing(kind, cone, flip, u, v):
+    return _row_sup(lambda w, K: _kind_rows(kind, w, cone, K, flip), u, v, TruncConfig(),
+                    None, _tail(kind, cone, flip, u, v))
+
+
+def test_closing_scan_is_one_block_read():
+    # every plan's closing scan reads rows 1..256 once: its answer is the
+    # max of a one-block _row_sup read and of one fresh engine call over
+    # those rows, with the tail's residual, to the bit
+    n = np.arange(1, S + 1)
+    checked = 0
+    for kind, cone, plan in _plans():
+        for a, b in ((0.5, 0.3), (-0.5, -0.7)):
+            u, v = P(a), P(b)
+            r = _closing(kind, cone, plan.flip, u, v)
+            if r.status is not Status.TRUNCATED_CONVERGED:
+                continue
+            assert r.n_used == S, (kind, cone, a)
+            one = _row_sup(lambda w, K: _kind_rows(kind, w, cone, K, plan.flip), u, v,
+                           TruncConfig(n_max=S), None)
+            fresh = codomain_values(v, S) * _kind_rows(kind, u, cone, S + 1, plan.flip)(n)
+            assert float(fresh.max()) == one.value
+            t = _tail(kind, cone, plan.flip, u, v).at(S)
+            want = NormResult(one.value, Status.TRUNCATED_CONVERGED, S, max(0.0, t - one.value))
+            assert repr(r) == repr(want), (kind, cone, a)
+            checked += 1
+    assert checked >= 30
+
+
 @pytest.mark.parametrize("kind", [OpKind.CSTAR, OpKind.CSTAR_MINUS_I, OpKind.CSTARSD],
                          ids=lambda k: k.name)
 def test_steep_tail_rows_sum_few_terms(kind, monkeypatch):

@@ -291,6 +291,60 @@ def test_run_anchors_are_the_scattered_values(monkeypatch, fn, exponent):
     np.testing.assert_array_equal(fn(exponent, rows[::-1], 0.0)[::-1], values)
 
 
+RUNS = [(1, 256), (2, 257), (250, 4100), (2 ** 16 - 300, 2 ** 16 + 4200)]
+
+
+def _grid_tails(s, terms, term, n0, n1, p):
+    """The run tails as the grid rule states them, over a whole array: the
+    run extended to row _RUN_ANCHOR - 1, a cell ending at every grid row g
+    (_FIRST_BLOCK and the multiples of _BLOCK), at g + 1 and at the run's
+    end, each cell one reverse cumsum of its terms plus the series at the
+    row past it, then the scale n**p."""
+    end = max(n1, _RUN_ANCHOR - 1)
+    k = np.arange(n0, end + 1, dtype=float)
+    t = term(k)
+    last = [e for e in range(n0, end + 1)
+            if e == end or e in (_FIRST_BLOCK, _FIRST_BLOCK + 1)
+            or (e >= _BLOCK and e % _BLOCK in (0, 1))]
+    lo = n0
+    for e in last:
+        seg = t[lo - n0:e - n0 + 1]
+        seg[:] = np.cumsum(seg[::-1])[::-1] + float(_em_scaled(s, terms, np.array([e + 1]))[0])
+        lo = e + 1
+    out = t[:n1 - n0 + 1]
+    return out * np.power(k[:n1 - n0 + 1], p) if p != 0.0 else out
+
+
+@pytest.mark.parametrize("n0, n1", RUNS, ids=["1-256", "2-257", "250-4100", "across-65536"])
+@pytest.mark.parametrize("shifted, param", [(False, 1.6), (False, 30.0), (True, 0.6),
+                                            (True, 2.5)])
+def test_runs_keep_the_grid_bits(n0, n1, shifted, param):
+    # a run given as a range (taken without a check) or as an array (checked
+    # to be one) gives the grid rule's rows, bit for bit
+    public = shifted_tail_scaled if shifted else hurwitz_tail_scaled
+    if shifted:
+        s, terms = param + 1.0, _GEOM_J
+        term = lambda k: np.power(k, -param) / (k + 1.0)   # noqa: E731
+    else:
+        s, terms = param, 1
+        term = lambda k: np.power(k, -param)   # noqa: E731
+    for p in (0.0, 0.7):
+        want = _grid_tails(s, terms, term, n0, n1, p)
+        np.testing.assert_array_equal(public(param, np.arange(n0, n1 + 1), p), want)
+        out = np.full(n1 - n0 + 1, np.nan)
+        assert public(param, range(n0, n1 + 1), p, out=out) is out
+        np.testing.assert_array_equal(out, want)
+
+
+def test_ranges_past_the_normal_range_take_the_row_path():
+    # terms k**-101 underflow on rows 257..4096: a range there takes the
+    # per-row path, as the same rows in reverse order do
+    rows = range(257, 4097)
+    want = hurwitz_tail_scaled(101.0, np.arange(4096, 256, -1))[::-1]
+    np.testing.assert_array_equal(hurwitz_tail_scaled(101.0, rows), want)
+    np.testing.assert_array_equal(hurwitz_tail_scaled(101.0, np.arange(257, 4097)), want)
+
+
 def test_coefficient_table_cache_is_bounded():
     maxsize = _em_table.cache_info().maxsize
     assert maxsize is not None

@@ -47,6 +47,40 @@ def test_values_from_a_first_row_are_a_slice_of_the_whole(w, first, K):
         weight_values(w, K, 0)
 
 
+@pytest.mark.parametrize("end", [8191, 8192, 8193])
+@pytest.mark.parametrize("K", [1, 256, 8191])
+def test_ramp_fed_values_match_the_filled_path(end, K):
+    # power values at first..end - 1 (end = first + K) read the float ramp
+    # up to its last entry 8191 and fill a range past it: the bits of
+    # k**-a and n**b over a filled range, either way and with or without out
+    from cesaro_copson.weights import _fill_range, _range
+    first = end - K
+    if first < 1:
+        return
+    filled = _fill_range(np.empty(K), first)
+    np.testing.assert_array_equal(_range(first, K), filled)
+    for a in (0.6, -1.3):
+        want_u = np.power(filled, -a)
+        want_v = np.power(filled, a)
+        np.testing.assert_array_equal(weight_values(PowerWeight(a), K, first), want_u)
+        np.testing.assert_array_equal(codomain_values(PowerWeight(a), K, first), want_v)
+        out = np.full(K, np.nan)
+        assert weight_values(PowerWeight(a), K, first, out=out) is out
+        np.testing.assert_array_equal(out, want_u)
+        out = np.full(K, np.nan)
+        assert codomain_values(PowerWeight(a), K, first, out=out) is out
+        np.testing.assert_array_equal(out, want_v)
+
+
+def test_ramps_are_read_only():
+    from cesaro_copson.weights import _range
+    view = _range(1, 256)
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0] = 0.0
+    assert _range(8000, 300).flags.writeable   # filled past the ramp
+
+
 def test_list_weight_array_is_the_tuple_read_only():
     raw = np.array([3.0, 0.0, 2.5, 1.0])
     w = ListWeight(raw)
