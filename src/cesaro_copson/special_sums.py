@@ -295,9 +295,9 @@ def _run_tails(k: np.ndarray | None, n0: int, n1: int, p: float,
                em_tail: Callable[[np.ndarray], np.ndarray],
                out: np.ndarray) -> np.ndarray:
     """n**p * tail(n), tail(n) = sum_{k>=n} term(k), for the run n = n0..n1
-    (n0 >= 1, in the normal float range: ``_em_run``), written into out.  k holds the run's
-    columns n0..n1 as floats when the caller has them (the ramp or a new
-    range serves otherwise).
+    (n0 >= 1, in the normal float range: ``_em_run``), written into out.  k
+    holds the run's columns n0..n1 as floats when the caller has them (the
+    ramp or a new range serves otherwise).
 
     The run is extended to row _RUN_ANCHOR - 1 and cut into the grid's
     cells: before the period that starts past row g0 (the first multiple of
@@ -412,8 +412,8 @@ def _tails_scaled(param: float, shifted: bool, n: np.ndarray | range, p: float,
             return _run_tails(None, *run, p, term, em_tail, out)
     n = np.asarray(n)   # a range's rows, for the per-row path
     out = np.empty(n.shape) if out is None else out
-    first, single = (32, shifted_tail) if shifted else (16, hurwitz_tail)
-    small = n < first
+    scalar_below, single = (32, shifted_tail) if shifted else (16, hurwitz_tail)
+    small = n < scalar_below
     if np.any(small):
         for idx in np.nonzero(small)[0]:
             ni = int(n[idx])
