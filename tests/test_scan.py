@@ -492,11 +492,6 @@ def test_tail_read_alone_loads_no_window(kind, cone, monkeypatch):
     assert calls == []
 
 
-def _closing(kind, cone, flip, u, v):
-    return _row_sup(lambda w, K: _kind_rows(kind, w, cone, K, flip), u, v, TruncConfig(),
-                    None, _tail(kind, cone, flip, u, v))
-
-
 def test_closing_scan_is_one_block_read():
     # every plan's closing scan reads rows 1..256 once: its answer is the
     # max of a one-block _row_sup read and of one fresh engine call over
@@ -506,15 +501,16 @@ def test_closing_scan_is_one_block_read():
     for kind, cone, plan in _plans():
         for a, b in ((0.5, 0.3), (-0.5, -0.7)):
             u, v = P(a), P(b)
-            r = _closing(kind, cone, plan.flip, u, v)
+            rows = lambda w, K: _kind_rows(kind, w, cone, K, plan.flip)   # noqa: E731
+            tail = _tail(kind, cone, plan.flip, u, v)
+            r = _row_sup(rows, u, v, TruncConfig(), None, tail)
             if r.status is not Status.TRUNCATED_CONVERGED:
                 continue
             assert r.n_used == S, (kind, cone, a)
-            one = _row_sup(lambda w, K: _kind_rows(kind, w, cone, K, plan.flip), u, v,
-                           TruncConfig(n_max=S), None)
+            one = _row_sup(rows, u, v, TruncConfig(n_max=S), None)
             fresh = codomain_values(v, S) * _kind_rows(kind, u, cone, S + 1, plan.flip)(n)
             assert float(fresh.max()) == one.value
-            t = _tail(kind, cone, plan.flip, u, v).at(S)
+            t = tail.at(S)
             want = NormResult(one.value, Status.TRUNCATED_CONVERGED, S, max(0.0, t - one.value))
             assert repr(r) == repr(want), (kind, cone, a)
             checked += 1

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesaro_copson.weights import (Cone, ListWeight, PowerWeight, SeqWindow,
-                                   codomain_values, codomain_weight_at,
+from cesaro_copson.weights import (Cone, ListWeight, PowerWeight, SeqWindow, _fill_range,
+                                   _range, codomain_values, codomain_weight_at,
                                    envelope_down,
                                    envelope_up, quotient_norm_weighted,
                                    sup_norm_weighted, weight_at,
@@ -48,15 +48,12 @@ def test_values_from_a_first_row_are_a_slice_of_the_whole(w, first, K):
 
 
 @pytest.mark.parametrize("end", [8191, 8192, 8193])
-@pytest.mark.parametrize("K", [1, 256, 8191])
+@pytest.mark.parametrize("K", [1, 256, 8190])
 def test_ramp_fed_values_match_the_filled_path(end, K):
     # power values at first..end - 1 (end = first + K) read the float ramp
     # up to its last entry 8191 and fill a range past it: the bits of
     # k**-a and n**b over a filled range, either way and with or without out
-    from cesaro_copson.weights import _fill_range, _range
     first = end - K
-    if first < 1:
-        return
     filled = _fill_range(np.empty(K), first)
     np.testing.assert_array_equal(_range(first, K), filled)
     for a in (0.6, -1.3):
@@ -73,7 +70,6 @@ def test_ramp_fed_values_match_the_filled_path(end, K):
 
 
 def test_ramps_are_read_only():
-    from cesaro_copson.weights import _range
     view = _range(1, 256)
     assert not view.flags.writeable
     with pytest.raises(ValueError):
