@@ -34,7 +34,7 @@ evaluated once per block, as the powers of the columns its row shape
 reads, those columns give the scales their rows and the tails their run,
 and power prefix sums are carried from block to block.  A block's rows,
 its columns and v_n's rows are slices of a ramp of the integers and
-floats 0..8191 (``weights._range``) in the first two blocks, so a scan
+floats 0..8191 (``weights._RAMPS``) in the first two blocks, so a scan
 that its first block closes fills no range, and one fill each past them.
 Every other per-block array of a scan (v_n, the row parts, the value
 window, the prefix sums, the tails) is written with ``out=`` into block
@@ -215,8 +215,8 @@ class _Buffers(dict):
 
     def range(self, name: str, first: int, count: int, kind: str = "f") -> np.ndarray:
         """first..first+count-1 as floats (integers for kind "i"): a slice
-        of the ramp while it holds them (as ``weights._range``), past it
-        written into the named buffer."""
+        of that ramp while it holds them (as ``weights._range`` for floats),
+        past it written into the named buffer."""
         ramp = _RAMPS[kind]
         if first + count <= ramp.size:
             return ramp[first:first + count]

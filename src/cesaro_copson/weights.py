@@ -163,15 +163,14 @@ def _fill_range(out: np.ndarray, first: int) -> np.ndarray:
     return out
 
 
-def _range(first: int, count: int, out: np.ndarray | None = None,
-           kind: str = "f") -> np.ndarray:
-    """first, first+1, ..., first+count-1 (first >= 0) as floats, or as
-    integers for kind "i": a read-only slice of that ramp when it holds
-    them, else written into out (a new array when None) by ``_fill_range``."""
-    ramp = _RAMPS[kind]
+def _range(first: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The floats first, first+1, ..., first+count-1 (first >= 0): a
+    read-only slice of the float ramp when it holds them, else written into
+    out (a new array when None) by ``_fill_range``."""
+    ramp = _RAMPS["f"]
     if first + count <= ramp.size:
         return ramp[first:first + count]
-    return _fill_range(np.empty(count, ramp.dtype) if out is None else out, first)
+    return _fill_range(np.empty(count) if out is None else out, first)
 
 
 def weight_at(w: Weight, k: int) -> float:
