@@ -238,10 +238,11 @@ class _SeqData:
     over a run of columns, read by (first column, count), without any table
     of the horizon's length.  Column 0 holds u_0 = 0.
 
-    A ListWeight keeps its tables up to L = min(K, length): past L the
-    values are 0, the prefix sums keep their last value and the tails are
-    0.  Power, ones and zeros modes are infinite sequences: their values
-    come from the formula and their tails are analytic.
+    A ListWeight keeps its tables up to L = min(K, length) (``length``,
+    with ``total`` = P_L): past L the values are 0, the prefix sums keep
+    their last value and the tails are 0.  Power, ones and zeros modes are
+    infinite sequences: their values come from the formula and their tails
+    are analytic.
 
     The engine reads a row block as one range of columns: ``load(first,
     last)`` holds the columns first..last that the block's parts read, as
@@ -280,12 +281,17 @@ class _SeqData:
                 self.mode, self.alpha = "zeros", 0.0
             return
         self.mode, self.alpha = "list", 0.0
-        L = min(K, u.length)
+        self.length = L = min(K, u.length)
         self._vals = np.zeros(L + 1)     # u_0..u_L
         self._vals[1:] = _envelope(u, env, L)
         self._prefix = np.zeros(L + 1)   # P_0..P_L, as np.cumsum
         np.add.accumulate(self._vals[1:], out=self._prefix[1:])
         self._tails: dict[Callable, np.ndarray] = {}   # per kernel, at its first read
+
+    @property
+    def total(self) -> float:
+        """P_L, the last entry of a list's prefix table."""
+        return float(self._prefix[-1])
 
     def load(self, first: int, last: int) -> None:
         """The columns first..last (first >= 0) as the block's: as floats,
@@ -451,14 +457,15 @@ def _generic_row_values(kind: OpKind, cone: Cone, flip: SignFlip, sd: _SeqData,
     return pos
 
 
-def _kind_rows(kind: OpKind, u: Weight, cone: Cone, K: int,
+def _kind_rows(kind: OpKind, u: Weight | _SeqData, cone: Cone, K: int,
                flip: SignFlip = NO_FLIP) -> Callable[[np.ndarray], np.ndarray]:
     """The row engine: F(n) of the kind's rows flipped by flip, against u
-    with the cone's envelope over the column horizon K.  A row block is a
-    run: the returned function reads the rows n[0]..n[-1] of its integer
-    array n, and reads them as one range of columns.  What it gives is
-    valid only until its next call."""
-    sd = _SeqData(u, _ENV[cone], K)
+    with the cone's envelope over the column horizon K (or against the
+    ``_SeqData`` of them, already built).  A row block is a run: the
+    returned function reads the rows n[0]..n[-1] of its integer array n,
+    and reads them as one range of columns.  What it gives is valid only
+    until its next call."""
+    sd = u if isinstance(u, _SeqData) else _SeqData(u, _ENV[cone], K)
     return partial(_generic_row_values, kind, cone, flip, sd, bufs=sd.bufs)
 
 
@@ -486,35 +493,68 @@ def _finite_sup(row_values: Callable[[Weight], np.ndarray], u: Weight,
 def _rescaled_sup(row_values: Callable[[Weight], np.ndarray], u: Weight,
                   vvals: np.ndarray, prods: np.ndarray) -> float:
     """The supremum when some products overflowed: those rows are evaluated
-    against u * 2**-shift and scaled back.  ValueError when u is not a
-    ListWeight or the supremum does not fit in a float64."""
-    if not isinstance(u, ListWeight):
-        raise ValueError("row values overflow float64 (only a ListWeight "
-                         "domain weight is rescaled)")
+    against u * 2**-shift, multiplied by v_n as mantissas and exponents, so
+    that a small v_n does not lose bits to subnormals, and scaled back.
+    ValueError when the supremum does not fit in a float64."""
+    fine = np.isfinite(prods)
+    rest = float(np.max(prods[fine], initial=0.0))
+    over = ~fine & (vvals > 0)   # a row with v_n = 0 is 0, whatever F(n) is
+    if not over.any():
+        return rest
     # no row functional exceeds (2L + 2) * max(u): a positive and a negative
     # part of at most L entries under kernels <= 1 each, or, for the
     # two-operator rows, the envelope of k u_k under 1/(k(k+1)), at most
-    # (L + 1) * max(u).  After this shift every scaled row is below 1, so
-    # v_n times it stays finite.
-    shift = math.frexp(max(u.values))[1] + (2 * u.length + 2).bit_length()
-    scaled = ListWeight(tuple(math.ldexp(x, -shift) for x in u.values))
-    over = ~np.isfinite(prods)
-    top = float(np.max(vvals[over] * row_values(scaled)[over]))
-    try:
-        top = math.ldexp(top, shift)
-    except OverflowError:
-        raise ValueError(f"the norm overflows float64: {top!r} * 2**{shift}") from None
-    rest = prods[~over]
-    return max(top, float(np.max(rest))) if rest.size else top
+    # (L + 1) * max(u).  After this shift every scaled row is below 1.
+    if isinstance(u, ListWeight):
+        shift = math.frexp(max(u.values))[1] + (2 * u.length + 2).bit_length()
+        scaled = ListWeight(tuple(math.ldexp(x, -shift) for x in u.values))
+    elif -2.0 ** 13 <= u.alpha <= -1:
+        shift, values = _scaled_powers(u.alpha, vvals.size + 1)
+        scaled = ListWeight(tuple(values))
+    else:
+        # alpha > -1: u_k < k keeps F(n) finite over the horizon, so v_n F(n)
+        # itself is past float64.  alpha < -2**13: an overflowed row reads
+        # some u_k >= 2**8192 (k >= 2) with a coefficient >= 1/(K(K+1)),
+        # and v_n >= 2**-1074 does not bring that back into range.
+        raise ValueError("the norm overflows float64")
+    mv, ev = np.frexp(vvals[over])
+    mf, ef = np.frexp(row_values(scaled)[over])
+    with np.errstate(over="ignore"):
+        top = float(np.max(np.ldexp(mv * mf, ev + ef + shift)))
+    if not math.isfinite(top):
+        raise ValueError(f"the norm overflows float64 (scaled by 2**-{shift})")
+    return max(top, rest)
+
+
+def _scaled_powers(alpha: float, K: int) -> tuple[int, np.ndarray]:
+    """(shift, u_1..u_K * 2**-shift) for u_k = k**-alpha, alpha <= -1, with
+    the shift ``_rescaled_sup`` asks for, and without forming a power past
+    float64: each value is (k**(a/m) * 2**(-shift/m))**m, a = -alpha, with m
+    the least power of two that keeps k**(a/m) below 2**1000.
+
+    Truncated rows 1..L_v read u at columns 1..L_v + 1 at most (no row
+    shape has an offset above +1), and with alpha <= -1 every tail kernel's
+    sum diverges, so rows that returned read no tail: these K = L_v + 1
+    values are all of u the rows read."""
+    a = -alpha
+    top = a * math.log2(K)   # log2 of the largest value, u_K
+    m = 1 << max(0, math.ceil(math.log2(top / 1000.0))) if top > 1000.0 else 1
+    shift = math.ceil(top) + 1 + (2 * K + 2).bit_length()
+    shift += -shift % m   # a multiple of m
+    x = np.ldexp(np.power(np.arange(1.0, K + 1.0), a / m), -(shift // m))
+    return shift, np.power(x, float(m), out=x)
 
 
 class _Tail(NamedTuple):
     """sup over rows n > N of v_n * F(n), as ``at(N)``: that supremum itself
     when ``exact``, otherwise a proven upper bound on it.  ``at`` returns
-    None while N is too small for it to say anything."""
+    None while N is too small for it to say anything.  ``data`` is the
+    ``_SeqData`` a list tail read its constant from, which the rows then
+    read too, so that its tables are built once."""
 
     at: Callable[[int], float | None]
     exact: bool = False
+    data: _SeqData | None = None
 
 
 def _scan_blocks(N: int):
@@ -653,7 +693,7 @@ def _row_sup(rows: Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]],
                                codomain_values(v, L_v), L_u is None)
         except _DivergentTail:
             return _divergent()
-    row_fn = rows(u, K)
+    row_fn = rows(u if tail is None or tail.data is None else tail.data, K)
     bufs = _Buffers()
 
     def values_fn(n: np.ndarray) -> np.ndarray:
@@ -677,7 +717,8 @@ def _tail(kind: OpKind, cone: Cone, flip: SignFlip, u: Weight,
     if not isinstance(v, PowerWeight):
         return None
     if isinstance(u, ListWeight):
-        return _list_tail(ROW_SHAPES[kind], flip, u, _ENV[cone], v.alpha)
+        return _list_tail(ROW_SHAPES[kind], flip, _SeqData(u, _ENV[cone], u.length),
+                          v.alpha)
     env = _ENV[cone]
     if env == "up" and u.alpha > 0:   # the envelope is 0, and so is every row
         return _Tail(lambda N: 0.0)
@@ -686,20 +727,20 @@ def _tail(kind: OpKind, cone: Cone, flip: SignFlip, u: Weight,
                        sum if cone is Cone.ALL else max)
 
 
-def _list_tail(sh: RowShape, flip: SignFlip, u: ListWeight, env: str,
+def _list_tail(sh: RowShape, flip: SignFlip, sd: _SeqData,
                b: float) -> _Tail | None:
-    """Exact tail for u_1..u_L against v_n = n**b.  Past row L + 1 and the
-    last listed flip (every offset in the row shapes is at least -1), no
-    row reaches a column of u but an unflipped prefix, which reads the
-    whole envelope: such rows are c * n**b * scale(1, n) = c * n**e, and
-    every other row is 0."""
-    start = max(u.length + 1, max(flip.flip_rows, default=0))
+    """Exact tail for the list u_1..u_L of sd against v_n = n**b.  Past row
+    L + 1 and the last listed flip (every offset in the row shapes is at
+    least -1), no row reaches a column of u but an unflipped prefix, which
+    reads the whole envelope: such rows are c * n**b * scale(1, n) =
+    c * n**e, c the prefix table's last entry, and every other row is 0."""
+    start = max(sd.length + 1, max(flip.flip_rows, default=0))
     c, e = 0.0, 0.0
     if sh.block is PREFIX and not flip.flip_all:
         q, exact = SCALE_POWERS[sh.scale]
         if not exact:
             return None
-        c = float(np.add.accumulate(_envelope(u, env, u.length))[-1])   # as the prefix sums
+        c = sd.total
         e = b + q
 
     def at(N: int) -> float | None:
@@ -711,7 +752,7 @@ def _list_tail(sh: RowShape, flip: SignFlip, u: ListWeight, env: str,
             return c * (N + 1.0) ** e   # n**e decreases: its sup is at N + 1
         return c if e == 0 else math.inf
 
-    return _Tail(at, exact=True)
+    return _Tail(at, exact=True, data=sd)
 
 
 # A part of row n >= 2 is at most n**(r - alpha) * f(n), r an integer and f

@@ -1,8 +1,9 @@
 """Structured representations of the averaging/tail matrices.
 
 Matrices are never materialised.  ``entry`` gives b_{n,k} by its defining
-formula, written out per kind: it is the ground truth the tests pin
-``row_entries``, ``apply_batch`` and ``last_index_of_part`` to.  The dense
+formula, written out per kind in one table (``ENTRY_FORMULAS``) that each
+call reads once: it is the ground truth the tests pin ``row_entries``,
+``apply_batch`` and ``last_index_of_part`` to.  The dense
 path (``norms``) reads rows through ``row_entries``; the oracle reads B w
 for all rows from ``apply_batch``, each row's column of the entry of the
 other sign from ``oracle._off_sign_columns`` (which the tests pin to
@@ -62,6 +63,7 @@ __all__ = [
     "RowClass",
     "SignFlip",
     "ConePlan",
+    "ENTRY_FORMULAS",
     "entry",
     "classify_row",
     "cone_plan",
@@ -143,46 +145,34 @@ class SignFlip:
 NO_FLIP = SignFlip()
 
 
+# The entry table: each kind's defining formula for b_{n,k} (n, k >= 1),
+# written out literally.  ``entry`` looks its kind up once, so no call reads
+# more than one OpKind member (an Enum member read costs 120-200 ns on
+# Python 3.10/3.11, against ~20 ns for a module global).
+ENTRY_FORMULAS: dict[OpKind, Callable[[int, int], float]] = {
+    OpKind.C: lambda n, k: 1.0 / n if k <= n else 0.0,
+    OpKind.CSTAR: lambda n, k: 1.0 / k if k >= n else 0.0,
+    OpKind.C_MINUS_I: lambda n, k: (1.0 / n if k < n else
+                                    -(n - 1.0) / n if k == n else 0.0),
+    OpKind.CSTAR_MINUS_I: lambda n, k: (1.0 / k if k > n else
+                                        -(n - 1.0) / n if k == n else 0.0),
+    OpKind.C_MINUS_SSTAR: lambda n, k: (1.0 / n if k <= n else
+                                        -1.0 if k == n + 1 else 0.0),
+    OpKind.CSTARSD: lambda n, k: (1.0 / (k * (k + 1.0)) if k >= n else
+                                  -1.0 / n if k == n - 1 else 0.0),
+    OpKind.S: lambda n, k: 1.0 if k == n - 1 else 0.0,
+    OpKind.SSTAR: lambda n, k: 1.0 if k == n + 1 else 0.0,
+    OpKind.D: lambda n, k: 1.0 / (n + 1.0) if k == n else 0.0,
+    OpKind.E: lambda n, k: 1.0 if k <= n else 0.0,
+    OpKind.I: lambda n, k: 1.0 if k == n else 0.0,
+}
+
+
 def entry(kind: OpKind, n: int, k: int, flip: SignFlip = NO_FLIP) -> float:
     """Matrix entry b_{n,k} (n, k >= 1), after any row sign flips."""
     if n < 1 or k < 1:
         raise ValueError("indices must be >= 1")
-    e = 0.0
-    if kind is OpKind.C:
-        e = 1.0 / n if k <= n else 0.0
-    elif kind is OpKind.CSTAR:
-        e = 1.0 / k if k >= n else 0.0
-    elif kind is OpKind.C_MINUS_I:
-        if k < n:
-            e = 1.0 / n
-        elif k == n:
-            e = -(n - 1.0) / n
-    elif kind is OpKind.CSTAR_MINUS_I:
-        if k > n:
-            e = 1.0 / k
-        elif k == n:
-            e = -(n - 1.0) / n
-    elif kind is OpKind.C_MINUS_SSTAR:
-        if k <= n:
-            e = 1.0 / n
-        elif k == n + 1:
-            e = -1.0
-    elif kind is OpKind.CSTARSD:
-        if k >= n:
-            e = 1.0 / (k * (k + 1.0))
-        elif k == n - 1:
-            e = -1.0 / n
-    elif kind is OpKind.S:
-        e = 1.0 if k == n - 1 else 0.0
-    elif kind is OpKind.SSTAR:
-        e = 1.0 if k == n + 1 else 0.0
-    elif kind is OpKind.D:
-        e = 1.0 / (n + 1.0) if k == n else 0.0
-    elif kind is OpKind.E:
-        e = 1.0 if k <= n else 0.0
-    elif kind is OpKind.I:
-        e = 1.0 if k == n else 0.0
-    return flip.sign(n) * e
+    return flip.sign(n) * ENTRY_FORMULAS[kind](n, k)
 
 
 # ---------------------------------------------------------------------------

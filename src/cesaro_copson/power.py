@@ -30,6 +30,7 @@ scan engine, which uses them to certify its truncated suprema.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,19 @@ class PowerCaseResult:
     m_alpha_value: float | None = None
     m_breakpoint: int | None = None
     mode: str | None = None   # "limit" or "attained": see the module docstring
+
+
+# zeta(s) and M_alpha per argument, cached as special_sums._em_table is: a
+# matched scan's certificate reads one on every call, and each is an fsum
+# over some 30-60 terms
+@functools.lru_cache(maxsize=64)
+def _zeta(s: float) -> float:
+    return zeta(s).value
+
+
+@functools.lru_cache(maxsize=64)
+def _m_alpha(alpha: float) -> float:
+    return m_alpha(alpha).value
 
 
 def breakpoint_s(m: int) -> float:
@@ -108,7 +122,7 @@ def copson_power(alpha: float, cone: Cone) -> PowerCaseResult:
         return PowerCaseResult(0.0, "nondecreasing cone: zero sequence only")
     if alpha <= 0:
         return PowerCaseResult(math.inf, "alpha <= 0")
-    return PowerCaseResult(zeta(alpha + 1.0).value, "alpha > 0",
+    return PowerCaseResult(_zeta(alpha + 1.0), "alpha > 0",
                            zeta_arg=alpha + 1.0, mode="attained")
 
 
@@ -181,7 +195,7 @@ def two_op_cstarc_power(alpha: float, cone: Cone) -> PowerCaseResult:
             return PowerCaseResult(math.inf, "alpha <= 0")
         if alpha <= 1:
             return PowerCaseResult(1.0 + 1.0 / alpha, "0 < alpha <= 1", mode="limit")
-        ma = m_alpha(alpha).value
+        ma = _m_alpha(alpha)
         return PowerCaseResult(2.0 ** alpha * ma, "alpha > 1", m_alpha_value=ma,
                                mode="attained")
     if cone is Cone.NONNEG:

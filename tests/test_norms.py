@@ -448,11 +448,33 @@ def test_dense_path_rescale_matches_entry(monkeypatch):
     assert got.value == want.value
 
 
+@pytest.mark.parametrize("call, row", [
+    # row 10 of C: (1/10) sum_{k<=10} k**400
+    (norm_cesaro, lambda mp: sum(mp.mpf(k) ** 400 for k in range(1, 11)) / 10),
+    # row 10 of C - S* on ALL: that, plus the off-diagonal u_11 = 11**400
+    (norm_c_minus_sstar,
+     lambda mp: sum(mp.mpf(k) ** 400 for k in range(1, 11)) / 10 + mp.mpf(11) ** 400),
+], ids=["C", "C-S*"])
+def test_power_weight_overflow_on_a_finite_problem_is_rescaled(call, row):
+    # k**400 overflows in u from k = 6, but v = 1e-300 at row 10 alone
+    # brings the norm back to about 1e99 (C) or 3.6e116 (C - S*)
+    mp = pytest.importorskip("mpmath")
+    r = call(P(-400), L(*[0.0] * 9, 1e-300), Cone.ALL)
+    with mp.workdps(40):
+        want = mp.mpf(1e-300) * row(mp)
+    assert r.status is Status.CLOSED_FORM
+    assert abs(r.value - want) <= 1e-12 * want
+
+
 def test_power_weight_overflow_is_a_clear_error():
-    # the norm is about 1e99 (row 10: 1e-300 * (1/10) * sum_{k<=10} k^400),
-    # but k^400 already overflows in u, and only a ListWeight u is rescaled
+    # with v_10 = 1 the norm itself is about 1e399, past float64
     with pytest.raises(ValueError, match="overflow"):
-        norm_cesaro(P(-400), L(*[0.0] * 9, 1e-300), Cone.ALL)
+        norm_cesaro(P(-400), L(*[0.0] * 9, 1.0), Cone.ALL)
+    # rows 2.. of a weight this steep overflow with any v_n > 0; row 1 reads
+    # u_1 = 1 alone, and rows where v_n = 0 are 0
+    with pytest.raises(ValueError, match="overflow"):
+        norm_cesaro(P(-1e300), L(1.0, 1e-300), Cone.ALL)
+    assert norm_cesaro(P(-1e300), L(1.0, 0.0), Cone.ALL).value == 1.0
 
 
 def test_list_u_power_v_divergence_is_not_converged():

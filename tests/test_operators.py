@@ -33,6 +33,59 @@ def test_entry_matches_defining_formulas():
     assert entry(OpKind.I, 2, 2) == 1.0
 
 
+def _switch_entry(kind, n, k, flip):
+    """b_{n,k} by a switch on the kind, as entry() was written before its
+    table of formulas: the reference the table must equal bit for bit."""
+    e = 0.0
+    if kind is OpKind.C:
+        e = 1.0 / n if k <= n else 0.0
+    elif kind is OpKind.CSTAR:
+        e = 1.0 / k if k >= n else 0.0
+    elif kind is OpKind.C_MINUS_I:
+        if k < n:
+            e = 1.0 / n
+        elif k == n:
+            e = -(n - 1.0) / n
+    elif kind is OpKind.CSTAR_MINUS_I:
+        if k > n:
+            e = 1.0 / k
+        elif k == n:
+            e = -(n - 1.0) / n
+    elif kind is OpKind.C_MINUS_SSTAR:
+        if k <= n:
+            e = 1.0 / n
+        elif k == n + 1:
+            e = -1.0
+    elif kind is OpKind.CSTARSD:
+        if k >= n:
+            e = 1.0 / (k * (k + 1.0))
+        elif k == n - 1:
+            e = -1.0 / n
+    elif kind is OpKind.S:
+        e = 1.0 if k == n - 1 else 0.0
+    elif kind is OpKind.SSTAR:
+        e = 1.0 if k == n + 1 else 0.0
+    elif kind is OpKind.D:
+        e = 1.0 / (n + 1.0) if k == n else 0.0
+    elif kind is OpKind.E:
+        e = 1.0 if k <= n else 0.0
+    elif kind is OpKind.I:
+        e = 1.0 if k == n else 0.0
+    return flip.sign(n) * e
+
+
+@pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.name)
+def test_entry_table_matches_the_switch(kind):
+    flips = (NO_FLIP, SignFlip(flip_all=True), SignFlip(flip_rows=frozenset({1, 2, 7, 40})))
+    for flip in flips:
+        for n in range(1, 41):
+            for k in range(1, 41):
+                got, want = entry(kind, n, k, flip), _switch_entry(kind, n, k, flip)
+                # == with the sign bit too: -0.0 stays -0.0
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), \
+                    (kind, n, k, flip)
+
+
 def test_nonnegative_kinds_have_nonnegative_entries():
     for kind in NONNEG_KINDS:
         for n in range(1, 12):

@@ -161,6 +161,29 @@ def test_one_entry_per_row_at_most(monkeypatch):
     assert 0 < len(calls) <= 2000
 
 
+@pytest.mark.parametrize("kind", PRINCIPAL_KINDS, ids=lambda k: k.name)
+def test_one_entry_call_per_row_with_an_off_sign_column(kind, monkeypatch, rng):
+    # the coefficient of each row's off-sign entry is one literal entry()
+    # call, at that row and column with the plan's flip, and no other call;
+    # the list pair has rows past the column horizon, without such a column
+    calls = counted_entry(monkeypatch)
+    pairs = ((P(0.5), P(0.5), 60),
+             (random_list_weight(rng, 7), random_list_weight(rng, 12), 60))
+    for u, v, N in pairs:
+        for cone in Cone:
+            calls.clear()
+            try:
+                extremal_lower_bound(kind, u, v, cone, N)
+            except UnsupportedConeError:
+                continue
+            plan = cone_plan(kind, cone, truncation_length(u), max_row=truncation_length(v))
+            rows, cols = _horizons(u, v, N)
+            want = [] if plan.trivially_zero else [
+                (kind, n, j, plan.flip) for n in range(1, rows + 1)
+                if (j := last_index_of_part(kind, n, cols, negative=True))]
+            assert calls == want, (cone, u)
+
+
 @pytest.mark.parametrize("K", [1, 2, 7, 2000])
 def test_off_sign_columns_are_last_index_of_part(K):
     # the one array pass the witnesses read, against the per-row scalar

@@ -446,6 +446,29 @@ def test_list_u_power_v_limit_and_divergence():
     assert r.status is Status.DIVERGENT and r.value == math.inf
 
 
+@pytest.mark.parametrize("cone", list(Cone), ids=lambda c: c.name)
+def test_list_u_power_v_builds_its_tables_once(cone, monkeypatch, rng):
+    # the exact tail's constant is the prefix table's last entry, to the
+    # bit, and the rows read the tables the tail built: one _SeqData
+    u, v = ListWeight(tuple(rng.uniform(0.5, 1.0, 9))), P(-0.5)
+    tail = _tail(OpKind.C, cone, cone_plan(OpKind.C, cone, 9).flip, u, v)
+    sd = tail.data
+    assert tail.at(10) == float(sd.prefix(9, 1)[0]) * 11.0 ** -1.5
+    assert sd.total == np.cumsum(norms._envelope(u, norms._ENV[cone], 9))[-1]
+    builds = []
+
+    class Counted(norms._SeqData):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(norms, "_SeqData", Counted)
+    for kind in PRINCIPAL_KINDS:
+        builds.clear()
+        if SPECIALIZED_BY_KIND[kind](u, v, cone).status is not Status.UNSUPPORTED:
+            assert len(builds) == 1, kind
+
+
 @pytest.mark.parametrize("fn", [
     lambda u, v, cone, cfg: norm_general(OpKind.C_MINUS_I, u, v, cone, cfg),
     dist_cesaro_identity,
