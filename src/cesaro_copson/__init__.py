@@ -11,9 +11,9 @@ from .weights import (Cone, ListWeight, PowerWeight, SeqWindow, Weight,
                       codomain_weight_at, envelope_down, envelope_up,
                       quotient_norm_weighted, sup_norm_weighted, weight_at,
                       weight_from_csv, weight_from_json, weight_to_json)
-from .operators import (OpKind, PRINCIPAL_KINDS, RowClass, RowPattern,
-                        SignFlip, apply, check_identity_first,
-                        check_identity_second, classify_row, cone_plan, entry)
+from .operators import (OpKind, PRINCIPAL_KINDS, SignFlip, apply,
+                        check_identity_first, check_identity_second, cone_plan,
+                        entry)
 from .special_sums import (CertifiedValue, hurwitz_tail, m_alpha, shifted_tail,
                            zeta)
 from .norms import (DEFAULT_TRUNC, NormResult, Status, TruncConfig,

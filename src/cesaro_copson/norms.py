@@ -12,17 +12,20 @@ One engine (``_kind_rows``) computes F for every kind: the positive and
 negative parts of each row, read from the kind's row shape
 (``operators.ROW_SHAPES``: a prefix, tail or single-column block and at most
 one negative entry) against prefix sums, kernel tails and values of u, with
-analytic tails on power-weight problems; on the monotone cones the cone
-plan's row flips pick one part per row.  ``norm_general``, the six
-per-operator functions (``norm_cesaro`` ... ``norm_cstarsd``) and the best
-constants of ``two_operator`` all read their rows from it.  The
-per-operator functions also route matched power pairs (u and v both
-PowerWeight with the same alpha) to the closed-form branch tables.  The
-supremum goes through one driver, ``_row_sup``: ``_finite_sup`` over the
-rows of a truncated v, ``_scan_sup`` otherwise.  ``norm_general`` on a fully
-truncated problem is the one exception: it reads the literal matrix, built
-row by row from ``operators.row_entries`` (which the tests pin to
-``entry``), through ``_dense_norm``, which calls ``_finite_sup`` itself.
+analytic tails on power-weight problems.  On the monotone cones the cone
+plan flips one run of rows (``operators.SignFlip``), and each row reads one
+part: a block of rows inside or outside the run reads only that part, and
+only a block that straddles an end of the run reads both.
+``norm_general``, the six per-operator functions (``norm_cesaro`` ...
+``norm_cstarsd``) and the best constants of ``two_operator`` all read their
+rows from it.  The per-operator functions also route matched power pairs
+(u and v both PowerWeight with the same alpha) to the closed-form branch
+tables.  The supremum goes through one driver, ``_row_sup``:
+``_finite_sup`` over the rows of a truncated v, ``_scan_sup`` otherwise.
+``norm_general`` on a fully truncated problem is the one exception: it
+reads the literal matrix, built row by row from ``operators.row_entries``
+(which the tests pin to ``entry``), through ``_dense_norm``, which calls
+``_finite_sup`` itself.
 
 Infinite problems scan rows 1..n_max in contiguous blocks (rows 1..256,
 then up to 4096, then up to 65,536, then _SCAN_BLOCK rows each), ending on
@@ -86,9 +89,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import power as power_mod
-from .operators import (INV_K, INV_K_KP1, NO_FLIP, PREFIX, ROW_SHAPES,
-                        SCALE_POWERS, SINGLE, TAIL, ConePlan, OpKind, RowShape,
-                        SignFlip, cone_plan, row_entries)
+from .operators import (INV_K, NO_FLIP, PREFIX, ROW_SHAPES, SCALE_POWERS,
+                        SINGLE, TAIL, ConePlan, OpKind, RowShape, SignFlip,
+                        cone_plan, row_entries)
 from .special_sums import (_BLOCK, _FIRST_BLOCK, _RUN_ANCHOR, _value_run_tails,
                            hurwitz_tail_scaled, shifted_tail_scaled)
 from .weights import (_RAMPS, Cone, ListWeight, PowerWeight, Weight, _fill_range,
@@ -436,15 +439,17 @@ def _generic_row_values(kind: OpKind, cone: Cone, flip: SignFlip, sd: _SeqData,
     flip of the monotone cones; sd is u with the cone's envelope
     _ENV[cone].  The result is one of the buffers of bufs."""
     sh = ROW_SHAPES[kind]
+    n0, n1 = int(n[0]), int(n[-1])
     if cone is Cone.ALL or cone is Cone.NONNEG:
         parts = ("pos",) if sh.neg_scale is None else ("pos", "neg")
-    elif not flip.flip_rows:   # every row flipped alike
-        parts = ("neg",) if flip.flip_all else ("pos",)
-    else:
+    elif n1 < flip.first or (flip.last is not None and n0 > flip.last):
+        parts = ("pos",)   # no row of the block flipped
+    elif n0 >= flip.first and (flip.last is None or n1 <= flip.last):
+        parts = ("neg",)   # every row flipped
+    else:   # the block straddles an end of the run
         flipped = flip.flipped(n)
-        parts = (("pos",) if not flipped.any() else ("neg",) if flipped.all()
-                 else ("pos", "neg"))
-    _load(sd, sh, parts, int(n[0]), int(n[-1]))
+        parts = ("pos", "neg")
+    _load(sd, sh, parts, n0, n1)
     if len(parts) == 1:
         return _part_values(sh, parts[0], sd, n, bufs)
     pos = _part_values(sh, "pos", sd, n, bufs)
@@ -730,13 +735,14 @@ def _tail(kind: OpKind, cone: Cone, flip: SignFlip, u: Weight,
 def _list_tail(sh: RowShape, flip: SignFlip, sd: _SeqData,
                b: float) -> _Tail | None:
     """Exact tail for the list u_1..u_L of sd against v_n = n**b.  Past row
-    L + 1 and the last listed flip (every offset in the row shapes is at
-    least -1), no row reaches a column of u but an unflipped prefix, which
-    reads the whole envelope: such rows are c * n**b * scale(1, n) =
-    c * n**e, c the prefix table's last entry, and every other row is 0."""
-    start = max(sd.length + 1, max(flip.flip_rows, default=0))
+    L + 1 and the end of the run of flipped rows (every offset in the row
+    shapes is at least -1), no row reaches a column of u but an unflipped
+    prefix, which reads the whole envelope: such rows are c * n**b *
+    scale(1, n) = c * n**e, c the prefix table's last entry, and every
+    other row is 0."""
+    start = max(sd.length + 1, flip.first if flip.last is None else flip.last)
     c, e = 0.0, 0.0
-    if sh.block is PREFIX and not flip.flip_all:
+    if sh.block is PREFIX and flip.last is not None:
         q, exact = SCALE_POWERS[sh.scale]
         if not exact:
             return None

@@ -11,10 +11,10 @@ other sign from ``oracle._off_sign_columns`` (which the tests pin to
 Everything else reads one row shape per kind (``ROW_SHAPES``): row n is a
 nonnegative block, the prefix 1..n+at, the tail from n+at or the single
 column n+at, plus at most one negative entry at column n+neg_at.  Dense
-rows, row sums and sign patterns, witness endpoints, ``apply`` /
-``apply_batch`` and the engine's part values (``norms``) are all derived
-from it, with the float operations of the formulas (x / n, not
-x * (1/n)), so each derived value has the bits a per-kind formula gives.
+rows, row sums, witness endpoints, ``apply`` / ``apply_batch`` and the
+engine's part values (``norms``) are all derived from it, with the float
+operations of the formulas (x / n, not x * (1/n)), so each derived value
+has the bits a per-kind formula gives.
 
 Kinds
 -----
@@ -28,24 +28,25 @@ Kinds
     S, SSTAR, D, E, I   helpers: right shift, left shift, diag 1/(n+1),
                  partial sums, identity
 
-A :class:`SignFlip` negates a set of rows (a global toggle plus a finite
-exception set), the row-by-row preprocessing that brings a matrix into the
-shape required by the monotone-cone norm formulas.  ``cone_plan`` computes
-the canonical admissible flip for each kind/cone, or reports that the
-hypotheses cannot be satisfied.  Which flip is canonical is a policy from
-the paper, so it stays a switch per kind and cone; its row-sum checks read
-the table.
+A :class:`SignFlip` negates one run of rows, first..last (every row from
+first on when last is None), the row-by-row preprocessing that brings a
+matrix into the shape required by the monotone-cone norm formulas.  Every
+row is one block plus at most one entry of the other sign, so the flips a
+cone needs always form one such run.  ``cone_plan`` reads two cases from
+the row shapes: a kind without a negative entry keeps its rows as they are,
+and on the nondecreasing cone a 1/k tail block on an infinite horizon has
+row sums of +inf, so that norm is trivially zero.  Only the four mixed
+kinds keep a switch per cone: which run is canonical is the paper's case
+analysis, and its row-sum checks read ``apply_batch``.
 
 A column horizon L (from a ListWeight) means the L-column principal block:
-row sums, patterns and witness endpoints are all taken within 1..L.
+row sums and witness endpoints are all taken within 1..L.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -59,13 +60,10 @@ __all__ = [
     "RowShape",
     "ROW_SHAPES",
     "SCALE_POWERS",
-    "RowPattern",
-    "RowClass",
     "SignFlip",
     "ConePlan",
     "ENTRY_FORMULAS",
     "entry",
-    "classify_row",
     "cone_plan",
     "last_index_of_part",
     "apply",
@@ -101,45 +99,23 @@ PRINCIPAL_KINDS = (
 )
 
 
-class RowPattern(Enum):
-    POS_BEFORE_NEG = "pos-before-neg"
-    NEG_BEFORE_POS = "neg-before-pos"
-    BOTH = "both"          # single-signed row: satisfies either hypothesis
-    ALL_ZERO = "all-zero"
-
-
-@dataclass(frozen=True)
-class RowClass:
-    pattern: RowPattern
-    row_sum: float          # may be +-inf
-    finite_sum: bool
-
-    def satisfies(self, pattern: RowPattern) -> bool:
-        return self.pattern in (pattern, RowPattern.BOTH, RowPattern.ALL_ZERO)
-
-
 @dataclass(frozen=True)
 class SignFlip:
-    """Rows with (flip_all XOR n in flip_rows) are multiplied by -1."""
+    """Rows first..last are multiplied by -1, every row from first on when
+    last is None; the default is the empty run."""
 
-    flip_all: bool = False
-    flip_rows: frozenset[int] = field(default_factory=frozenset)
+    first: int = 1
+    last: int | None = 0
 
     def sign(self, n: int) -> float:
-        return -1.0 if (self.flip_all != (n in self.flip_rows)) else 1.0
-
-    @cached_property
-    def _table(self) -> np.ndarray:
-        """Whether rows 0..max(flip_rows) + 1 are negated; every later row
-        is negated as the last one is."""
-        table = np.full(max(self.flip_rows, default=0) + 2, self.flip_all)
-        table[np.fromiter(self.flip_rows, np.int64, len(self.flip_rows))] = not self.flip_all
-        return table
+        last = self.last
+        return -1.0 if self.first <= n and (last is None or n <= last) else 1.0
 
     def flipped(self, n: np.ndarray) -> np.ndarray:
-        """Whether each row of the int array n (rows >= 0) is negated."""
-        table = self._table
-        return table[np.minimum(n, table.size - 1)]
+        """Whether each row of the int array n is negated."""
+        if self.last is None:
+            return n >= self.first
+        return (n >= self.first) & (n <= self.last)
 
 
 NO_FLIP = SignFlip()
@@ -260,7 +236,7 @@ ROW_SHAPES = {
 def _block_cols(sh: RowShape, n: int, L: int | None) -> tuple[int, int | None]:
     """Columns lo..hi of row n's block within 1..L: empty when lo > hi, hi
     None for an infinite tail.  Scalar code: ``row_entries`` and
-    ``classify_row`` call it per row."""
+    ``last_index_of_part`` call it per row."""
     edge = n + sh.at
     if sh.block is TAIL:
         return edge, L
@@ -293,40 +269,6 @@ def row_entries(kind: OpKind, n: int, K: int, flip: SignFlip = NO_FLIP) -> np.nd
     return -e if flip.sign(n) < 0 else e
 
 
-def classify_row(kind: OpKind, n: int, ncols: int | None = None,
-                 flip: SignFlip = NO_FLIP) -> RowClass:
-    """Sign pattern and row sum of row n within columns 1..ncols.
-
-    The block and the negative entry are each contiguous, so a mixed row is
-    POS_BEFORE_NEG or NEG_BEFORE_POS depending on which comes first;
-    single-signed rows satisfy both hypotheses and are reported as BOTH.
-    """
-    sh = ROW_SHAPES[kind]
-    lo, hi = _block_cols(sh, n, ncols)
-    j = _neg_col(sh, n, ncols)
-    has_pos, has_neg = hi is None or lo <= hi, j > 0
-    if not has_pos and not has_neg:
-        return RowClass(RowPattern.ALL_ZERO, 0.0, True)
-    if not has_pos:
-        s = 0.0
-    elif hi is None:   # 1/k diverges; sum_{k>=lo} 1/(k(k+1)) telescopes to 1/lo
-        s = math.inf if sh.scale is INV_K else 1.0 / lo
-    elif sh.block is TAIL:   # summed from column hi down, as apply_batch does
-        s = float(np.cumsum(sh.scale(1.0, np.arange(hi, lo - 1, -1, dtype=float)))[-1])
-    else:
-        s = sh.scale(float(hi - lo + 1), n)
-    if j:
-        s -= sh.neg_scale(1.0, n)
-    flipped = flip.sign(n) < 0
-    if flipped:
-        s = -s
-    if has_pos != has_neg:
-        return RowClass(RowPattern.BOTH, s, math.isfinite(s))
-    neg_first = (j < lo) != flipped
-    pat = RowPattern.NEG_BEFORE_POS if neg_first else RowPattern.POS_BEFORE_NEG
-    return RowClass(pat, s, math.isfinite(s))
-
-
 @dataclass(frozen=True)
 class ConePlan:
     """Preprocessing decision for a monotone-cone norm computation."""
@@ -342,7 +284,8 @@ _AS_IS = ConePlan(True)   # the rows as they are: no flips
 
 def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
               max_row: int | None = None) -> ConePlan:
-    """Canonical row flips making the monotone-cone hypotheses hold.
+    """Canonical row flips, one run of rows, making the monotone-cone
+    hypotheses hold.
 
     For cone NONINCR every (flipped) row must be positives-before-negatives
     with nonnegative sum; for NONDECR negatives-before-positives with
@@ -350,55 +293,44 @@ def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
     ``L`` is the column horizon (None = infinite), ``max_row`` the largest
     row the problem can see (None = all rows).
     """
-    if cone in (Cone.ALL, Cone.NONNEG):
+    if cone is Cone.ALL or cone is Cone.NONNEG:
+        return _AS_IS
+    sh = ROW_SHAPES[kind]
+    if cone is Cone.NONDECR and L is None and sh.block is TAIL and sh.scale is INV_K:
+        # a 1/k tail sums to +inf against a nonzero nondecreasing sequence
+        return ConePlan(True, trivially_zero=True)
+    if sh.neg_scale is None:   # single-signed rows
         return _AS_IS
 
-    nonneg_kinds = (OpKind.C, OpKind.CSTAR, OpKind.S, OpKind.SSTAR,
-                    OpKind.D, OpKind.E, OpKind.I)
-
     if cone is Cone.NONINCR:
-        if kind in nonneg_kinds or kind in (OpKind.C_MINUS_I, OpKind.C_MINUS_SSTAR):
+        if kind is OpKind.C_MINUS_I or kind is OpKind.C_MINUS_SSTAR:
             return _AS_IS
         if kind is OpKind.CSTARSD:
             # rows >= 2 flipped; flipped sums are 1/(L+1) (or 0), row 1 stays
-            return ConePlan(True, SignFlip(flip_all=True, flip_rows=frozenset({1})))
+            return ConePlan(True, SignFlip(2, None))
         if kind is OpKind.CSTAR_MINUS_I:
             if L is None:
                 return ConePlan(False, reason="flipped rows of C*-I have sum -inf")
-            fl = SignFlip(flip_rows=frozenset(range(2, L + 1)))
+            fl = SignFlip(2, L)
             n = _first_negative_row(kind, L, max_row, fl)
             if n is not None:
                 return ConePlan(False, reason=f"flipped row {n} has negative sum")
             return ConePlan(True, fl)
-        raise ValueError(f"unknown kind {kind}")
-
-    # cone NONDECR
-    if kind in nonneg_kinds:
-        if kind is OpKind.CSTAR and L is None:
-            return ConePlan(True, trivially_zero=True)
-        return _AS_IS
-    if kind is OpKind.C_MINUS_I:
-        if L is None:
-            return ConePlan(True, SignFlip(flip_all=True))
-        # rows past the column horizon are all-positive: leave them unflipped
-        return ConePlan(True, SignFlip(flip_rows=frozenset(range(1, L + 1))))
-    if kind is OpKind.C_MINUS_SSTAR:
-        if L is None:
-            return ConePlan(True, SignFlip(flip_all=True))
-        return ConePlan(True, SignFlip(flip_rows=frozenset(range(1, L))))
-    if kind is OpKind.CSTAR_MINUS_I:
-        if L is None:
-            return ConePlan(True, trivially_zero=True)
-        n = _first_negative_row(kind, L, max_row)
-        if n is not None:
-            return ConePlan(False, reason=f"row {n} has negative sum")
-        return _AS_IS
-    if kind is OpKind.CSTARSD:
-        if L is None:
+    else:   # cone NONDECR
+        if kind is OpKind.C_MINUS_I:
+            # rows past the column horizon are all-positive: leave them unflipped
+            return ConePlan(True, SignFlip(1, L))
+        if kind is OpKind.C_MINUS_SSTAR:
+            return ConePlan(True, SignFlip(1, None if L is None else L - 1))
+        if kind is OpKind.CSTAR_MINUS_I:   # L is finite here
+            n = _first_negative_row(kind, L, max_row)
+            if n is not None:
+                return ConePlan(False, reason=f"row {n} has negative sum")
             return _AS_IS
-        if _first_negative_row(kind, L, max_row) is not None:
+        if kind is OpKind.CSTARSD:
+            if L is None or _first_negative_row(kind, L, max_row) is None:
+                return _AS_IS
             return ConePlan(False, reason="truncated rows of (C*-S)D have sum -1/(L+1)")
-        return _AS_IS
     raise ValueError(f"unknown kind {kind}")
 
 

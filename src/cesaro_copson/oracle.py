@@ -36,7 +36,7 @@ import numpy as np
 from . import power as power_mod
 from .norms import (DEFAULT_TRUNC, SPECIALIZED_BY_KIND, Status, TruncConfig,
                     norm_general)
-from .operators import (OpKind, PRINCIPAL_KINDS, ROW_SHAPES, apply_batch,
+from .operators import (OpKind, PRINCIPAL_KINDS, ROW_SHAPES, TAIL, apply_batch,
                         check_identity_first, check_identity_second,
                         cone_plan, entry)
 from .two_operator import Direction, TwoOpQuery, best_constant
@@ -231,10 +231,11 @@ def random_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
         if cone is Cone.NONDECR and infinite_domain:
             # a windowed nondecreasing sample stands for its constant
             # extension: account for the extension's tail where the operator
-            # sees it
-            if kind is OpKind.CSTARSD:
+            # sees it (a 1/k tail never gets here: that norm is trivially 0)
+            sh = ROW_SHAPES[kind]
+            if sh.block is TAIL:   # sum_{k>K} x_K / (k(k+1)) = x_K / (K+1)
                 out[:, :] += Xt[:, -1:] / (cols + 1.0)
-            elif kind in (OpKind.C_MINUS_SSTAR, OpKind.SSTAR) and rows >= cols:
+            elif 1 in (sh.at, sh.neg_at) and rows >= cols:
                 out[:, cols - 1] = 0.0  # row at the window edge reads x_{K+1}
         nums = np.max(np.abs(out) * vvals, axis=1)
         return np.divide(nums, dens[t], out=np.zeros_like(nums), where=ok[t])
@@ -242,16 +243,25 @@ def random_lower_bound(kind: OpKind, u: Weight, v: Weight, cone: Cone,
     return _finite_max(best_ratios, X, "random search ratio")
 
 
+# verify's tolerances: the extremal value on a truncated problem must equal
+# the formula to TOL_EXACT (relative), and neither probe may exceed it by
+# more than TOL_LB
+TOL_EXACT = 1e-12
+TOL_LB = 1e-9
+
+
 def verify(kind: OpKind, u: Weight, v: Weight, cone: Cone,
            cfg: TruncConfig = DEFAULT_TRUNC, N: int | None = None,
-           trials: int = 500, seed: int = 7, tol_exact: float = 1e-12,
-           tol_lb: float = 1e-9) -> VerifyReport:
-    """Formula vs the two lower-bound probes.
+           trials: int = 500, seed: int = 7) -> VerifyReport:
+    """Formula vs the two lower-bound probes, for a principal kind.
 
     On fully truncated problems the extremal path must reproduce the formula
-    to ``tol_exact`` (relative); on all problems both probes must stay below
-    the formula value within ``tol_lb``.
+    to ``TOL_EXACT`` (relative); on all problems both probes must stay below
+    the formula value within ``TOL_LB``.
     """
+    if kind not in SPECIALIZED_BY_KIND:
+        names = ", ".join(k.name for k in PRINCIPAL_KINDS)
+        raise ValueError(f"verify takes a principal kind ({names}), not {kind.name}")
     formula = SPECIALIZED_BY_KIND[kind](u, v, cone, cfg)
     if formula.status is Status.UNSUPPORTED:
         raise UnsupportedConeError("formula unsupported for this cone")
@@ -266,9 +276,9 @@ def verify(kind: OpKind, u: Weight, v: Weight, cone: Cone,
     truncated = (truncation_length(u) is not None and L_v is not None)
     gap_e = f - e
     gap_r = max(0.0, f - r)
-    ok = (e <= f + tol_lb) and (r <= f + tol_lb)
+    ok = (e <= f + TOL_LB) and (r <= f + TOL_LB)
     if truncated and math.isfinite(f):
-        ok = ok and abs(f - e) <= tol_exact * (1.0 + abs(f))
+        ok = ok and abs(f - e) <= TOL_EXACT * (1.0 + abs(f))
     return VerifyReport(float(f), float(e), float(r), float(gap_e),
                         float(gap_r), bool(ok), seed, trials, N)
 

@@ -11,7 +11,8 @@ from cesaro_copson.norms import (DEFAULT_TRUNC, SPECIALIZED_BY_KIND, Status,
                                  dist_cesaro_identity, dist_copson_identity,
                                  norm_c_minus_sstar, norm_cesaro, norm_copson,
                                  norm_cstarsd, norm_general)
-from cesaro_copson.operators import PRINCIPAL_KINDS, ROW_SHAPES, OpKind, cone_plan, entry
+from cesaro_copson.operators import (INV_K, INV_K_KP1, PRINCIPAL_KINDS, ROW_SHAPES, OpKind,
+                                     cone_plan, entry)
 from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
 from cesaro_copson.weights import (Cone, ListWeight, PowerWeight, codomain_values,
                                    envelope_down, envelope_up, weight_values)
@@ -365,9 +366,9 @@ def test_range_reads_match_dense_rows(mode):
     K, cols = RANGE_K, RANGE_K + 2
     values = np.r_[0.0, _entry_rows(OpKind.I, cols) @ ut]   # column 0 first
     prefix = np.r_[0.0, _entry_rows(OpKind.E, cols) @ ut]
-    tails = {norms.INV_K: np.r_[np.nan, _entry_rows(OpKind.CSTAR, cols) @ ut],
-             norms.INV_K_KP1: np.r_[np.nan, np.clip(_entry_rows(OpKind.CSTARSD, cols), 0.0,
-                                                    None) @ ut]}
+    tails = {INV_K: np.r_[np.nan, _entry_rows(OpKind.CSTAR, cols) @ ut],
+             INV_K_KP1: np.r_[np.nan, np.clip(_entry_rows(OpKind.CSTARSD, cols), 0.0,
+                                              None) @ ut]}
     sd = _SeqData(u, env, K)
     assert sd.mode == mode.split("-")[0]
     for first, count in ((0, K + 2), (0, 1), (1, K), (K - 1, 2), (K, 2), (K + 1, 1)):
@@ -381,10 +382,10 @@ def test_range_reads_match_dense_rows(mode):
         for kernel, dense in tails.items():
             c = np.arange(first, last + 1)
             if mode == "power":
-                formula = (norms.hurwitz_tail_scaled if kernel is norms.INV_K
+                formula = (norms.hurwitz_tail_scaled if kernel is INV_K
                            else norms.shifted_tail_scaled)
                 want = formula(1.6, c[::-1])[::-1]
-            elif mode == "ones" and kernel is norms.INV_K:
+            elif mode == "ones" and kernel is INV_K:
                 with pytest.raises(norms._DivergentTail):
                     sd.tail(kernel, first, count)
                 continue

@@ -1,14 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from cesaro_copson.operators import (NO_FLIP, OpKind, PRINCIPAL_KINDS,
-                                     RowPattern, SignFlip, apply, apply_batch,
+                                     SignFlip, apply, apply_batch,
                                      check_identity_first,
-                                     check_identity_second, classify_row,
-                                     cone_plan, entry, last_index_of_part,
-                                     row_entries)
+                                     check_identity_second, cone_plan, entry,
+                                     last_index_of_part, row_entries)
 from cesaro_copson.weights import Cone, SeqWindow
 
 NONNEG_KINDS = (OpKind.C, OpKind.CSTAR, OpKind.D, OpKind.E)
@@ -76,7 +76,7 @@ def _switch_entry(kind, n, k, flip):
 
 @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.name)
 def test_entry_table_matches_the_switch(kind):
-    flips = (NO_FLIP, SignFlip(flip_all=True), SignFlip(flip_rows=frozenset({1, 2, 7, 40})))
+    flips = (NO_FLIP, SignFlip(1, None), SignFlip(2, None), SignFlip(7, 40))
     for flip in flips:
         for n in range(1, 41):
             for k in range(1, 41):
@@ -105,7 +105,7 @@ def test_pos_neg_decomposition():
 
 def test_shape_table_matches_entry():
     # row_entries is built from the row-shape table; entry is the ground truth
-    flips = (NO_FLIP, SignFlip(flip_all=True), SignFlip(flip_rows=frozenset({1, 3})))
+    flips = (NO_FLIP, SignFlip(1, None), SignFlip(2, None), SignFlip(2, 3))
     for kind in OpKind:
         for n in range(1, 61):
             for K in sorted({1, n - 1, n, n + 1, 60} - {0}):
@@ -116,80 +116,32 @@ def test_shape_table_matches_entry():
 
 
 def test_sign_flip_negates_rows():
-    fl = SignFlip(flip_all=True, flip_rows=frozenset({1}))
-    assert entry(OpKind.CSTARSD, 1, 1, fl) == 0.5       # row 1 exempted
+    fl = SignFlip(2, None)
+    assert entry(OpKind.CSTARSD, 1, 1, fl) == 0.5       # row 1 before the run
     assert entry(OpKind.CSTARSD, 2, 1, fl) == 0.5       # row 2 negated
-    assert np.array_equal(row_entries(OpKind.C, 3, 5, SignFlip(flip_all=True)),
+    assert entry(OpKind.CSTARSD, 10 ** 6, 10 ** 6 - 1, fl) == 1e-6
+    fl = SignFlip(2, 4)
+    assert [fl.sign(n) for n in range(1, 7)] == [1.0, -1.0, -1.0, -1.0, 1.0, 1.0]
+    assert np.array_equal(row_entries(OpKind.C, 3, 5, SignFlip(1, None)),
                           -row_entries(OpKind.C, 3, 5))
+    assert all(NO_FLIP.sign(n) == 1.0 for n in range(0, 50))
 
 
-@pytest.mark.parametrize("flip_all", [False, True])
-def test_flipped_matches_sign(flip_all, rng):
-    # the cached lookup table against sign(n) < 0, on rows in any order and
-    # on rows past the largest flipped one
+@pytest.mark.parametrize("infinite", [False, True])
+def test_flipped_matches_sign(infinite, rng):
+    # the array form against sign(n) < 0, on rows in any order, before, in
+    # and past the run; the finite runs include empty and one-row runs
     n = np.arange(0, 800)
-    for size in (0, 1, 5, 512):
-        fl = SignFlip(flip_all, frozenset(int(r) for r in
-                                          rng.choice(np.arange(1, 600), size, replace=False)))
-        want = np.array([fl.sign(int(r)) < 0 for r in n])
-        np.testing.assert_array_equal(fl.flipped(n), want)
-        m = rng.permutation(n)
-        np.testing.assert_array_equal(fl.flipped(m), want[m])
-
-
-def test_classify_row_examples():
-    rc = classify_row(OpKind.C_MINUS_SSTAR, 3)
-    assert rc.satisfies(RowPattern.POS_BEFORE_NEG) and rc.row_sum == 0.0
-    rc = classify_row(OpKind.CSTAR_MINUS_I, 1)
-    assert rc.satisfies(RowPattern.NEG_BEFORE_POS)
-    assert rc.row_sum == math.inf and not rc.finite_sum
-    rc = classify_row(OpKind.C, 2)
-    assert rc.satisfies(RowPattern.POS_BEFORE_NEG) and rc.row_sum == 1.0
-
-
-def test_classify_special_rows():
-    assert classify_row(OpKind.C_MINUS_I, 1).pattern is RowPattern.ALL_ZERO
-    assert classify_row(OpKind.CSTARSD, 1).row_sum == 1.0
-    assert classify_row(OpKind.CSTARSD, 4).row_sum == 0.0
-    assert classify_row(OpKind.CSTARSD, 4, ncols=10).row_sum == pytest.approx(-1.0 / 11)
-    assert classify_row(OpKind.S, 1).pattern is RowPattern.ALL_ZERO
-
-
-def test_classify_agrees_with_entry_scan():
-    # scan of the first 1e4 columns plus the analytic tail sign
-    rng = np.random.default_rng(0)
-    rows = sorted(set(rng.integers(1, 101, size=12)) | {1, 2, 100})
-    for kind in OpKind:
-        for n in rows:
-            es = row_entries(kind, n, 10 ** 4)
-            rc = classify_row(kind, n)
-            has_pos = bool(np.any(es > 0))
-            has_neg = bool(np.any(es < 0))
-            if not has_pos and not has_neg:
-                assert rc.pattern is RowPattern.ALL_ZERO
-            elif has_pos != has_neg:
-                # infinite rows of the tail operators keep their tail sign
-                assert rc.pattern in (RowPattern.BOTH, RowPattern.POS_BEFORE_NEG,
-                                      RowPattern.NEG_BEFORE_POS)
-            if has_pos and has_neg:
-                first_neg = int(np.argmax(es < 0))
-                last_pos = len(es) - 1 - int(np.argmax(es[::-1] > 0))
-                if rc.pattern is RowPattern.POS_BEFORE_NEG:
-                    assert last_pos < first_neg or np.all(es[first_neg + 1:] >= 0)
-            if rc.finite_sum:
-                # row sums of the finite-sum kinds converge within the scan
-                tail_bound = 2.0 / 10 ** 4 if kind in (
-                    OpKind.CSTAR, OpKind.CSTAR_MINUS_I) else 1e-4
-                assert abs(rc.row_sum - float(np.sum(es))) <= tail_bound
-
-
-def test_classify_truncated_rows_match_scan(rng):
-    for kind in OpKind:
-        for L in (1, 3, 9, 60):
-            for n in range(1, L + 3):
-                rc = classify_row(kind, n, ncols=L)
-                es = row_entries(kind, n, L)
-                assert rc.row_sum == pytest.approx(float(np.sum(es)), abs=1e-14)
+    firsts = (1, 2, 3, 599, 900) if infinite else (1, 2, 7, 40, 599)
+    for first in firsts:
+        lasts = [None] if infinite else [first - 1, first, first + 5,
+                                         int(rng.integers(first, 800))]
+        for last in lasts:
+            fl = SignFlip(first, last)
+            want = np.array([fl.sign(int(r)) < 0 for r in n])
+            np.testing.assert_array_equal(fl.flipped(n), want)
+            m = rng.permutation(n)
+            np.testing.assert_array_equal(fl.flipped(m), want[m])
 
 
 def test_apply_examples():
@@ -260,20 +212,111 @@ def test_identities_on_random_windows(rng):
     assert worst1 <= 1e-12 and worst2 <= 1e-12
 
 
+def _literal_row(kind, n, L, flip):
+    """Row n within columns 1..L from row_entries, flipped; on an infinite
+    horizon a window of n + 2 columns plus one last entry for the columns
+    past it: 1/(K+1) under the kernel 1/(k(k+1)), +inf under 1/k, times the
+    row's sign."""
+    if L is not None:
+        return row_entries(kind, n, L, flip)
+    K = n + 2
+    e = row_entries(kind, n, K, flip)
+    tail = {OpKind.CSTAR: math.inf, OpKind.CSTAR_MINUS_I: math.inf,
+            OpKind.CSTARSD: 1.0 / (K + 1)}.get(kind, 0.0)
+    return np.append(e, flip.sign(n) * tail)
+
+
 def test_cone_plan_rows_satisfy_hypotheses():
-    for kind in PRINCIPAL_KINDS:
+    # every flipped row in the cone's sign order, with a nonnegative sum
+    for kind in OpKind:
         for cone in (Cone.NONINCR, Cone.NONDECR):
-            for L in (None, 1, 3, 8, 20):
+            for L in (None, 1, 2, 3, 8, 20):
                 plan = cone_plan(kind, cone, L, max_row=L)
                 if not plan.ok or plan.trivially_zero:
                     continue
-                want = (RowPattern.POS_BEFORE_NEG if cone is Cone.NONINCR
-                        else RowPattern.NEG_BEFORE_POS)
-                rows = range(1, (L or 30) + 1)
-                for n in rows:
-                    rc = classify_row(kind, n, L, plan.flip)
-                    assert rc.satisfies(want), (kind, cone, L, n)
-                    assert rc.row_sum >= -1e-15, (kind, cone, L, n)
+                for n in range(1, (L or 30) + 1):
+                    e = _literal_row(kind, n, L, plan.flip)
+                    pos, neg = np.flatnonzero(e > 0), np.flatnonzero(e < 0)
+                    if pos.size and neg.size:
+                        if cone is Cone.NONINCR:
+                            assert pos[-1] < neg[0], (kind, cone, L, n)
+                        else:
+                            assert neg[-1] < pos[0], (kind, cone, L, n)
+                    assert math.fsum(e) >= -1e-15, (kind, cone, L, n)
+
+
+def _switch_first_negative_row(kind, L, max_row, flipped=lambda n: False):
+    hi = L + 1 if max_row is None else min(L + 1, max_row)
+    s = apply_batch(kind, np.ones(L), hi)[0]
+    for n in range(2, hi + 1):
+        if (-s[n - 1] if flipped(n) else s[n - 1]) < 0:
+            return n
+    return None
+
+
+def _switch_plan(kind, cone, L, max_row):
+    """cone_plan as a switch per kind and cone, as it was written before
+    the row shapes decided the single-signed kinds, with its flips as a
+    global toggle plus a set of exceptions: (ok, trivially_zero, reason,
+    flip_all, flip_rows), the reference the plans must equal."""
+    if cone in (Cone.ALL, Cone.NONNEG):
+        return True, False, "", False, set()
+    nonneg_kinds = (OpKind.C, OpKind.CSTAR, OpKind.S, OpKind.SSTAR,
+                    OpKind.D, OpKind.E, OpKind.I)
+    if cone is Cone.NONINCR:
+        if kind in nonneg_kinds or kind in (OpKind.C_MINUS_I, OpKind.C_MINUS_SSTAR):
+            return True, False, "", False, set()
+        if kind is OpKind.CSTARSD:
+            return True, False, "", True, {1}
+        if L is None:
+            return False, False, "flipped rows of C*-I have sum -inf", False, set()
+        rows = set(range(2, L + 1))
+        n = _switch_first_negative_row(kind, L, max_row, lambda n: n in rows)
+        if n is not None:
+            return False, False, f"flipped row {n} has negative sum", False, set()
+        return True, False, "", False, rows
+    if kind in nonneg_kinds:
+        if kind is OpKind.CSTAR and L is None:
+            return True, True, "", False, set()
+        return True, False, "", False, set()
+    if kind is OpKind.C_MINUS_I:
+        if L is None:
+            return True, False, "", True, set()
+        return True, False, "", False, set(range(1, L + 1))
+    if kind is OpKind.C_MINUS_SSTAR:
+        if L is None:
+            return True, False, "", True, set()
+        return True, False, "", False, set(range(1, L))
+    if kind is OpKind.CSTAR_MINUS_I:
+        if L is None:
+            return True, True, "", False, set()
+        n = _switch_first_negative_row(kind, L, max_row)
+        if n is not None:
+            return False, False, f"row {n} has negative sum", False, set()
+        return True, False, "", False, set()
+    if L is not None and _switch_first_negative_row(kind, L, max_row) is not None:
+        return False, False, "truncated rows of (C*-S)D have sum -1/(L+1)", False, set()
+    return True, False, "", False, set()
+
+
+def test_cone_plan_matches_the_switch():
+    # the plans read from the row shapes and the flips as runs, against the
+    # switch: the same refusals with the same reasons, and the same sign on
+    # every nonzero row the problem can see
+    for L in (None, *range(1, 13), 64, 513):
+        max_rows = {None, 1, 2} | ({L - 1, L, L + 1, L + 2} - {0} if L else set())
+        for kind in OpKind:
+            rows = range(1, (L + 2 if L else 40) + 1)
+            nonzero = [n for n in rows if np.any(row_entries(kind, n, L or n + 3))]
+            for cone, max_row in itertools.product(Cone, max_rows):
+                plan = cone_plan(kind, cone, L, max_row=max_row)
+                ok, zero, reason, flip_all, flip_rows = _switch_plan(kind, cone, L, max_row)
+                case = (kind, cone, L, max_row)
+                assert (plan.ok, plan.trivially_zero, plan.reason) == (ok, zero, reason), case
+                if ok and not zero:
+                    seen = [n for n in nonzero if max_row is None or n <= max_row]
+                    want = [-1.0 if flip_all != (n in flip_rows) else 1.0 for n in seen]
+                    assert [plan.flip.sign(n) for n in seen] == want, case
 
 
 def test_cone_plan_open_and_trivial_cases():

@@ -347,6 +347,16 @@ def test_verify_report_determinism():
     assert r1.to_dict()["pass"] is True
 
 
+@pytest.mark.parametrize("kind", [OpKind.S, OpKind.SSTAR, OpKind.D, OpKind.E, OpKind.I],
+                         ids=lambda k: k.name)
+def test_verify_refuses_a_helper_kind(kind):
+    # the helpers have no norm formula to verify: a clear error naming the
+    # principal kinds, not a KeyError from the formula table
+    w = ListWeight((1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="principal kind.*CSTARSD.*not " + kind.name):
+        verify(kind, w, w, Cone.ALL)
+
+
 def test_verify_propagates_unsupported():
     with pytest.raises(UnsupportedConeError):
         verify(OpKind.CSTAR_MINUS_I, ONES4, ONES4, Cone.NONINCR)

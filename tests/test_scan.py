@@ -434,6 +434,16 @@ def test_list_u_power_v_tail_is_exact(kind, cone, rng):
     assert r.value == _full_list_scan(kind, cone, u, v).value
 
 
+@pytest.mark.parametrize("L", [S, F])
+def test_list_u_power_v_tail_waits_past_the_flipped_run(L):
+    # row L + 1 of (C* - S)D reads column L (its -1/n at column n - 1), and
+    # NONINCR flips every row from 2 on: with L at a block end, the exact
+    # tail may close the scan only past row L + 1, whose value is the norm
+    r = norm_cstarsd(ListWeight((1.0,) * L), P(2.0), Cone.NONINCR)
+    assert r.status is Status.CLOSED_FORM
+    assert r.value == L + 1.0
+
+
 def test_list_u_power_v_limit_and_divergence():
     u = ListWeight((1.0, 2.0, 3.0))
     # b = 1: every row past the horizon is 6/n * n, so the supremum is 6
