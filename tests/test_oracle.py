@@ -1,13 +1,15 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_list_weight
-from cesaro_copson.norms import SPECIALIZED_BY_KIND, Status, norm_cesaro
+from cesaro_copson.norms import SPECIALIZED_BY_KIND, Status, norm_cesaro, norm_general
 from cesaro_copson import oracle
-from cesaro_copson.operators import (OpKind, PRINCIPAL_KINDS, SignFlip, cone_plan,
-                                     last_index_of_part, row_entries)
+from cesaro_copson.operators import (ENTRY_FORMULAS, OpKind, PRINCIPAL_KINDS, ROW_SHAPES,
+                                     SignFlip, cone_plan, entry, last_index_of_part,
+                                     row_entries)
 from cesaro_copson.oracle import (UnsupportedConeError, _horizons, _sample_cone,
                                   extremal_lower_bound, random_lower_bound,
                                   run_identity_suite, run_oracle_suite,
@@ -96,6 +98,19 @@ def test_window_must_be_an_integer():
         random_lower_bound(OpKind.C, P(0.5), P(0.5), Cone.ALL, 2.5, 10, 1)
 
 
+def test_trial_count_must_be_an_integer():
+    # numpy used to reject the float deep inside the sample draw, with
+    # TypeError: 'float' object cannot be interpreted as an integer
+    with pytest.raises(ValueError, match=r"trials must be an integer, not 5\.5"):
+        random_lower_bound(OpKind.C, P(0.5), P(0.5), Cone.ALL, 10, 5.5, 1)
+    with pytest.raises(ValueError, match=r"trials must be an integer, not 5\.5"):
+        verify(OpKind.C, ONES4, ONES4, Cone.ALL, trials=5.5)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        random_lower_bound(OpKind.C, P(0.5), P(0.5), Cone.ALL, 10, 0, 1)
+    assert random_lower_bound(OpKind.C, ONES4, ONES4, Cone.ALL, 4, np.int64(5), 1) == \
+        random_lower_bound(OpKind.C, ONES4, ONES4, Cone.ALL, 4, 5, 1)
+
+
 def test_overflowing_prefix_sum_is_rescaled_not_reported():
     # C's prefix sum 2e308 overflows, the norm (1/2)(2e308) does not
     rep = verify(OpKind.C, ListWeight((1e308, 1e308)), ListWeight((1.0, 1.0)), Cone.ALL)
@@ -135,40 +150,50 @@ def test_overflowing_weight_is_a_clear_error(cone):
         extremal_lower_bound(OpKind.C, P(-400), P(400), Cone.ALL, 6)
 
 
-def counted_entry(monkeypatch):
+def counted_formulas(monkeypatch):
+    """Record every evaluation of a literal entry formula, as (kind, n, k)."""
     calls = []
 
-    def entry(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(kind, real):
+        def formula(n, k):
+            calls.append((kind, n, k))
+            return real(n, k)
+        return formula
 
-    real = oracle.entry
-    monkeypatch.setattr(oracle, "entry", entry)
+    for kind, real in list(ENTRY_FORMULAS.items()):
+        monkeypatch.setitem(ENTRY_FORMULAS, kind, counted(kind, real))
     return calls
 
 
 def test_kinds_without_an_off_sign_entry_read_no_entries(monkeypatch):
-    calls = counted_entry(monkeypatch)
+    calls = counted_formulas(monkeypatch)
     e = extremal_lower_bound(OpKind.C, P(0.5), P(0.5), Cone.ALL, 10 ** 6)
     assert not calls
     # the value of the literal prefix-sum evaluation this replaced
     assert e == pytest.approx(1.9985401454911986, rel=1e-12)
+    for kind in (OpKind.CSTAR, OpKind.S, OpKind.D, OpKind.E, OpKind.I):
+        extremal_lower_bound(kind, P(0.7), P(0.7), Cone.ALL, 200)
+    assert not calls
 
 
 def test_one_entry_per_row_at_most(monkeypatch):
-    calls = counted_entry(monkeypatch)
+    calls = counted_formulas(monkeypatch)
     extremal_lower_bound(OpKind.C_MINUS_I, P(0.5), P(0.5), Cone.ALL, 2000)
     assert 0 < len(calls) <= 2000
+    assert len({n for _, n, _ in calls}) == len(calls)
 
 
 @pytest.mark.parametrize("kind", PRINCIPAL_KINDS, ids=lambda k: k.name)
 def test_one_entry_call_per_row_with_an_off_sign_column(kind, monkeypatch, rng):
-    # the coefficient of each row's off-sign entry is one literal entry()
-    # call, at that row and column with the plan's flip, and no other call;
-    # the list pair has rows past the column horizon, without such a column
-    calls = counted_entry(monkeypatch)
+    # the coefficient of each row's off-sign entry is one evaluation of the
+    # kind's literal formula, at that row and column, and no other
+    # evaluation; flipped rows carry the flip's sign, with the bits of
+    # entry().  The list pair has rows past the column horizon, without such
+    # a column
+    calls = counted_formulas(monkeypatch)
     pairs = ((P(0.5), P(0.5), 60),
              (random_list_weight(rng, 7), random_list_weight(rng, 12), 60))
+    flipped = 0
     for u, v, N in pairs:
         for cone in Cone:
             calls.clear()
@@ -178,10 +203,17 @@ def test_one_entry_call_per_row_with_an_off_sign_column(kind, monkeypatch, rng):
                 continue
             plan = cone_plan(kind, cone, truncation_length(u), max_row=truncation_length(v))
             rows, cols = _horizons(u, v, N)
-            want = [] if plan.trivially_zero else [
-                (kind, n, j, plan.flip) for n in range(1, rows + 1)
-                if (j := last_index_of_part(kind, n, cols, negative=True))]
-            assert calls == want, (cone, u)
+            want = [(n, j) for n in range(1, rows + 1)
+                    if (j := last_index_of_part(kind, n, cols, negative=True))]
+            read = [] if plan.trivially_zero else [(kind, n, j) for n, j in want]
+            assert calls == read, (cone, u)
+            coefs = oracle._off_sign_coefficients(
+                kind, *oracle._off_sign_columns(kind, rows, cols), plan.flip)
+            signed = [entry(kind, n, j, plan.flip) for n, j in want]
+            assert coefs.tolist() == signed, (cone, u)
+            flipped += sum(plan.flip.sign(n) < 0 for n, _ in want)
+    if any(k is kind for k, _ in FLIPPED):
+        assert flipped > 0
 
 
 @pytest.mark.parametrize("K", [1, 2, 7, 2000])
@@ -189,8 +221,36 @@ def test_off_sign_columns_are_last_index_of_part(K):
     # the one array pass the witnesses read, against the per-row scalar
     # code, on rows past the column horizon as well
     for kind in OpKind:
-        want = [last_index_of_part(kind, n, K, negative=True) for n in range(1, K + 3)]
-        assert oracle._off_sign_columns(kind, K + 2, K).tolist() == want, kind
+        want = [(n, j) for n in range(1, K + 3)
+                if (j := last_index_of_part(kind, n, K, negative=True))]
+        n, j = oracle._off_sign_columns(kind, K + 2, K)
+        assert list(zip(n.tolist(), j.tolist())) == want, kind
+
+
+def test_coefficients_and_engine_read_separate_statements(monkeypatch, rng):
+    # the oracle's off-sign coefficients come from the literal entry
+    # formulas alone, and the engine reads only the row shapes: perturbing
+    # one moves one side and not the other
+    kind, cone = OpKind.C_MINUS_I, Cone.ALL
+    u, v = random_list_weight(rng, 9, 0.0), random_list_weight(rng, 9, 0.0)
+    e0 = extremal_lower_bound(kind, u, v, cone, 9)
+    g0 = norm_general(kind, u, v, cone).value
+    real = ENTRY_FORMULAS[kind]
+    with monkeypatch.context() as m:
+        m.setitem(ENTRY_FORMULAS, kind, lambda n, k: real(n, k) * (1 + 1e-6))
+        assert extremal_lower_bound(kind, u, v, cone, 9) != e0
+        assert norm_general(kind, u, v, cone).value == g0
+    n, j = oracle._off_sign_columns(kind, 9, 9)
+    c0 = oracle._off_sign_coefficients(kind, n, j, SignFlip())
+    sh = ROW_SHAPES[kind]
+
+    def neg_scale(x, m, out=None):
+        r = sh.neg_scale(x, m, out)
+        return r * (1 + 1e-6) if out is None else np.multiply(r, 1 + 1e-6, out=out)
+
+    monkeypatch.setitem(ROW_SHAPES, kind, dataclasses.replace(sh, neg_scale=neg_scale))
+    assert norm_general(kind, u, v, cone).value != g0
+    assert oracle._off_sign_coefficients(kind, n, j, SignFlip()).tolist() == c0.tolist()
 
 
 def masked_witness_values(kind, u, v, cone, N):
