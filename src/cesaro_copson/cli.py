@@ -132,12 +132,17 @@ _TABLES = {
 
 
 def _cmd_power_table(args) -> int:
+    if not all(map(math.isfinite, (args.frm, args.to, args.step))):
+        raise ValueError("--from, --to and --step must be finite")
     if args.step <= 0:
         raise ValueError("--step must be > 0")
     if args.to < args.frm:
         raise ValueError("--to must be >= --from")
+    span = (args.to - args.frm) / args.step
+    if not math.isfinite(span):
+        raise ValueError("(--to - --from) / --step overflows float64")
     fn, cones, note = _TABLES[args.theorem]
-    count = int((args.to - args.frm) / args.step + 1e-9) + 1
+    count = int(span + 1e-9) + 1
     lines = []
     if note:
         lines.append(note)

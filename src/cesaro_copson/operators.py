@@ -8,7 +8,10 @@ path (``norms``) reads rows through ``row_entries``; the oracle reads B w
 for all rows from ``apply_batch``, each row's column of the entry of the
 other sign from ``oracle._off_sign_columns`` (which the tests pin to
 ``last_index_of_part``), and that entry's value from the same formula
-table ``entry`` reads, evaluated once per such row in one pass.
+table ``entry`` reads, through a per-kind table of the values
+(``oracle._off_sign_coefficients``): built once per process, 8 B per row
+of the largest window read, and rebuilt when a kind's ``ROW_SHAPES`` or
+``ENTRY_FORMULAS`` entry is replaced.
 Everything else reads one row shape per kind (``ROW_SHAPES``): row n is a
 nonnegative block, the prefix 1..n+at, the tail from n+at or the single
 column n+at, plus at most one negative entry at column n+neg_at.  Dense

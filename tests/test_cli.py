@@ -155,3 +155,39 @@ def test_verify_oracle_deterministic():
     b = run(*args)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("bounds", [
+    ("--from", "0", "--to", "inf", "--step", "0.1"),      # used to raise OverflowError
+    ("--from", "0", "--to", "1", "--step", "inf"),        # used to print alpha = nan
+    ("--from", "nan", "--to", "1", "--step", "0.1"),
+    ("--from=-inf", "--to", "1", "--step", "0.1"),
+    ("--from", "0", "--to", "1", "--step", "nan"),
+], ids=["to-inf", "step-inf", "from-nan", "from-minus-inf", "step-nan"])
+def test_power_table_rejects_non_finite_bounds(bounds):
+    r = run("power-table", "--theorem", "cesaro", *bounds)
+    assert r.returncode == 1 and not r.stdout
+    assert r.stderr == "cesaro-copson: error: --from, --to and --step must be finite\n"
+
+
+@pytest.mark.parametrize("bounds", [
+    ("--from=-1e308", "--to", "1e308", "--step", "1"),
+    ("--from", "0", "--to", "1", "--step", "1e-320"),
+], ids=["span", "step"])
+def test_power_table_rejects_an_overflowing_row_count(bounds):
+    r = run("power-table", "--theorem", "cesaro", *bounds)
+    assert r.returncode == 1 and not r.stdout
+    assert "overflows float64" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--suite", "oracle", "--pairs", "0"), "pairs must be >= 1"),   # used to print []
+    (("--suite", "oracle", "--pairs", "-3"), "pairs must be >= 1"),
+    (("--suite", "oracle", "--trials", "0"), "trials must be >= 1"),
+    (("--suite", "identities", "--N", "0"), "N must be >= 1"),       # used to pass
+    (("--suite", "all", "--pairs", "0"), "pairs must be >= 1"),
+], ids=["pairs-0", "pairs-negative", "trials-0", "identities-N-0", "all-pairs-0"])
+def test_verify_rejects_a_run_that_checks_nothing(args, message):
+    r = run("verify", *args)
+    assert r.returncode == 1 and not r.stdout
+    assert r.stderr == f"cesaro-copson: error: {message}\n"

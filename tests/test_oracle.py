@@ -186,15 +186,21 @@ def test_one_entry_per_row_at_most(monkeypatch):
 @pytest.mark.parametrize("kind", PRINCIPAL_KINDS, ids=lambda k: k.name)
 def test_one_entry_call_per_row_with_an_off_sign_column(kind, monkeypatch, rng):
     # the coefficient of each row's off-sign entry is one evaluation of the
-    # kind's literal formula, at that row and column, and no other
-    # evaluation; flipped rows carry the flip's sign, with the bits of
-    # entry().  The list pair has rows past the column horizon, without such
-    # a column
+    # kind's literal formula, at that row and column, once per process for a
+    # given row shape and formula: a window evaluates only its rows past the
+    # largest window read before (the counted formulas start a cold table),
+    # the same window again evaluates none, and flipped rows carry the flip's
+    # sign, with the bits of entry().  The list pair has rows past the column
+    # horizon, without such a column; the last pair is a larger window
     calls = counted_formulas(monkeypatch)
-    pairs = ((P(0.5), P(0.5), 60),
-             (random_list_weight(rng, 7), random_list_weight(rng, 12), 60))
-    flipped = 0
+    pairs = ((random_list_weight(rng, 7), random_list_weight(rng, 12), 60),
+             (P(0.5), P(0.5), 60), (P(0.5), P(0.5), 90))
+    evaluated, wanted, flipped = [], set(), 0
     for u, v, N in pairs:
+        rows, cols = _horizons(u, v, N)
+        want = [(n, j) for n in range(1, rows + 1)
+                if (j := last_index_of_part(kind, n, cols, negative=True))]
+        wanted.update((kind, n, j) for n, j in want)
         for cone in Cone:
             calls.clear()
             try:
@@ -202,18 +208,66 @@ def test_one_entry_call_per_row_with_an_off_sign_column(kind, monkeypatch, rng):
             except UnsupportedConeError:
                 continue
             plan = cone_plan(kind, cone, truncation_length(u), max_row=truncation_length(v))
-            rows, cols = _horizons(u, v, N)
-            want = [(n, j) for n in range(1, rows + 1)
-                    if (j := last_index_of_part(kind, n, cols, negative=True))]
-            read = [] if plan.trivially_zero else [(kind, n, j) for n, j in want]
-            assert calls == read, (cone, u)
+            done = {n for _, n, _ in evaluated}
+            new = [] if plan.trivially_zero else [(kind, n, j) for n, j in want
+                                                  if n not in done]
+            assert calls == new, (cone, u, N)
+            evaluated += calls
+            calls.clear()
+            extremal_lower_bound(kind, u, v, cone, N)
+            assert calls == [], (cone, u, N)
             coefs = oracle._off_sign_coefficients(
                 kind, *oracle._off_sign_columns(kind, rows, cols), plan.flip)
+            evaluated += calls
             signed = [entry(kind, n, j, plan.flip) for n, j in want]
-            assert coefs.tolist() == signed, (cone, u)
+            assert coefs.tolist() == signed, (cone, u, N)
             flipped += sum(plan.flip.sign(n) < 0 for n, _ in want)
+    # every off-sign pair of every window, each evaluated once
+    assert sorted(evaluated) == sorted(wanted)
     if any(k is kind for k, _ in FLIPPED):
         assert flipped > 0
+
+
+OFF_SIGN_KINDS = [k for k in PRINCIPAL_KINDS if ROW_SHAPES[k].neg_scale is not None]
+
+
+@pytest.mark.parametrize("kind", OFF_SIGN_KINDS, ids=lambda k: k.name)
+def test_replacing_the_row_shape_rebuilds_the_coefficient_table(kind, monkeypatch):
+    # the table remembers the row shape it selected its rows by: an equal
+    # but new ROW_SHAPES entry evaluates every row again, to the same bits
+    calls = counted_formulas(monkeypatch)
+    u = P(0.5)
+    e0 = extremal_lower_bound(kind, u, u, Cone.ALL, 40)
+    first = list(calls)
+    assert first
+    calls.clear()
+    monkeypatch.setitem(ROW_SHAPES, kind, dataclasses.replace(ROW_SHAPES[kind]))
+    assert extremal_lower_bound(kind, u, u, Cone.ALL, 40) == e0
+    assert calls == first
+    calls.clear()
+    assert extremal_lower_bound(kind, u, u, Cone.ALL, 40) == e0
+    assert calls == []
+    # the rebuilt table holds 8 B per row of the one window read
+    coefs = oracle._OFF_SIGN_TABLES[kind].coefs
+    assert coefs.dtype == np.float64 and coefs.size <= 40
+
+
+@pytest.mark.parametrize("kind", OFF_SIGN_KINDS, ids=lambda k: k.name)
+def test_the_coefficient_table_is_read_only(kind):
+    # every window reads the same array: no caller can write into it, and
+    # the coefficients a window returns are its own copy
+    n, j = oracle._off_sign_columns(kind, 30, 30)
+    coefs = oracle._off_sign_coefficients(kind, n, j, SignFlip(1, None))
+    table = oracle._OFF_SIGN_TABLES[kind]
+    assert table.shape is ROW_SHAPES[kind] and table.formula is ENTRY_FORMULAS[kind]
+    assert table.coefs.size >= n[-1] and not table.coefs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.coefs[n[0] - 1] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.coefs = np.zeros(30)
+    coefs[:] = 0.0
+    assert oracle._off_sign_coefficients(kind, n, j, SignFlip()).tolist() == [
+        entry(kind, a, b) for a, b in zip(n.tolist(), j.tolist())]
 
 
 @pytest.mark.parametrize("K", [1, 2, 7, 2000])
@@ -452,3 +506,22 @@ def test_suite_runners_smoke():
     oc = run_oracle_suite(pairs=3, trials=60, seed=9)
     assert all(c["pass"] for c in oc)
     assert any(c.get("skipped") for c in oc)  # hypothesis-violating combos
+
+
+def test_suite_runners_reject_a_run_that_checks_nothing(monkeypatch):
+    # pairs=0 used to return [] and N=0 to pass without comparing a row;
+    # negative pairs failed inside numpy's draw
+    for call, message in ((lambda: run_oracle_suite(pairs=0), "pairs must be >= 1"),
+                          (lambda: run_oracle_suite(pairs=-3), "pairs must be >= 1"),
+                          (lambda: run_oracle_suite(pairs=2.5), "pairs must be an integer"),
+                          (lambda: run_oracle_suite(pairs=2, trials=0), "trials must be >= 1"),
+                          (lambda: run_identity_suite(N=0), "N must be >= 1"),
+                          (lambda: run_identity_suite(count=0), "count must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # run_all_suites checks its counts before the slow power-consistency suite
+    monkeypatch.setattr(oracle, "run_power_consistency_suite", None)
+    for kwargs, message in (({"oracle_pairs": 0}, "pairs"), ({"N": 0}, "N"),
+                            ({"trials": -1}, "trials")):
+        with pytest.raises(ValueError, match=f"{message} must be >= 1"):
+            oracle.run_all_suites(**kwargs)
