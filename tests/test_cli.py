@@ -1,4 +1,5 @@
 import json
+import select
 import subprocess
 import sys
 
@@ -130,6 +131,29 @@ def test_power_table_shape_and_tokens():
     rows = r.stdout.strip().splitlines()
     assert len(rows) == 1 + 4  # degenerate range: single alpha
     assert any(",inf," in row for row in rows[1:])
+
+
+def test_power_table_streams_rows_to_a_reader_that_stops():
+    # 4e9 rows: the sweep ends only because the reader closes the pipe.  It
+    # used to build the whole CSV first, so no row arrived and memory grew
+    p = subprocess.Popen(CMD + ["power-table", "--theorem", "cesaro", "--from", "0",
+                                "--to", "1e9", "--step", "1"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        ready, _, _ = select.select([p.stdout], [], [], 60)
+        assert ready, "no row arrived within 60 s"
+        head = [p.stdout.readline() for _ in range(5)]
+        p.stdout.close()
+        assert p.wait(timeout=60) == 0
+        assert p.stderr.read() == ""
+    finally:
+        if p.poll() is None:
+            p.kill()
+            p.wait()
+        p.stderr.close()
+    assert head == ["alpha,cone,value,case_label\n",
+                    "0,all,1.0,0 <= alpha < 1\n", "0,nonneg,1.0,0 <= alpha < 1\n",
+                    "0,nonincr,1.0,0 <= alpha < 1\n", "0,nondecr,1.0,alpha <= 0\n"]
 
 
 def test_power_table_open_problem_note():

@@ -167,10 +167,10 @@ def test_apply_matches_dense_matrix(rng):
 def test_apply_batch_matches_dense(rng):
     for kind in OpKind:
         K, T, R = 8, 4, 12
-        X = rng.uniform(-1, 1, (T, K))
+        X = rng.uniform(-1, 1, (K, T))
         M = np.array([[entry(kind, n, k) for k in range(1, K + 1)]
                       for n in range(1, R + 1)])
-        assert np.allclose(apply_batch(kind, X, R), X @ M.T, atol=1e-13), kind
+        assert np.allclose(apply_batch(kind, X, R), M @ X, atol=1e-13), kind
 
 
 @pytest.mark.parametrize("K", [1, 2, 7, 64, 513])
@@ -178,11 +178,11 @@ def test_apply_batch_matches_dense(rng):
 def test_apply_batch_matches_row_entries(kind, K, rng):
     # the oracle reads every row's B w from apply_batch: pin it to the
     # literal rows on windows shorter than, equal to and past the columns
-    X = rng.uniform(-1, 1, (3, K))
+    X = rng.uniform(-1, 1, (K, 3))
     for R in sorted({1, K - 1, K, K + 5} - {0}):
         M = np.array([row_entries(kind, n, K) for n in range(1, R + 1)])
-        err = np.abs(apply_batch(kind, X, R) - X @ M.T)
-        assert np.all(err <= 1e-13 * (np.abs(X) @ np.abs(M).T)), (K, R)
+        err = np.abs(apply_batch(kind, X, R) - M @ X)
+        assert np.all(err <= 1e-13 * (np.abs(M) @ np.abs(X))), (K, R)
 
 
 def test_identity_first_examples():
@@ -247,7 +247,7 @@ def test_cone_plan_rows_satisfy_hypotheses():
 
 def _switch_first_negative_row(kind, L, max_row, flipped=lambda n: False):
     hi = L + 1 if max_row is None else min(L + 1, max_row)
-    s = apply_batch(kind, np.ones(L), hi)[0]
+    s = apply_batch(kind, np.ones(L), hi)
     for n in range(2, hi + 1):
         if (-s[n - 1] if flipped(n) else s[n - 1]) < 0:
             return n

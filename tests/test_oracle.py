@@ -58,23 +58,67 @@ def test_random_search_spec_parameters():
     assert r == pytest.approx(1.217287504109565, rel=1e-12)
 
 
+# random_lower_bound's values, bit for bit, recorded when the batch held one
+# sample per row: the batch-last layout draws the same stream and reduces
+# the same numbers.  u has a zero weight (the masked ratios) and L_u != L_v.
+_PIN_U = ListWeight((0.7, 1.3, 0.4, 0.0, 2.1, 0.9, 1.1))
+_PIN_V = ListWeight((0.5, 1.2, 0.8, 0.0, 1.7, 0.3, 2.2, 0.6, 1.4, 0.9, 0.25))
+_PINNED_LIST = {
+    OpKind.C: (1.7030004820164355, 1.7955878939421206, 0.84, 0.9114285714285716),
+    OpKind.CSTAR: (1.3700519191552696, 1.6725145587380632, 0.5916666666666666,
+                   0.8281428571428572),
+    OpKind.C_MINUS_I: (3.493970521060086, 2.7436521782096053, 0.612,
+                       1.5813794995253556),
+    OpKind.CSTAR_MINUS_I: (3.241566124790688, 2.7810113189918146,
+                           0.29447288507251224, 2.0742857142857143),
+    OpKind.C_MINUS_SSTAR: (2.702100663297878, 1.7955878939421206, 0.612,
+                           1.2881984164540197),
+    OpKind.CSTARSD: (0.7390465688096229, 0.35866352100572896, 0.30040341777459406,
+                     0.2475),
+}
+
+
+@pytest.mark.parametrize("kind", PRINCIPAL_KINDS, ids=lambda k: k.name)
+def test_random_search_keeps_its_recorded_bits(kind):
+    for cone, want in zip(Cone, _PINNED_LIST[kind]):
+        got = random_lower_bound(kind, _PIN_U, _PIN_V, cone, _PIN_V.length, 200, 5)
+        assert got == want, cone
+
+
+def test_random_search_extension_tail_and_rescale_keep_their_bits():
+    # NONDECR on an infinite domain: (C*-S)D adds the constant extension's
+    # tail to every row, C-S* zeroes the row at the window edge
+    w = P(-0.5)
+    assert random_lower_bound(OpKind.CSTARSD, w, w, Cone.NONDECR, 40, 100, 11) == \
+        1.7025675190949425
+    assert random_lower_bound(OpKind.C_MINUS_SSTAR, w, w, Cone.NONDECR, 40, 100, 11) == \
+        1.4080189250898634
+    # C-I's prefix sums of 1e308s overflow: the overflowing trials are taken
+    # again against the rescaled batch, on every cone
+    u, v = ListWeight((1e308,) * 3), ListWeight((1.0,) * 3)
+    want = (1.2743365089679324e+308, 6.615924663423549e+307, 6.615924663423549e+307,
+            5.867811519028502e+307)
+    for cone, value in zip(Cone, want):
+        assert random_lower_bound(OpKind.C_MINUS_I, u, v, cone, 3, 500, 7) == value, cone
+
+
 def test_random_samples_lie_in_the_cone():
     u = ListWeight((0.5, 2.0, 0.0, 1.5, 3.0, 0.25, 1.0))
     K = u.length
     uvals, down, up = weight_values(u, K), envelope_down(u, K), envelope_up(u, K)
     for cone in Cone:
         X = _sample_cone(np.random.default_rng(3), cone, 64, uvals, down, up)
-        assert X.shape == (64, K)
+        assert X.shape == (K, 64)
         if cone is Cone.ALL:
-            assert np.all(np.abs(X) <= uvals)
+            assert np.all(np.abs(X) <= uvals[:, None])
         elif cone is Cone.NONNEG:
-            assert np.all((0.0 <= X) & (X <= uvals))
+            assert np.all((0.0 <= X) & (X <= uvals[:, None]))
         elif cone is Cone.NONINCR:
-            assert np.all(np.diff(X, axis=1) <= 0.0)
-            assert np.all((0.0 <= X) & (X <= down))
+            assert np.all(np.diff(X, axis=0) <= 0.0)
+            assert np.all((0.0 <= X) & (X <= down[:, None]))
         else:
-            assert np.all(np.diff(X, axis=1) >= 0.0)
-            assert np.all((0.0 <= X) & (X <= up))
+            assert np.all(np.diff(X, axis=0) >= 0.0)
+            assert np.all((0.0 <= X) & (X <= up[:, None]))
         again = _sample_cone(np.random.default_rng(3), cone, 64, uvals, down, up)
         assert np.array_equal(X, again)
 
@@ -510,13 +554,18 @@ def test_suite_runners_smoke():
 
 def test_suite_runners_reject_a_run_that_checks_nothing(monkeypatch):
     # pairs=0 used to return [] and N=0 to pass without comparing a row;
-    # negative pairs failed inside numpy's draw
+    # negative pairs, L_max=0 and support_max=0 failed inside numpy's draw
+    # ("negative dimensions", "low >= high")
     for call, message in ((lambda: run_oracle_suite(pairs=0), "pairs must be >= 1"),
                           (lambda: run_oracle_suite(pairs=-3), "pairs must be >= 1"),
                           (lambda: run_oracle_suite(pairs=2.5), "pairs must be an integer"),
                           (lambda: run_oracle_suite(pairs=2, trials=0), "trials must be >= 1"),
+                          (lambda: run_oracle_suite(pairs=2, trials=10, L_max=0),
+                           "L_max must be >= 1"),
                           (lambda: run_identity_suite(N=0), "N must be >= 1"),
-                          (lambda: run_identity_suite(count=0), "count must be >= 1")):
+                          (lambda: run_identity_suite(count=0), "count must be >= 1"),
+                          (lambda: run_identity_suite(count=3, support_max=0),
+                           "support_max must be >= 1")):
         with pytest.raises(ValueError, match=message):
             call()
     # run_all_suites checks its counts before the slow power-consistency suite
