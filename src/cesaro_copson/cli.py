@@ -79,8 +79,7 @@ def _weights_from_args(args) -> tuple[Weight, Weight]:
 
 
 def _cfg_from_args(args) -> TruncConfig:
-    return TruncConfig(n_max=args.n_max, tol=args.tol,
-                       divergence_threshold=args.div_threshold)
+    return TruncConfig(n_max=args.n_max, tol=args.tol)
 
 
 def _json_value(x: float) -> object:
@@ -185,7 +184,10 @@ def _build_parser() -> _Parser:
     def add_cfg(sp) -> None:
         sp.add_argument("--n-max", type=int, default=1_000_000)
         sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--div-threshold", type=float, default=1e15)
+        sp.add_argument("--div-threshold", type=float, default=1e15,
+                        help="ignored: divergence is decided analytically, never "
+                             "from the size of a row (kept so that older command "
+                             "lines still run)")
 
     sp = sub.add_parser("norm", parents=[], help="operator norm on a cone")
     sp.add_argument("--op", required=True, choices=sorted(_OPS))

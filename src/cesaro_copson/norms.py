@@ -67,14 +67,15 @@ power theorems as a certificate, only once that bound also meets the
 certificate (most matched pairs do at row 256, the end of the first block).
 A certificate the bound does not meet is checked numerically at the end of
 the scan instead.  Every other scan is TruncatedLowerBound, with the rise of
-the running supremum over its last 10% of rows as the residual.  Divergence
-is decided analytically for power weights
-(divergent inner tails, divergent closed-form branches, prefix rows that
-grow on the whole space and the nonnegative cone) and list-u / power-v
-problems (an unbounded exact tail), and by a threshold heuristic
-otherwise.  A finite problem is never Divergent: rows that overflow float64
-are recomputed with the domain weight scaled by a power of two, and a norm
-that does not fit raises ValueError.
+the running supremum over its last 10% of rows as the residual.
+Divergent needs an argument: a divergent inner tail or closed-form branch,
+an unbounded exact tail (list u, power v), or, for a power pair, a part of
+the rows that the cone reads at every large row whose proven floor grows
+(``_power_tail``).  The size of a row proves nothing, and overflow is not
+divergence: a scanned row that overflows float64 raises ValueError.  Nor
+is a finite problem ever Divergent: rows that overflow are recomputed with
+the domain weight scaled by a power of two, and a norm that does not fit
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -127,7 +128,6 @@ class Status(Enum):
 class TruncConfig:
     n_max: int = 1_000_000
     tol: float = 1e-9
-    divergence_threshold: float = 1e15
 
     def __post_init__(self) -> None:
         if isinstance(self.n_max, bool):
@@ -138,7 +138,7 @@ class TruncConfig:
             raise ValueError(f"n_max must be an integer, not {self.n_max!r}") from None
         object.__setattr__(self, "n_max", n_max)
         # "not x > 0" also refuses NaN, which would disable every test
-        if n_max < 1 or not self.tol > 0 or not self.divergence_threshold > 0:
+        if n_max < 1 or not self.tol > 0:
             raise ValueError("invalid truncation configuration")
 
 
@@ -288,7 +288,8 @@ class _SeqData:
         self._vals = np.zeros(L + 1)     # u_0..u_L
         self._vals[1:] = _envelope(u, env, L)
         self._prefix = np.zeros(L + 1)   # P_0..P_L, as np.cumsum
-        np.add.accumulate(self._vals[1:], out=self._prefix[1:])
+        with np.errstate(over="ignore"):   # an overflowed sum shows in the rows
+            np.add.accumulate(self._vals[1:], out=self._prefix[1:])
         self._tails: dict[Callable, np.ndarray] = {}   # per kernel, at its first read
 
     @property
@@ -562,6 +563,9 @@ class _Tail(NamedTuple):
     data: _SeqData | None = None
 
 
+_DIVERGES = _Tail(lambda N: math.inf, exact=True)   # a floor that grows: _power_tail
+
+
 def _scan_blocks(N: int):
     """The row blocks (lo, hi) of a scan over 1..N: rows 1.._FIRST_BLOCK,
     then up to _BLOCK, then up to _SCAN_BLOCK, then _SCAN_BLOCK rows each.
@@ -580,15 +584,15 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
               certificate: power_mod.PowerCaseResult | None,
               tail: _Tail | None = None) -> NormResult:
     """Supremum of values_fn over rows 1..n_max, called on the contiguous
-    blocks of ``_scan_blocks``.  Running state across blocks (max and first
-    argmax, max up to the 90% cut, most negative step) gives the decision
+    blocks of ``_scan_blocks``.  Running state across blocks (max, max up
+    to the 90% cut, most negative step) gives the decision
     a whole-array scan would give, in O(block) memory; the per-block arrays
     live in block buffers.  values_fn may return a buffer of its own that
     its next call overwrites: nothing of a block is kept but scalars.
 
-    A non-finite row ends the scan as Divergent at once, as the whole-array
-    scan would end.  After each block ending at row N the tail, if any, may
-    end the scan with a proven answer: an exact tail gives ClosedForm
+    A row that is not a finite float raises ValueError naming it: overflow
+    is not divergence.  After each block ending at row N the tail, if any,
+    may end the scan with a proven answer: an exact tail gives ClosedForm
     max(m, tail) (Divergent when it is infinite), a bound gives
     TruncatedConverged once it is within tol of the running max m.  With a
     certificate the bound must also meet it: a "limit" stops, with the
@@ -597,21 +601,21 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
     stops once m is within tolerance of it.  A certificate the bound or the
     rows disagree with never stops a scan early, and at the end of the scan
     a limit above both m and the last tail bound is refused.  An infinite
-    certificate is Divergent before any row is read.  What nothing proves
-    is TruncatedLowerBound, with residual the rise of m over the rows after
+    certificate, or a tail whose floor grows (``_DIVERGES``), is Divergent
+    before any row is read.  What nothing proves, however large, is
+    TruncatedLowerBound, with residual the rise of m over the rows after
     the first 90% (0 when N == 1)."""
-    if certificate is not None and math.isinf(certificate.value):
+    if tail is _DIVERGES or (certificate is not None and math.isinf(certificate.value)):
         return _divergent()
     N = cfg.n_max
     cut = max(1, int(0.9 * N))
     steps = certificate is not None and certificate.mode == "limit"
     m = m_cut = -math.inf
-    argmax = 0
     min_step = math.inf   # most negative vals[n+1] - vals[n], across blocks
     prev = None           # last value of the previous block
     bufs = _Buffers()
     t = None              # the last block's tail bound
-    # a non-finite row ends the scan below, so its overflow does not warn
+    # a non-finite row raises below, so its overflow does not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _scan_blocks(N):
             size = hi - lo + 1
@@ -619,12 +623,11 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
                 vals = values_fn(bufs.range("rows", lo, size, "i"))
             except _DivergentTail:
                 return _divergent()
-            i = int(vals.argmax())   # the first max, or the first NaN
-            top = float(vals[i])
+            top = float(vals[vals.argmax()])   # the max, or the first NaN
             if not math.isfinite(top):   # rows are >= 0: NaN and inf show in the max
-                return _divergent(N)
-            if top > m:
-                m, argmax = top, lo + i
+                raise ValueError(f"row {lo + int(np.isfinite(vals).argmin())} "
+                                 "overflows float64")
+            m = max(m, top)
             if hi <= cut:
                 m_cut = max(m_cut, top)
             elif lo <= cut:
@@ -653,8 +656,6 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
             elif t <= m + cfg.tol and (certificate is None
                                        or _verifies(certificate, m, min_step, cfg.tol)):
                 return NormResult(m, Status.TRUNCATED_CONVERGED, hi, max(0.0, t - m))
-    if m > cfg.divergence_threshold:
-        return _divergent(argmax)
     if (steps and t is not None
             and max(m, t) < certificate.value * (1.0 - 1e-9) - 1e-12):
         # no row reaches the limit, read or past N: a correct limit is at
@@ -717,8 +718,8 @@ def _tail(kind: OpKind, cone: Cone, flip: SignFlip, u: Weight,
           v: Weight) -> _Tail | None:
     """The tail of sup_n v_n F(n) past row N, for a PowerWeight v and the
     rows flipped by flip: exact for a ListWeight u, an integral-comparison
-    bound for a PowerWeight u (matched or not); None when v is truncated or
-    no bound is derived."""
+    bound for a PowerWeight u (matched or not), or ``_DIVERGES`` when its
+    floor grows; None when v is truncated or no bound is derived."""
     if not isinstance(v, PowerWeight):
         return None
     if isinstance(u, ListWeight):
@@ -728,8 +729,12 @@ def _tail(kind: OpKind, cone: Cone, flip: SignFlip, u: Weight,
     if env == "up" and u.alpha > 0:   # the envelope is 0, and so is every row
         return _Tail(lambda N: 0.0)
     alpha = max(u.alpha, 0.0) if env == "down" else u.alpha
+    # the parts that every large row reads: on a monotone cone each row reads
+    # one, the flipped part past the run's start if it has no end
+    counted = (("pos", "neg") if cone is Cone.ALL or cone is Cone.NONNEG
+               else ("neg",) if flip.last is None else ("pos",))
     return _power_tail(ROW_SHAPES[kind], alpha, v.alpha,
-                       sum if cone is Cone.ALL else max)
+                       sum if cone is Cone.ALL else max, counted)
 
 
 def _list_tail(sh: RowShape, flip: SignFlip, sd: _SeqData,
@@ -761,65 +766,74 @@ def _list_tail(sh: RowShape, flip: SignFlip, sd: _SeqData,
     return _Tail(at, exact=True, data=sd)
 
 
-# A part of row n >= 2 is at most n**(r - alpha) * f(n), r an integer and f
-# positive and nonincreasing, from k**-alpha against an integral.  Times
-# v_n = n**b the bound is nonincreasing when r + (b - alpha) <= 0, so its sup
-# over n > N is its value at N + 1.  The exponent is formed in that order so
-# that a matched pair (b == alpha) gets exactly r, and a part whose bound is
-# constant is not lost to a rounding of 1 - (alpha + 1) + alpha.
+# A part of row n >= 2, as (r, a, f), is at most f(n) n**(r - a), r an
+# integer and f positive and nonincreasing (None: no such bound), from
+# k**-alpha against an integral, and at least c n**(r - a), c > 0, at every
+# large n, the other way round (each scale is at least m**q / 2, m >= 2).
+# a is the envelope's alpha, or 1 for a prefix sum between 1 and 1 + log n.
+# Times v_n = n**b the bound is nonincreasing when r + (b - a) <= 0, so its
+# sup over n > N is its value at N + 1, and the floor grows when
+# r + (b - a) > 0.  Formed in that order, the exponent of a matched pair
+# (b == alpha) is exactly r, a constant bound is not lost to a rounding of
+# 1 - (alpha + 1) + alpha, and no rounding makes a nonpositive one positive.
 
 def _entry_envelope(scale: Callable, at: int, alpha: float):
-    """(r, f) for the single entry scale(u_{n+at}, n): u_{n+at} is
+    """The single entry scale(u_{n+at}, n), its own floor: u_{n+at} is
     n**-alpha (1 + at/n)**-alpha, and that factor is <= 1 when at * alpha
-    > 0 and nonincreasing otherwise."""
+    > 0 and nonincreasing otherwise, and tends to 1."""
     if abs(at) > 1:
         return None
     e = -alpha if at * alpha <= 0 else 0.0
-    return SCALE_POWERS[scale][0], lambda n: (1.0 + at / n) ** e
+    return SCALE_POWERS[scale][0], alpha, lambda n: (1.0 + at / n) ** e
 
 
 def _block_envelope(sh: RowShape, alpha: float):
-    """(r, f) for the positive block of the row shape sh, or None."""
+    """(r, a, f) for the positive block of the row shape sh, or None."""
     q = SCALE_POWERS[sh.scale][0]
     if sh.block is SINGLE:
         return _entry_envelope(sh.scale, sh.at, alpha)
     if sh.block is PREFIX:
-        # 0 <= alpha < 1: sum_{k<=n} k**-alpha <= int_0^n x**-alpha dx =
-        # n**(1-alpha)/(1-alpha).  alpha < 0, at <= -1: sum_{k<n} k**-alpha
-        # <= int_1^n x**-alpha dx <= n**(1-alpha)/(1-alpha).  alpha < 0,
-        # at == 0: sum_{k<=n} k**-alpha <= n * n**-alpha.
-        if sh.at > 0 or alpha >= 1:
-            return None
+        # sum_{k<=m} k**-alpha >= (m**(1-alpha) - 1)/(1-alpha) for alpha < 1,
+        # and >= 1 for alpha >= 1.  0 <= alpha < 1: sum_{k<=n} k**-alpha <=
+        # int_0^n x**-alpha dx = n**(1-alpha)/(1-alpha).  alpha < 0, at <= -1:
+        # sum_{k<n} k**-alpha <= int_1^n x**-alpha dx <= n**(1-alpha)/(1-alpha).
+        # alpha < 0, at == 0: sum_{k<=n} k**-alpha <= n * n**-alpha.
+        if alpha >= 1 or sh.at > 0:
+            return q + 1, min(alpha, 1.0), None
         c = 1.0 / (1.0 - alpha) if alpha >= 0 or sh.at <= -1 else 1.0
-        return q + 1, lambda n: c
-    # a tail under the kernel k**q, s = alpha - q > 1: sum_{k>n} k**-s <=
-    # int_n^inf x**-s dx = n**(1-s)/(s-1), so at >= 1 needs nothing more and
-    # at == 0 adds the term n**-s
+        return q + 1, alpha, lambda n: c
+    # a tail under the kernel k**q, s = alpha - q > 1: sum_{k>=n} k**-s lies
+    # between int_n^inf x**-s dx = n**(1-s)/(s-1) and that plus n**-s, so
+    # at >= 1 needs nothing more and at == 0 adds the term n**-s
     if sh.at < 0 or alpha - q <= 1:
         return None
     c = 1.0 / (alpha - (q + 1))
     if sh.at >= 1:
-        return q + 1, lambda n: c
-    return q + 1, lambda n: c + 1.0 / n
+        return q + 1, alpha, lambda n: c
+    return q + 1, alpha, lambda n: c + 1.0 / n
 
 
-def _power_tail(sh: RowShape, alpha: float, b: float,
-                join: Callable) -> _Tail | None:
-    """Bound for u_k = k**-alpha (the envelope's exponent) against
-    v_n = n**b: the part bounds summed (cone ALL) or their max (every other
-    cone, whatever the flips), rounded up."""
-    parts = [_block_envelope(sh, alpha)]
+def _power_tail(sh: RowShape, alpha: float, b: float, join: Callable,
+                counted: tuple[str, ...]) -> _Tail | None:
+    """For u_k = k**-alpha (the envelope's exponent) against v_n = n**b:
+    ``_DIVERGES`` when a part that every large row reads (``counted``) has
+    a floor that grows, else the bound of the parts' ceilings summed (cone
+    ALL) or their max (every other cone, whatever the flips), rounded up."""
+    parts = [("pos", _block_envelope(sh, alpha))]
     if sh.neg_scale is not None:
-        parts.append(_entry_envelope(sh.neg_scale, sh.neg_at, alpha))
-    bounds = []   # (exponent, factor) of each part
-    for part in parts:
-        if part is None:
-            return None
-        r, f = part
-        e = r + (b - alpha)
-        if e > 0:
-            return None
-        bounds.append((e, f))
+        parts.append(("neg", _entry_envelope(sh.neg_scale, sh.neg_at, alpha)))
+    bounds = []   # (exponent, factor) of each part, while every part has one
+    for name, part in parts:
+        r, a, f = part or (-math.inf, 0.0, None)   # None: nothing is proven
+        e = r + (b - a)
+        if e > 0 and name in counted:
+            return _DIVERGES
+        if f is None or e > 0:
+            bounds = None
+        elif bounds is not None:
+            bounds.append((e, f))
+    if bounds is None:
+        return None
 
     def at(N: int) -> float:
         n = N + 1.0
@@ -829,21 +843,6 @@ def _power_tail(sh: RowShape, alpha: float, b: float,
             return math.inf
 
     return _Tail(at)
-
-
-def _power_diverges(kind: OpKind, cone: Cone, u: Weight, v: Weight) -> bool:
-    """Whether the rows of a PowerWeight pair are unbounded, by analysis:
-    for a prefix block with the exact scale n**q, on cones ALL and NONNEG,
-    F(n) is at least its positive part n**q sum_{k<=n+at} k**-alpha, and
-    for alpha < 1 that sum is at least int_1^{n+at} x**-alpha dx =
-    ((n+at)**(1-alpha) - 1)/(1-alpha), so v_n F(n) grows like
-    n**(q + 1 - alpha + b) when that exponent is positive."""
-    if not (isinstance(u, PowerWeight) and isinstance(v, PowerWeight)):
-        return False
-    sh = ROW_SHAPES[kind]
-    q, exact = SCALE_POWERS[sh.scale]
-    return (cone in (Cone.ALL, Cone.NONNEG) and sh.block is PREFIX and exact
-            and u.alpha < 1 and (q + 1) + (v.alpha - u.alpha) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +880,9 @@ def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
     ``rows``: ``_kind_rows`` bound to kind) the matched-pair closed form,
     then the supremum of the engine's rows, or, for ``norm_general`` on a
     fully truncated problem, of the literal matrix rows (``_dense_norm``).
-    A power pair whose rows grow is Divergent before any scan.  A scan may
-    stop at its tail, and a matched pair's scan only where that tail meets
-    the power theorems' certificate."""
+    A power pair whose tail is ``_DIVERGES`` is Divergent before any scan.
+    A scan may stop at its tail, and a matched pair's scan only where that
+    tail meets the power theorems' certificate."""
     L_u = truncation_length(u)
     L_v = truncation_length(v)
     plan = cone_plan(kind, cone, L_u, max_row=L_v)
@@ -898,8 +897,6 @@ def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
         if cf is not None:
             return _closed_form_result(cf)
         certificate = power_mod.scan_certificate(kind, cone, alpha)
-    elif _power_diverges(kind, cone, u, v):
-        return _divergent()
     if rows is None:
         if L_u is not None and L_v is not None:
             return _dense_norm(kind, u, v, cone, plan)

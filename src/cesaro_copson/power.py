@@ -76,6 +76,19 @@ def _m_alpha(alpha: float) -> float:
     return m_alpha(alpha).value
 
 
+def _times_pow2(c: float, x: float) -> float:
+    """c * 2**x for 0 < c <= 1, formed as 2.0 ** x * c while 2**x fits in
+    float64 and from x's integer part as a binary exponent past it;
+    ValueError when the product itself leaves float64."""
+    try:
+        try:
+            return 2.0 ** x * c
+        except OverflowError:
+            return math.ldexp(2.0 ** (x % 1.0) * c, math.floor(x))
+    except OverflowError:
+        raise ValueError(f"the closed form overflows float64 (2**{x:g})") from None
+
+
 def breakpoint_s(m: int) -> float:
     """s_m; s_1 = -inf, strictly increasing, negative, -> 0 as m -> inf."""
     if m < 1:
@@ -171,10 +184,12 @@ def copson_minus_id_power(alpha: float, cone: Cone) -> PowerCaseResult:
 
 
 def two_op_cc_power(alpha: float, cone: Cone) -> PowerCaseResult:
-    """Best constant in ||Cx|| <= A ||C*x|| for the matched power pair."""
+    """Best constant in ||Cx|| <= A ||C*x|| for the matched power pair;
+    ValueError on ALL once 1 + 2**-alpha leaves float64 (alpha <= -1024)."""
     if cone is Cone.ALL:
         if alpha <= 0:
-            return PowerCaseResult(1.0 + 2.0 ** (-alpha), "alpha <= 0", mode="attained")
+            return PowerCaseResult(1.0 + _times_pow2(1.0, -alpha), "alpha <= 0",
+                                   mode="attained")
         if alpha < 1:
             return PowerCaseResult((2.0 - alpha) / (1.0 - alpha), "0 < alpha < 1",
                                    mode="limit")
@@ -189,14 +204,15 @@ def two_op_cc_power(alpha: float, cone: Cone) -> PowerCaseResult:
 
 
 def two_op_cstarc_power(alpha: float, cone: Cone) -> PowerCaseResult:
-    """Best constant in ||C*x|| <= A ||Cx|| for the matched power pair."""
+    """Best constant in ||C*x|| <= A ||Cx|| for the matched power pair;
+    ValueError on ALL once 2**alpha M_alpha leaves float64 (alpha > 1024)."""
     if cone is Cone.ALL:
         if alpha <= 0:
             return PowerCaseResult(math.inf, "alpha <= 0")
         if alpha <= 1:
             return PowerCaseResult(1.0 + 1.0 / alpha, "0 < alpha <= 1", mode="limit")
         ma = _m_alpha(alpha)
-        return PowerCaseResult(2.0 ** alpha * ma, "alpha > 1", m_alpha_value=ma,
+        return PowerCaseResult(_times_pow2(ma, alpha), "alpha > 1", m_alpha_value=ma,
                                mode="attained")
     if cone is Cone.NONNEG:
         if alpha <= 0:

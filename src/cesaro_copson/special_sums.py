@@ -111,7 +111,8 @@ def _em_table(s: float, terms: int) -> tuple[tuple[float, ...], ...]:
     as N**(1-s) * P(1/N), highest degree first: P, R with N**(1-s) * R(1/N)
     bounding the E-M remainders, and W with N**(1-s) * W(1/N) * 2**-53
     bounding the rounding of ``_em_scaled`` (the degree-i term meets 3i + 4
-    roundings, and one more covers their products)."""
+    roundings, and one more covers their products).  ValueError when a
+    coefficient leaves float64 (s past about 1e34)."""
     P = [0.0] * (terms + 8)
     R = [0.0] * (terms + 10)
     for j in range(terms):
@@ -121,6 +122,8 @@ def _em_table(s: float, terms: int) -> tuple[tuple[float, ...], ...]:
         for i, c in enumerate(_EM_COEFFS, start=1):
             P[j + 2 * i] += sign * c * _rising(sj, 2 * i - 1)
         R[j + 10] = _EM_BOUND_COEFF * _rising(sj, 9)
+    if not all(map(math.isfinite, P + R)):
+        raise ValueError(f"the tail series at s = {s:g} overflows float64")
     W = [(3 * i + 5) * abs(c) for i, c in enumerate(P)]
     return tuple(P[::-1]), tuple(R[::-1]), tuple(W[::-1])
 

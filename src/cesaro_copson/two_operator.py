@@ -161,15 +161,17 @@ def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
 def _tail(q: TwoOpQuery, reduced) -> _Tail | None:
     """The tail against a PowerWeight v: C - S*'s for C <= A C*, and 0 past
     row L of a ListWeight u for C* <= A C.  C* <= A C against a PowerWeight
-    u takes none until the (C* - S)D bound closes for alpha <= 1 too
-    (ROADMAP item 3): alone it stops alpha > 1 scans at row 256 and leaves
-    alpha <= 1 ones at n_max, a hundredfold step in cost at alpha = 1."""
+    u takes only the (C* - S)D floors (``norms._DIVERGES``), not its bound,
+    until that bound closes for alpha <= 1 too (ROADMAP item 3): alone it
+    stops alpha > 1 scans at row 256 and leaves alpha <= 1 ones at n_max, a
+    hundredfold step in cost at alpha = 1."""
     if not isinstance(q.v, PowerWeight):
         return None
-    if q.direction is Direction.C_LE_CSTAR:
+    if reduced is not None:
         kind, cone, u = reduced
-        return norms._tail(kind, cone, NO_FLIP, u, q.v)
-    if not isinstance(q.u, ListWeight):
+        tail = norms._tail(kind, cone, NO_FLIP, u, q.v)
+        if q.direction is Direction.C_LE_CSTAR or tail is norms._DIVERGES:
+            return tail
         return None
     L = q.u.length
     return _Tail(lambda N: 0.0 if N >= L else None, exact=True)

@@ -215,3 +215,32 @@ def test_verify_rejects_a_run_that_checks_nothing(args, message):
     r = run("verify", *args)
     assert r.returncode == 1 and not r.stdout
     assert r.stderr == f"cesaro-copson: error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("norm", "--op", "cesaro", "--cone", "all", "--u", "power:-150", "--v", "power:-150.1"),
+    ("two-op", "--dir", "cstar-le-c", "--cone", "all", "--u", "power:1100",
+     "--v", "power:1100"),
+    ("power-table", "--theorem", "two-op-cstar-c", "--from", "1100", "--to", "1100",
+     "--step", "1"),
+], ids=["norm-overflowing-rows", "two-op-closed-form", "power-table-closed-form"])
+def test_float_overflow_is_one_error_line(args):
+    # the rows of C on k**150 against n**-150.1 overflow from row 114 (the
+    # norm is 1.0), and 2**1100 M_1100 is past float64: neither is
+    # divergence, and neither ends in a traceback
+    r = run(*args)
+    assert r.returncode == 1
+    assert "Divergent" not in r.stdout
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cesaro-copson: error: ")
+    assert "overflows float64" in lines[0]
+
+
+def test_div_threshold_is_accepted_and_ignored():
+    # older command lines still run; the flag changes no answer
+    args = ("norm", "--op", "copson", "--cone", "all", "--u", "power:0.3",
+            "--v", "power:0.301", "--n-max", "1000")
+    plain, flagged = run(*args), run(*args, "--div-threshold", "10")
+    assert plain.returncode == flagged.returncode == 0
+    assert plain.stdout == flagged.stdout
+    assert json.loads(plain.stdout)["status"] == "Divergent"

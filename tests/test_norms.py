@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_list_weight
 from cesaro_copson import norms
-from cesaro_copson.norms import (DEFAULT_TRUNC, SPECIALIZED_BY_KIND, Status,
+from cesaro_copson.norms import (SPECIALIZED_BY_KIND, NormResult, Status,
                                  TruncConfig,
                                  _finite_sup, _part_values, _SeqData,
                                  dist_cesaro_identity, dist_copson_identity,
@@ -235,10 +235,9 @@ def test_statuses_on_scans():
     r = norm_cesaro(P(0.5), P(0.3), Cone.ALL, TruncConfig(n_max=50000))
     assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == 256
     # a rapidly growing unmatched pair: its prefix rows grow like n**4, so
-    # analysis (_power_diverges) decides it before any scan
-    r = norm_cesaro(P(-1.0), P(3.0), Cone.ALL,
-                    TruncConfig(n_max=100000, divergence_threshold=1e9))
-    assert r.status is Status.DIVERGENT and r.value == math.inf
+    # their floor decides it before any scan
+    r = norm_cesaro(P(-1.0), P(3.0), Cone.ALL, TruncConfig(n_max=100000))
+    assert repr(r) == repr(NormResult(math.inf, Status.DIVERGENT, 0, 0.0))
     # certificate: matched pair at alpha close to 1 converges slowly but the
     # monotone certificate still certifies the limit
     r = norm_general(OpKind.C, P(0.99), P(0.99), Cone.ALL, TruncConfig(n_max=200000))
@@ -255,10 +254,11 @@ def test_statuses_on_scans():
 def test_stalled_infinite_norm_is_only_a_lower_bound(call):
     # the rows grow like n**0.001 without bound, far too slowly for the
     # running max to move over 10^6 rows; a stalled max used to be
-    # reported as TruncatedConverged
+    # reported as TruncatedConverged.  The floor of the part each large row
+    # reads grows against v_n, so the rows are Divergent before any scan
     r = call()
-    assert r.status is Status.TRUNCATED_LOWER_BOUND
-    assert r.n_used == DEFAULT_TRUNC.n_max and r.residual_estimate == 0.0
+    assert r.status is not Status.TRUNCATED_CONVERGED
+    assert repr(r) == repr(NormResult(math.inf, Status.DIVERGENT, 0, 0.0))
 
 
 def test_single_row_scan_is_only_a_lower_bound():
@@ -278,8 +278,7 @@ def test_trunc_config_validation():
 
 @pytest.mark.parametrize("kwargs", [
     {"n_max": 1e5}, {"n_max": True}, {"n_max": False}, {"n_max": "10"},
-    {"tol": math.nan}, {"divergence_threshold": math.nan},
-    {"divergence_threshold": 0.0},
+    {"tol": math.nan},
 ], ids=repr)
 def test_trunc_config_rejects_values_that_break_later(kwargs):
     # a float n_max used to fail deep inside the scan, True came back as

@@ -41,11 +41,10 @@ def whole_array_scan(values_fn, cfg, certificate):
         vals = values_fn(n)
     except _DivergentTail:
         return _divergent()
-    if not np.all(np.isfinite(vals)):
-        return _divergent(N)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:   # overflow is not divergence
+        raise ValueError(f"row {bad[0] + 1} overflows float64")
     m = float(np.max(vals))
-    if m > cfg.divergence_threshold:
-        return _divergent(int(np.argmax(vals)) + 1)
     cut = max(1, int(0.9 * N))
     delta = m - float(np.max(vals[:cut]))
     if certificate is not None:
@@ -76,9 +75,9 @@ def _rows(N, feature, rows):
         if feature == "max":
             vals[i] = 5.0
             certificate = PowerCaseResult(5.0, "rows reach 5", mode="attained")
-        elif feature == "tie":          # above the threshold: the first row wins
+        elif feature == "tie":          # equal maxima, as large as any row
             vals[i:i + 2] = 2e15
-        elif feature == "huge":
+        elif feature == "huge":         # however large, only a lower bound
             vals[i] = 2e15 + r
         elif feature == "nan":
             vals[i] = np.nan
@@ -89,6 +88,14 @@ def _rows(N, feature, rows):
     return vals, certificate
 
 
+def _outcome(scan, values_fn, cfg, certificate):
+    """repr of the scan's answer, or of the ValueError it raises."""
+    try:
+        return repr(scan(values_fn, cfg, certificate))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def _compare(vals, cfg, certificate):
     calls = []
 
@@ -96,11 +103,11 @@ def _compare(vals, cfg, certificate):
         calls.append((int(n[0]), int(n[-1]), n.size))
         return vals[n - 1]
 
-    got = _scan_sup(values_fn, cfg, certificate)
-    assert repr(got) == repr(whole_array_scan(lambda n: vals[n - 1], cfg, certificate))
+    got = _outcome(_scan_sup, values_fn, cfg, certificate)
+    assert got == _outcome(whole_array_scan, lambda n: vals[n - 1], cfg, certificate)
     # contiguous blocks in order, covering 1..N once: rows 1..S, then up to
     # F, then up to B, then B rows each, up to the block that holds the first
-    # non-finite row, where the scan ends
+    # non-finite row, where the scan raises
     N = cfg.n_max
     ends = [e for e in (S, F, *range(B, N + B, B)) if e < N] + [N]
     bad = np.flatnonzero(~np.isfinite(vals[:N]))
@@ -140,9 +147,11 @@ def test_stall_cut_at_a_block_edge(offset):
 
 # name: (call, stops early).  The cases that stop at a tail are still held
 # to the memory bound, and each scan kernel keeps a case that reads the
-# whole horizon: v = n^b with b a little past where the rows stop decaying,
-# so no tail bound is derived and no analysis decides divergence, or the
-# C* <= A C scan, which has no tail for a power u.
+# whole horizon: v = n^b with b at or a hair below where the rows stop
+# decaying, so that rows rising to their limit keep the tail bound above
+# them (the "-growing" cases used to sit a little past it, where the rows'
+# floor now decides divergence before any scan), or the C* <= A C scan,
+# which has no tail for a power u.
 MEMORY_CASES = {
     "cstarsd-power": (lambda cfg: norm_cstarsd(P(.5), P(.3), Cone.ALL, cfg), True),
     "cesaro-id-nondecr": (lambda cfg: dist_cesaro_identity(
@@ -152,16 +161,16 @@ MEMORY_CASES = {
     "general-cstarsd-matched": (lambda cfg: norm_general(
         OpKind.CSTARSD, P(.5), P(.5), Cone.ALL, cfg), True),
     "general-cstarsd-growing": (lambda cfg: norm_general(
-        OpKind.CSTARSD, P(.5), P(1.5 + 1e-3), Cone.ALL, cfg), False),
+        OpKind.CSTARSD, P(-.5), P(.5), Cone.ALL, cfg), False),
     "general-cesaro-id-nondecr-matched": (lambda cfg: norm_general(
         OpKind.C_MINUS_I, P(-.5), P(-.5), Cone.NONDECR, cfg), True),
     "general-cesaro-id-nondecr-growing": (lambda cfg: norm_general(
-        OpKind.C_MINUS_I, P(-.5), P(-.5 + 1e-3), Cone.NONDECR, cfg), False),
+        OpKind.C_MINUS_I, P(-.5), P(-.5 - 1e-12), Cone.NONDECR, cfg), False),
     "cstar-le-c-list-u": (lambda cfg: best_constant(TwoOpQuery(
         Direction.CSTAR_LE_C, Cone.ALL,
         ListWeight(tuple(float(k) for k in range(1, 300))), P(.3), cfg)), True),
     "general-cstar-minus-i": (lambda cfg: norm_general(
-        OpKind.CSTAR_MINUS_I, P(.6), P(.6 + 1e-3), Cone.ALL, cfg), False),
+        OpKind.CSTAR_MINUS_I, P(.6), P(.6 - 1e-12), Cone.ALL, cfg), False),
     "cstar-le-c-scan": (lambda cfg: best_constant(
         TwoOpQuery(Direction.CSTAR_LE_C, Cone.ALL, P(.6), P(.6), cfg),
         use_closed_forms=False), False),
@@ -317,10 +326,12 @@ def test_scan_does_not_refault_its_buffers():
         import resource
         from cesaro_copson import Cone, OpKind, PowerWeight, norm_general
         from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
-        # v grows a little faster than the rows decay: no tail stops these
-        u, v = PowerWeight(0.6), PowerWeight(0.6 + 1e-3)
+        # rows that rise to their limit: no tail bound comes within the
+        # tolerance of them by row 10^6, so no tail stops these
+        u, v = PowerWeight(0.6), PowerWeight(0.6 - 1e-12)
         calls = [
-            lambda: norm_general(OpKind.CSTAR, u, v, Cone.ALL),
+            lambda: norm_general(OpKind.CSTARSD, PowerWeight(-0.5), PowerWeight(0.5),
+                                 Cone.ALL),
             lambda: norm_general(OpKind.CSTAR_MINUS_I, u, v, Cone.ALL),
             lambda: best_constant(TwoOpQuery(Direction.CSTAR_LE_C, Cone.ALL, u, u),
                                   use_closed_forms=False),
@@ -343,8 +354,6 @@ def test_scan_does_not_refault_its_buffers():
 
 
 def test_non_finite_row_ends_the_scan(monkeypatch):
-    # rows overflow from n = 6: the first block decides, and no later block
-    # is read (a tail kind: no analysis decides that these rows grow)
     calls = []
     scan_sup = norms._scan_sup
 
@@ -356,8 +365,16 @@ def test_non_finite_row_ends_the_scan(monkeypatch):
         return scan_sup(fn, cfg, certificate, tail)
 
     monkeypatch.setattr(norms, "_scan_sup", counting)
+    # these rows overflow from n = 6, but their floor n**399.5 / 0.5 already
+    # decides that they grow: Divergent before any row is read
     r = norm_copson(P(0.5), P(400), Cone.ALL)
-    assert repr(r) == repr(NormResult(math.inf, Status.DIVERGENT, 10 ** 6, 0.0))
+    assert repr(r) == repr(NormResult(math.inf, Status.DIVERGENT, 0, 0.0))
+    assert calls == []
+    # the norm is 1.0 (row 1), but the prefix sums of k**150 overflow from
+    # row 114: the first block raises, naming the row, and no later block is
+    # read.  Overflow is not divergence
+    with pytest.raises(ValueError, match="^row 114 overflows float64$"):
+        norm_cesaro(P(-150), P(-150.1), Cone.ALL)
     assert calls == [S]
 
 
@@ -509,7 +526,9 @@ def test_one_power_evaluation_per_block(fn, cone, monkeypatch):
                          ids=["cstar-all", "cstarsd-nondecr"])
 def test_tail_read_alone_loads_no_window(kind, cone, monkeypatch):
     # a block whose one part is a tail evaluates no power of u: its tails
-    # come from the formula, over the block's columns
+    # come from the formula, over the block's columns.  Without its tail
+    # the scan reads every block
+    monkeypatch.setattr(norms, "_tail", lambda *args: None)
     calls = []
     power_vals = weights._power_vals
 
@@ -520,7 +539,7 @@ def test_tail_read_alone_loads_no_window(kind, cone, monkeypatch):
     monkeypatch.setattr(weights, "_power_vals", counting)
     monkeypatch.setattr(norms, "_power_vals", counting)
     u = P(-0.4) if cone is Cone.NONDECR else P(0.6)
-    r = norm_general(kind, u, P(0.6 + 1e-3), cone, TruncConfig(n_max=B + 100))
+    r = norm_general(kind, u, P(0.6 - 1e-3), cone, TruncConfig(n_max=B + 100))
     assert r.n_used == B + 100
     assert calls == []
 
