@@ -30,23 +30,21 @@ reads the literal matrix, built row by row from ``operators.row_entries``
 Infinite problems scan rows 1..n_max in contiguous blocks (rows 1..256,
 then up to 4096, then up to 65,536, then _SCAN_BLOCK rows each), ending on
 rows of the tails' grid (``special_sums``), keeping only running state
-between blocks, so a scan's memory does not depend on n_max.  Every
-caller passes the engine a run of rows, so ``_SeqData`` serves each block
-as one range of columns, without tables of the horizon's length: u is
-evaluated once per block, as the powers of the columns its row shape
-reads, those columns give the scales their rows and the tails their run,
-and power prefix sums are carried from block to block.  A block's rows,
-its columns and v_n's rows are slices of a ramp of the integers and
-floats 0..8191 (``weights._RAMPS``) in the first two blocks, so a scan
-that its first block closes fills no range, and one fill each past them.
-Every other per-block array of a scan (v_n, the row parts, the value
-window, the prefix sums, the tails) is written with ``out=`` into block
-buffers (``_Buffers``) that the later blocks reuse, with the same
-operations in the same order as a fresh array would get, so a scan
-allocates a few arrays instead of some twenty per block, and the
-allocator does not hand memory back to the kernel and fault it in again
-between blocks.  What a row function or ``_SeqData`` returns is valid
-only until its next call.
+between blocks, so a scan's memory does not depend on n_max.  A block is
+a run (first, count) of rows, which ``_SeqData`` serves as one range of
+columns, without tables of the horizon's length: the columns its row
+shape reads, and its rows, as floats, whose powers are u over them (once
+per block) and v_n, and which give the scales their rows and the tails
+their run; power prefix sums are carried from block to block.  The
+columns are a slice of the float ramp 0..8191 (``weights._RAMP``) in the
+first two blocks, so a scan that its first block closes fills no range,
+and one fill each past them.  One scan state per query (``_Buffers``)
+holds them and every other per-block array (v_n, the row parts, the
+window, the prefix sums, the tails), written with ``out=`` into buffers
+that the later blocks reuse, with the same operations in the same order
+as a fresh array would get, so that the allocator does not hand memory
+back to the kernel and fault it in again between blocks.  What a row
+function or ``_SeqData`` returns is valid only until its next call.
 
 A scan may stop after any block, at its tail (``_tail``, read from the row
 shapes).  For a ListWeight u against a PowerWeight v the rows past the
@@ -95,7 +93,7 @@ from .operators import (INV_K, NO_FLIP, PREFIX, ROW_SHAPES, SCALE_POWERS,
                         cone_plan, row_entries)
 from .special_sums import (_BLOCK, _FIRST_BLOCK, _RUN_ANCHOR, _value_run_tails,
                            hurwitz_tail_scaled, shifted_tail_scaled)
-from .weights import (_RAMPS, Cone, ListWeight, PowerWeight, Weight, _fill_range,
+from .weights import (_RAMP, Cone, ListWeight, PowerWeight, Weight, _fill_range,
                       _power_vals, codomain_values, envelope_down, envelope_up,
                       truncation_length, weight_values)
 
@@ -195,35 +193,39 @@ def _envelope(u: Weight, env: str, K: int) -> np.ndarray:
 
 
 _SCAN_BLOCK = 2 ** 16   # rows per values_fn call, a multiple of special_sums._BLOCK
-_NO_COLUMNS = _RAMPS["f"][:0]
 
 
 class _Buffers(dict):
-    """Named block buffers of one scan.  ``take(name, size)`` returns the
-    first ``size`` entries of that buffer, allocated again only when a block
-    is longer than any before it, so a scan's blocks reuse the same memory.
-    What a take returns is overwritten by the next take of the same name.
+    """One scan's state, which its rows, v_n and driver share: the block's
+    columns and named block buffers.  ``take(name, size)`` returns the first
+    ``size`` entries of that buffer, allocated again only when a block is
+    longer than any before it, and overwritten by the next take of the name.
 
     A scan's first two blocks end at rows _FIRST_BLOCK and _BLOCK; past
     them it reads blocks of up to _SCAN_BLOCK rows, and the block's columns
     add two: a longer request gets a buffer of at least that size at once,
     not a second one at the fourth block."""
 
-    def take(self, name: str, size: int, dtype=float) -> np.ndarray:
+    cols, c0 = _RAMP[:0], 0   # the block's columns (``_SeqData.load``), from c0
+
+    def take(self, name: str, size: int) -> np.ndarray:
         buf = self.get(name)
         if buf is None or buf.size < size:
             cap = size if size <= _BLOCK + 2 else max(size, _SCAN_BLOCK + 2)
-            buf = self[name] = np.empty(cap, dtype)
+            buf = self[name] = np.empty(cap)
         return buf[:size]
 
-    def range(self, name: str, first: int, count: int, kind: str = "f") -> np.ndarray:
-        """first..first+count-1 as floats (integers for kind "i"): a slice
-        of that ramp while it holds them (as ``weights._range`` for floats),
-        past it written into the named buffer."""
-        ramp = _RAMPS[kind]
-        if first + count <= ramp.size:
-            return ramp[first:first + count]
-        return _fill_range(self.take(name, count, ramp.dtype), first)
+    def columns(self, first: int, count: int, name: str = "columns") -> np.ndarray:
+        """The columns first..first+count-1 (first >= 0) as floats: a slice
+        of the loaded ones or of the ramp, else written into the named
+        buffer (as ``weights._range``): "cols" for a load, so that no other
+        miss overwrites the loaded columns."""
+        i = first - self.c0
+        if i >= 0 and i + count <= self.cols.size:
+            return self.cols[i:i + count]
+        if first + count <= _RAMP.size:
+            return _RAMP[first:first + count]
+        return _fill_range(self.take(name, count), first)
 
 
 def _range_read(table: np.ndarray, first: int, out: np.ndarray,
@@ -247,32 +249,30 @@ class _SeqData:
     infinite sequences: their values come from the formula and their tails
     are analytic.
 
-    The engine reads a row block as one range of columns: ``load(first,
-    last)`` holds the columns first..last that the block's parts read, as
-    floats (a slice of the ramp in the first blocks), which give the rows to
-    the scales and the columns to the tails, and in power mode u over them,
-    their powers, as the block's window; the block's value and prefix reads
-    come from it.  A prefix read continues the sums of the last one,
-    cumsum([carry, terms]), which gives the bits of one long cumsum from
-    column 1; a read that does not start where the last ended sums its
-    head again (correct, but O(first)).  A tail run that the window covers,
-    as extended to row _RUN_ANCHOR - 1, forms its terms from it,
-    kernel(u_k, k): at most one rounding more per term than the formula's,
-    within the cells' 4096 * 2**-53 bound.  Other tail runs, and every run
-    of a block that loads no window, take the formula.  The tails take
-    their run as a range (``special_sums._value_run_tails`` takes (first,
-    last)), not as an array of column indices that must be checked.
+    The engine reads a row block first..first+count-1 as one range of
+    columns: ``load(first, last)`` puts the columns first..last that the
+    block reads in the scan state ``bufs`` as floats (a slice of the ramp
+    in the first blocks), which give the rows to the scales and v_n and the
+    columns to the tails, and in power mode holds their powers, u over
+    them, as the block's window, which the value and prefix reads read.  A
+    prefix read
+    continues the sums of the last one, cumsum([carry, terms]), which gives
+    the bits of one long cumsum from column 1; a read that does not start
+    where the last ended sums its head again (correct, but O(first)).  A
+    tail run that the window covers, as extended to row _RUN_ANCHOR - 1,
+    forms its terms from it, kernel(u_k, k): at most one rounding more per
+    term than the formula's, within the cells' 4096 * 2**-53 bound.  Other
+    tail runs, and every run of a block that loads no window, take the
+    formula, over a range (first, last), not an array to be checked.
 
-    What a read returns is a block buffer (``_Buffers``), a view of one or
-    of the ramp: valid only until the next load or read of the same kind,
-    and not to be written.
+    What a read returns is a buffer of ``bufs``, a view of one or of the
+    ramp: valid until the next load or read of its kind, not to be written.
     """
 
-    def __init__(self, u: Weight, env: str, K: int):
+    def __init__(self, u: Weight, env: str, K: int, bufs: _Buffers | None = None):
         self._u = u
-        self.bufs = _Buffers()   # the engine's part buffers are named apart
-        self._cols, self._c0 = _NO_COLUMNS, 0   # the block's columns, from _c0
-        self._win = None                         # u over them, in power mode
+        self.bufs = _Buffers() if bufs is None else bufs   # part buffers are named apart
+        self.columns, self._win = self.bufs.columns, None   # _win: u over them
         if isinstance(u, PowerWeight):
             a = u.alpha
             if env == "id" or (env == "down" and a >= 0) or (env == "up" and a <= 0):
@@ -304,28 +304,19 @@ class _SeqData:
         if first > last:
             self._win = None
             return
-        self._c0 = first
-        self._cols = cols = self.bufs.range("cols", first, last - first + 1)
+        bufs, cols = self.bufs, self.bufs.columns(first, last - first + 1, "cols")
+        bufs.c0, bufs.cols = first, cols
         if self.mode != "power":
             return
-        self._win = win = self.bufs.take("window", cols.size)
+        self._win = win = bufs.take("window", cols.size)
         if first == 0:
             win[0] = 0.0
             _power_vals(self.alpha, cols[1:], win[1:])
         else:
             _power_vals(self.alpha, cols, win)
 
-    def columns(self, first: int, count: int) -> np.ndarray:
-        """The columns first..first+count-1 (first >= 0) as floats: a slice
-        of the loaded ones when they hold them, else a range of their own,
-        valid until the next such call."""
-        i = first - self._c0
-        if i >= 0 and i + count <= self._cols.size:
-            return self._cols[i:i + count]
-        return self.bufs.range("columns", first, count)
-
     def _window(self, first: int, count: int) -> np.ndarray:
-        i = first - self._c0
+        i = first - self.bufs.c0
         if self._win is None or i < 0 or i + count > self._win.size:
             raise ValueError(f"columns {first}..{first + count - 1} are not loaded")
         return self._win[i:i + count]
@@ -348,17 +339,18 @@ class _SeqData:
         if self.mode == "list":
             return _range_read(self._prefix, first, out, self._prefix[-1])
         if self.mode == "ones":
-            out[...] = self.columns(first, count)
-            return out
+            return np.positive(self.columns(first, count), out=out)   # a copy
         if self.mode == "zeros":
             out[...] = 0.0
             return out
-        out[...] = self._window(first, count)
+        win = self._window(first, count)
         if first - 1 != self._end:   # not the run after the last read
             self._carry = (float(np.cumsum(weight_values(self._u, first - 1))[-1])
                            if first > 1 else 0.0)
-        out[0] += self._carry
-        np.add.accumulate(out, out=out)   # np.cumsum, without its wrapper
+        if self._carry:   # cumsum([carry, terms]); without it the window's own
+            win = np.positive(win, out=out)
+            win[0] += self._carry
+        np.add.accumulate(win, out=out)   # np.cumsum, without its wrapper
         self._end, self._carry = first + count - 1, float(out[-1])
         return out
 
@@ -371,7 +363,7 @@ class _SeqData:
         if self.mode == "list":
             table = self._tails.get(kernel)
             if table is None:
-                k = self.bufs.range("columns", 1, self._vals.size - 1)
+                k = self.columns(1, self._vals.size - 1)
                 terms = kernel(self._vals[1:], k)
                 table = self._tails[kernel] = np.add.accumulate(terms[::-1])[::-1]
             return _range_read(table, first - 1, out, 0.0)
@@ -386,7 +378,7 @@ class _SeqData:
         a, last = self.alpha, first + count - 1
         if (a + 1.0 if shifted else a) <= 0:
             raise _DivergentTail
-        win, c0 = self._win, self._c0
+        win, c0 = self._win, self.bufs.c0
         if (win is not None and c0 <= first
                 and max(last, _RUN_ANCHOR - 1) < c0 + win.size):
             got = _value_run_tails(a + 1.0, shifted, first, last, kernel,
@@ -401,78 +393,84 @@ class _SeqData:
 # The row engine: row functionals from the operator structure
 # ---------------------------------------------------------------------------
 
-def _part_values(sh: RowShape, part: str, sd: _SeqData, n: np.ndarray,
-                 bufs: _Buffers | None = None) -> np.ndarray:
+def _part_values(sh: RowShape, part: str, sd: _SeqData, first: int,
+                 count: int) -> np.ndarray:
     """(B+ u~)_n or (B- u~)_n for the unflipped operator of row shape sh at
-    the rows n, a run n[0]..n[-1], into the buffer named after the part.  In
-    power mode sd's window must hold the columns read (``_load``)."""
-    bufs = sd.bufs if bufs is None else bufs
-    size = n.size
-    out = bufs.take(part, size)
-    n0 = int(n[0])
+    the rows n = first..first+count-1, into the buffer named after the
+    part.  In power mode sd's window must hold the columns read (``_span``)."""
+    out, cols = sd.bufs.take(part, count), sd.columns
     if part == "neg":
         if sh.neg_scale is None:
             out[...] = 0.0
             return out
-        return sh.neg_scale(sd.vals_at(n0 + sh.neg_at, size), sd.columns(n0, size), out)
+        return sh.neg_scale(sd.vals_at(first + sh.neg_at, count), cols(first, count), out)
     if sh.block is TAIL:
-        return sd.tail(sh.scale, n0 + sh.at, size, out)
+        return sd.tail(sh.scale, first + sh.at, count, out)
     read = sd.prefix if sh.block is PREFIX else sd.vals_at
-    return sh.scale(read(n0 + sh.at, size), sd.columns(n0, size), out)
+    return sh.scale(read(first + sh.at, count), cols(first, count), out)
 
 
-def _load(sd: _SeqData, sh: RowShape, parts: tuple[str, ...], n0: int, n1: int) -> None:
-    """Load the columns that the parts of the rows n0..n1 read: the span of
-    their offsets.  A tail block read alone loads nothing, so its tails come
-    from the formula."""
-    offsets = [sh.neg_at] if "neg" in parts and sh.neg_scale is not None else []
+def _span(sh: RowShape, parts: tuple[str, ...]) -> tuple[int, int] | None:
+    """The offsets (lo, hi) from a block's first and last rows of the
+    columns that its parts and its scales and v_n read; None when a tail
+    block read alone loads nothing, so its tails come from the formula."""
+    offsets = (sh.neg_at,) if "neg" in parts and sh.neg_scale is not None else ()
     if "pos" in parts and (offsets or sh.block is not TAIL):
-        offsets.append(sh.at)
-    if offsets:
-        sd.load(n0 + min(offsets), n1 + max(offsets))
+        offsets += (sh.at,)
+    return (min(0, *offsets), max(0, *offsets)) if offsets else None
+
+
+_JOIN = {Cone.ALL: np.add, Cone.NONNEG: np.maximum}   # the monotone cones: none
+_READS: dict[int, tuple] = {}   # by id(sh), with sh: built at its first query
+
+
+def _reads(sh: RowShape) -> tuple:
+    """(sh, reads on ALL and NONNEG, reads on a monotone cone): (parts,
+    ``_span``) of a block outside the flipped run, inside it and across an
+    end of it, both parts on ALL and NONNEG (NO_FLIP: every block outside),
+    and the positive part, the negative one and both."""
+    both = ("pos",) if sh.neg_scale is None else ("pos", "neg")
+    return sh, ((both, _span(sh, both)),) * 3, tuple(
+        (p, _span(sh, p)) for p in (("pos",), ("neg",), ("pos", "neg")))
+
+
+def _generic_row_values(sh: RowShape, flip: SignFlip, reads: tuple, join: Callable | None,
+                        sd: _SeqData, first: int, count: int) -> np.ndarray:
+    """Row functional of the row shape sh at the rows first..first+count-1
+    after the flips flip, read as ``_reads`` says and joined by join, against
+    sd, u with the cone's envelope _ENV[cone]: a buffer of sd's scan state."""
+    last = first + count - 1
+    if last < flip.first or (flip.last is not None and first > flip.last):
+        parts, span = reads[0]   # no row of the block flipped
+    elif first >= flip.first and (flip.last is None or last <= flip.last):
+        parts, span = reads[1]   # every row flipped
     else:
+        parts, span = reads[2]   # the block straddles an end of the run
+    if span is None:
         sd.load(1, 0)
-
-
-def _generic_row_values(kind: OpKind, cone: Cone, flip: SignFlip, sd: _SeqData,
-                        n: np.ndarray, bufs: _Buffers) -> np.ndarray:
-    """Row functional at the rows n, a run n[0]..n[-1], after the row flips
-    flip of the monotone cones; sd is u with the cone's envelope
-    _ENV[cone].  The result is one of the buffers of bufs."""
-    sh = ROW_SHAPES[kind]
-    n0, n1 = int(n[0]), int(n[-1])
-    if cone is Cone.ALL or cone is Cone.NONNEG:
-        parts = ("pos",) if sh.neg_scale is None else ("pos", "neg")
-    elif n1 < flip.first or (flip.last is not None and n0 > flip.last):
-        parts = ("pos",)   # no row of the block flipped
-    elif n0 >= flip.first and (flip.last is None or n1 <= flip.last):
-        parts = ("neg",)   # every row flipped
-    else:   # the block straddles an end of the run
-        flipped = flip.flipped(n)
-        parts = ("pos", "neg")
-    _load(sd, sh, parts, n0, n1)
+    else:
+        sd.load(first + span[0], last + span[1])
     if len(parts) == 1:
-        return _part_values(sh, parts[0], sd, n, bufs)
-    pos = _part_values(sh, "pos", sd, n, bufs)
-    neg = _part_values(sh, "neg", sd, n, bufs)
-    if cone is Cone.ALL:
-        return np.add(pos, neg, out=pos)
-    if cone is Cone.NONNEG:
-        return np.maximum(pos, neg, out=pos)
-    np.copyto(pos, neg, where=flipped)
+        return _part_values(sh, parts[0], sd, first, count)
+    pos = _part_values(sh, "pos", sd, first, count)
+    neg = _part_values(sh, "neg", sd, first, count)
+    if join is not None:
+        return join(pos, neg, out=pos)
+    np.copyto(pos, neg, where=flip.flipped(sd.columns(first, count)))
     return pos
 
 
 def _kind_rows(kind: OpKind, u: Weight | _SeqData, cone: Cone, K: int,
-               flip: SignFlip = NO_FLIP) -> Callable[[np.ndarray], np.ndarray]:
+               flip: SignFlip = NO_FLIP, bufs: _Buffers | None = None) -> Callable:
     """The row engine: F(n) of the kind's rows flipped by flip, against u
-    with the cone's envelope over the column horizon K (or against the
-    ``_SeqData`` of them, already built).  A row block is a run: the
-    returned function reads the rows n[0]..n[-1] of its integer array n,
-    and reads them as one range of columns.  What it gives is valid only
-    until its next call."""
-    sd = u if isinstance(u, _SeqData) else _SeqData(u, _ENV[cone], K)
-    return partial(_generic_row_values, kind, cone, flip, sd, bufs=sd.bufs)
+    with the cone's envelope over the column horizon K (or the ``_SeqData``
+    of them, already built), in the scan state bufs: a function of a block,
+    rows first..first+count-1, read as one range of columns by the plan the
+    row shape, cone and flip give once, valid only until its next call."""
+    sd = u if isinstance(u, _SeqData) else _SeqData(u, _ENV[cone], K, bufs)
+    sh, join = ROW_SHAPES[kind], _JOIN.get(cone)
+    reads = _READS.get(id(sh)) or _READS.setdefault(id(sh), _reads(sh))
+    return partial(_generic_row_values, sh, flip, reads[1 + (join is None)], join, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +551,9 @@ def _scaled_powers(alpha: float, K: int) -> tuple[int, np.ndarray]:
 
 class _Tail(NamedTuple):
     """sup over rows n > N of v_n * F(n), as ``at(N)``: that supremum itself
-    when ``exact``, otherwise a proven upper bound on it.  ``at`` returns
-    None while N is too small for it to say anything.  ``data`` is the
-    ``_SeqData`` a list tail read its constant from, which the rows then
-    read too, so that its tables are built once."""
+    when ``exact``, otherwise a proven upper bound on it, or None while N is
+    too small for it to say anything.  ``data`` is the ``_SeqData`` a list
+    tail read its constant from, which the rows read too (built once)."""
 
     at: Callable[[int], float | None]
     exact: bool = False
@@ -564,31 +561,23 @@ class _Tail(NamedTuple):
 
 
 _DIVERGES = _Tail(lambda N: math.inf, exact=True)   # a floor that grows: _power_tail
+_ZERO = _Tail(lambda N: 0.0, exact=True)   # a zero envelope: every row is 0
 
 
-def _scan_blocks(N: int):
-    """The row blocks (lo, hi) of a scan over 1..N: rows 1.._FIRST_BLOCK,
-    then up to _BLOCK, then up to _SCAN_BLOCK, then _SCAN_BLOCK rows each.
-    Every block ends on a row of the tails' grid, so each run-tail anchor
-    lands on the row a whole-array scan would use, and a scan that a tail
-    stops early reads _FIRST_BLOCK rows, not _BLOCK."""
-    lo = 1
-    while lo <= N:
-        hi = min(N, _FIRST_BLOCK if lo == 1 else _BLOCK if lo <= _BLOCK
-                 else (lo // _SCAN_BLOCK + 1) * _SCAN_BLOCK)
-        yield lo, hi
-        lo = hi + 1
-
-
-def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite row raises instead
+def _scan_sup(values_fn: Callable[[int, int], np.ndarray], cfg: TruncConfig,
               certificate: power_mod.PowerCaseResult | None,
-              tail: _Tail | None = None) -> NormResult:
-    """Supremum of values_fn over rows 1..n_max, called on the contiguous
-    blocks of ``_scan_blocks``.  Running state across blocks (max, max up
-    to the 90% cut, most negative step) gives the decision
-    a whole-array scan would give, in O(block) memory; the per-block arrays
-    live in block buffers.  values_fn may return a buffer of its own that
-    its next call overwrites: nothing of a block is kept but scalars.
+              tail: _Tail | None = None, bufs: _Buffers | None = None) -> NormResult:
+    """Supremum of values_fn over rows 1..n_max, called as values_fn(lo,
+    hi - lo + 1) on contiguous blocks: rows 1.._FIRST_BLOCK, then up to
+    _BLOCK, then up to _SCAN_BLOCK, then _SCAN_BLOCK rows each.  Every block
+    ends on a row of the tails' grid, so each run-tail anchor lands on the
+    row a whole-array scan would use, and a scan that a tail stops early
+    reads _FIRST_BLOCK rows, not _BLOCK.  Running state across blocks (max,
+    max up to the 90% cut, most negative step) gives the decision a
+    whole-array scan would give, in O(block) memory, in the scan state
+    bufs.  values_fn may return a buffer that its next call overwrites:
+    nothing of a block is kept but scalars.
 
     A row that is not a finite float raises ValueError naming it: overflow
     is not divergence.  After each block ending at row N the tail, if any,
@@ -600,11 +589,13 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
     of the limit and the rows read so far verify it; an "attained" value
     stops once m is within tolerance of it.  A certificate the bound or the
     rows disagree with never stops a scan early, and at the end of the scan
-    a limit above both m and the last tail bound is refused.  An infinite
-    certificate, or a tail whose floor grows (``_DIVERGES``), is Divergent
-    before any row is read.  What nothing proves, however large, is
-    TruncatedLowerBound, with residual the rise of m over the rows after
-    the first 90% (0 when N == 1)."""
+    a limit above both m and the last tail bound is refused.  A zero
+    envelope (``_ZERO``) is ClosedForm 0, and an infinite certificate, or a
+    floor that grows (``_DIVERGES``), Divergent, before any row is read.
+    What nothing proves, however large, is TruncatedLowerBound, with
+    residual the rise of m over the rows after the first 90% (0 if N == 1)."""
+    if tail is _ZERO:
+        return NormResult(0.0, Status.CLOSED_FORM, 0, 0.0)
     if tail is _DIVERGES or (certificate is not None and math.isinf(certificate.value)):
         return _divergent()
     N = cfg.n_max
@@ -613,49 +604,51 @@ def _scan_sup(values_fn: Callable[[np.ndarray], np.ndarray], cfg: TruncConfig,
     m = m_cut = -math.inf
     min_step = math.inf   # most negative vals[n+1] - vals[n], across blocks
     prev = None           # last value of the previous block
-    bufs = _Buffers()
+    bufs = _Buffers() if bufs is None else bufs
     t = None              # the last block's tail bound
-    # a non-finite row raises below, so its overflow does not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in _scan_blocks(N):
-            size = hi - lo + 1
-            try:
-                vals = values_fn(bufs.range("rows", lo, size, "i"))
-            except _DivergentTail:
-                return _divergent()
-            top = float(vals[vals.argmax()])   # the max, or the first NaN
-            if not math.isfinite(top):   # rows are >= 0: NaN and inf show in the max
-                raise ValueError(f"row {lo + int(np.isfinite(vals).argmin())} "
-                                 "overflows float64")
-            m = max(m, top)
-            if hi <= cut:
-                m_cut = max(m_cut, top)
-            elif lo <= cut:
-                m_cut = max(m_cut, float(vals[: cut - lo + 1].max()))
-            if steps:
-                if prev is not None:   # the step across the block edge
-                    min_step = min(min_step, float(vals[0] - prev))
-                if size > 1:
-                    d = np.subtract(vals[1:], vals[:-1], out=bufs.take("steps", size - 1))
-                    min_step = min(min_step, float(d.min()))
-                prev = vals[-1]
-            t = tail.at(hi) if tail is not None else None
-            if t is None:
-                continue
-            if tail.exact:
-                if math.isinf(t):
-                    return _divergent(hi)
-                return NormResult(max(m, t), Status.CLOSED_FORM, hi, 0.0)
-            if certificate is not None and certificate.mode == "limit":
-                # every row past hi is at most t, which meets the certified
-                # limit: the answer the end of the scan would accept, proven
-                value = certificate.value
-                if (abs(t - value) <= 1e-9 * abs(value) + 1e-12
-                        and _verifies(certificate, m, min_step, cfg.tol)):
-                    return NormResult(value, Status.TRUNCATED_CONVERGED, hi, 1e-12)
-            elif t <= m + cfg.tol and (certificate is None
-                                       or _verifies(certificate, m, min_step, cfg.tol)):
-                return NormResult(m, Status.TRUNCATED_CONVERGED, hi, max(0.0, t - m))
+    hi = 0
+    while hi < N:
+        lo = hi + 1
+        hi = min(N, _FIRST_BLOCK if lo == 1 else _BLOCK if lo <= _BLOCK
+                 else (lo // _SCAN_BLOCK + 1) * _SCAN_BLOCK)
+        size = hi - lo + 1
+        try:
+            vals = values_fn(lo, size)
+        except _DivergentTail:
+            return _divergent()
+        top = float(vals[vals.argmax()])   # the max, or the first NaN
+        if not math.isfinite(top):   # rows are >= 0: NaN and inf show in the max
+            raise ValueError(f"row {lo + int(np.isfinite(vals).argmin())} "
+                             "overflows float64")
+        m = max(m, top)
+        if hi <= cut:
+            m_cut = max(m_cut, top)
+        elif lo <= cut:
+            m_cut = max(m_cut, float(vals[: cut - lo + 1].max()))
+        if steps:
+            if prev is not None:   # the step across the block edge
+                min_step = min(min_step, float(vals[0] - prev))
+            if size > 1:
+                d = np.subtract(vals[1:], vals[:-1], out=bufs.take("steps", size - 1))
+                min_step = min(min_step, float(d[d.argmin()]))   # d.min(), faster
+            prev = vals[-1]
+        t = tail.at(hi) if tail is not None else None
+        if t is None:
+            continue
+        if tail.exact:
+            if math.isinf(t):
+                return _divergent(hi)
+            return NormResult(max(m, t), Status.CLOSED_FORM, hi, 0.0)
+        if steps:
+            # every row past hi is at most t, which meets the certified
+            # limit: the answer the end of the scan would accept, proven
+            value = certificate.value
+            if (abs(t - value) <= 1e-9 * abs(value) + 1e-12
+                    and _verifies(certificate, m, min_step, cfg.tol)):
+                return NormResult(value, Status.TRUNCATED_CONVERGED, hi, 1e-12)
+        elif t <= m + cfg.tol and (certificate is None
+                                   or _verifies(certificate, m, min_step, cfg.tol)):
+            return NormResult(m, Status.TRUNCATED_CONVERGED, hi, max(0.0, t - m))
     if (steps and t is not None
             and max(m, t) < certificate.value * (1.0 - 1e-9) - 1e-12):
         # no row reaches the limit, read or past N: a correct limit is at
@@ -681,33 +674,35 @@ def _verifies(certificate: power_mod.PowerCaseResult, m: float, min_step: float,
     return abs(m - certificate.value) <= max(tol, 1e-9 * scale)
 
 
-def _row_sup(rows: Callable[[Weight, int], Callable[[np.ndarray], np.ndarray]],
+def _row_sup(rows: Callable[..., Callable[[int, int], np.ndarray]],
              u: Weight, v: Weight, cfg: TruncConfig,
              certificate: power_mod.PowerCaseResult | None,
              tail: _Tail | None = None) -> NormResult:
-    """Supremum over rows n of v_n * F(n), where ``rows(w, K)`` returns F
-    against the domain weight w on the column horizon K.  A truncated v
+    """Supremum over rows n of v_n * F(n), where ``rows(w, K, bufs)``
+    returns F against the domain weight w on the column horizon K in the
+    scan state bufs, a function of a block (first, count).  A truncated v
     reads its rows 1..L_v exactly; otherwise rows 1..n_max are scanned, up
-    to the first block the tail closes."""
+    to the first block the tail closes, with v_n the power of the block's
+    columns, in one scan state (that of a list tail's tables, if any)."""
     L_u = truncation_length(u)
     L_v = truncation_length(v)
     K = max(L_v + 1 if L_v is not None else cfg.n_max + 1, L_u or 0)
+    data = None if tail is None else tail.data
+    bufs = _Buffers() if data is None else data.bufs
     if L_v is not None:
-        n = np.arange(1, L_v + 1, dtype=np.int64)
         try:
-            return _finite_sup(lambda w: rows(w, K)(n), u,
+            return _finite_sup(lambda w: rows(w, K, bufs)(1, L_v), u,
                                codomain_values(v, L_v), L_u is None)
         except _DivergentTail:
             return _divergent()
-    row_fn = rows(u if tail is None or tail.data is None else tail.data, K)
-    bufs = _Buffers()
+    row_fn, b = rows(u if data is None else data, K, bufs), v.alpha
 
-    def values_fn(n: np.ndarray) -> np.ndarray:
-        size = n.size
-        vals = codomain_values(v, size, int(n[0]), out=bufs.take("v", size))
-        return np.multiply(vals, row_fn(n), out=vals)
+    def values_fn(first: int, count: int) -> np.ndarray:
+        F = row_fn(first, count)
+        vals = np.power(bufs.columns(first, count), b, out=bufs.take("v", count))
+        return np.multiply(vals, F, out=vals)
 
-    return _scan_sup(values_fn, cfg, certificate, tail)
+    return _scan_sup(values_fn, cfg, certificate, tail, bufs)
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +713,9 @@ def _tail(kind: OpKind, cone: Cone, flip: SignFlip, u: Weight,
           v: Weight) -> _Tail | None:
     """The tail of sup_n v_n F(n) past row N, for a PowerWeight v and the
     rows flipped by flip: exact for a ListWeight u, an integral-comparison
-    bound for a PowerWeight u (matched or not), or ``_DIVERGES`` when its
-    floor grows; None when v is truncated or no bound is derived."""
+    bound for a PowerWeight u (matched or not), ``_DIVERGES`` when its
+    floor grows, or ``_ZERO`` when the envelope is 0; None when v is
+    truncated or no bound is derived."""
     if not isinstance(v, PowerWeight):
         return None
     if isinstance(u, ListWeight):
@@ -727,14 +723,15 @@ def _tail(kind: OpKind, cone: Cone, flip: SignFlip, u: Weight,
                           v.alpha)
     env = _ENV[cone]
     if env == "up" and u.alpha > 0:   # the envelope is 0, and so is every row
-        return _Tail(lambda N: 0.0)
+        return _ZERO
     alpha = max(u.alpha, 0.0) if env == "down" else u.alpha
-    # the parts that every large row reads: on a monotone cone each row reads
-    # one, the flipped part past the run's start if it has no end
-    counted = (("pos", "neg") if cone is Cone.ALL or cone is Cone.NONNEG
+    # the parts every large row reads: both with a join, else (a monotone
+    # cone) the flipped one past the run's start if the run has no end
+    join = _JOIN.get(cone)
+    counted = (("pos", "neg") if join is not None
                else ("neg",) if flip.last is None else ("pos",))
     return _power_tail(ROW_SHAPES[kind], alpha, v.alpha,
-                       sum if cone is Cone.ALL else max, counted)
+                       sum if join is np.add else max, counted)
 
 
 def _list_tail(sh: RowShape, flip: SignFlip, sd: _SeqData,
@@ -880,9 +877,9 @@ def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
     ``rows``: ``_kind_rows`` bound to kind) the matched-pair closed form,
     then the supremum of the engine's rows, or, for ``norm_general`` on a
     fully truncated problem, of the literal matrix rows (``_dense_norm``).
-    A power pair whose tail is ``_DIVERGES`` is Divergent before any scan.
-    A scan may stop at its tail, and a matched pair's scan only where that
-    tail meets the power theorems' certificate."""
+    A power pair whose tail is ``_DIVERGES`` is Divergent, and one whose
+    tail is ``_ZERO`` ClosedForm 0, before any scan.  A scan may stop at its
+    tail, a matched pair's only where it meets the certificate."""
     L_u = truncation_length(u)
     L_v = truncation_length(v)
     plan = cone_plan(kind, cone, L_u, max_row=L_v)
@@ -901,8 +898,8 @@ def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
         if L_u is not None and L_v is not None:
             return _dense_norm(kind, u, v, cone, plan)
         rows = partial(_kind_rows, kind)
-    return _row_sup(lambda w, K: rows(w, cone, K, plan.flip), u, v, cfg, certificate,
-                    _tail(kind, cone, plan.flip, u, v))
+    return _row_sup(lambda w, K, bufs: rows(w, cone, K, plan.flip, bufs), u, v, cfg,
+                    certificate, _tail(kind, cone, plan.flip, u, v))
 
 
 def norm_general(kind: OpKind, u: Weight, v: Weight, cone: Cone,

@@ -116,7 +116,7 @@ class SignFlip:
         return -1.0 if self.first <= n and (last is None or n <= last) else 1.0
 
     def flipped(self, n: np.ndarray) -> np.ndarray:
-        """Whether each row of the int array n is negated."""
+        """Whether each row of the array n (integers or integral floats) is negated."""
         if self.last is None:
             return n >= self.first
         return (n >= self.first) & (n <= self.last)
@@ -284,6 +284,7 @@ class ConePlan:
 
 
 _AS_IS = ConePlan(True)   # the rows as they are: no flips
+_AS_IS_CONES = frozenset((Cone.ALL, Cone.NONNEG))   # a set: no Enum member read
 
 
 def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
@@ -297,7 +298,7 @@ def cone_plan(kind: OpKind, cone: Cone, L: int | None = None,
     ``L`` is the column horizon (None = infinite), ``max_row`` the largest
     row the problem can see (None = all rows).
     """
-    if cone is Cone.ALL or cone is Cone.NONNEG:
+    if cone in _AS_IS_CONES:
         return _AS_IS
     sh = ROW_SHAPES[kind]
     if cone is Cone.NONDECR and L is None and sh.block is TAIL and sh.scale is INV_K:

@@ -335,7 +335,7 @@ def _run_tails(k: np.ndarray | None, n0: int, n1: int, p: float,
         ends.append(g1 + 1)
         if end > g1 + 1:
             ends.append(end)
-    rows = np.add(ends, 1)
+    rows = [e + 1 for e in ends]   # em_tail converts it once
     if periods:
         g = g0 + _BLOCK * np.arange(periods)
         rows = np.concatenate([rows, g + 2, g + (_BLOCK + 1)])

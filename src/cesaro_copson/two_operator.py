@@ -100,10 +100,10 @@ def w_envelope(u: Weight, K: int) -> np.ndarray:
     return out
 
 
-def _rows_cstar_le_c(u: ListWeight, cone: Cone) -> Callable:
+def _rows_cstar_le_c(u: ListWeight, cone: Cone, bufs: norms._Buffers) -> Callable:
     """Row terms F(n) of the truncated C* <= A C formulas (without the v_n
-    factor) against a ListWeight u, at the rows n[0]..n[-1] of a run n:
-    rows 1..L from a table, 0 past row L."""
+    factor) against a ListWeight u, at the rows first..first+count-1 of a
+    block, in the scan state bufs: rows 1..L from a table, 0 past row L."""
     L = u.length
     uv = weight_values(u, L)
     k = np.arange(1, L + 1, dtype=float)
@@ -118,7 +118,7 @@ def _rows_cstar_le_c(u: ListWeight, cone: Cone) -> Callable:
         coef = wup / (k * (k + 1.0))
         coef[L - 1] = wup[L - 1] / L
         rows = np.cumsum(coef[::-1])[::-1]
-    return lambda n: _range_read(rows, int(n[0]) - 1, np.empty(n.size), 0.0)
+    return lambda first, count: _range_read(rows, first - 1, bufs.take("pos", count), 0.0)
 
 
 def _reduced(q: TwoOpQuery) -> tuple[OpKind, Cone, Weight] | None:
@@ -133,12 +133,12 @@ def _reduced(q: TwoOpQuery) -> tuple[OpKind, Cone, Weight] | None:
 
 
 def _row_builder(q: TwoOpQuery, reduced) -> tuple[Callable, Weight]:
-    """The row builder (w, K) -> F of q's constant and the domain weight it
-    reads, given ``_reduced(q)``."""
+    """The row builder (w, K, bufs) -> F of q's constant and the domain
+    weight it reads, given ``_reduced(q)``."""
     if reduced is None:
-        return (lambda w, K: _rows_cstar_le_c(w, q.cone)), q.u
+        return (lambda w, K, bufs: _rows_cstar_le_c(w, q.cone, bufs)), q.u
     kind, cone, u = reduced
-    return (lambda w, K: norms._kind_rows(kind, w, cone, K)), u
+    return (lambda w, K, bufs: norms._kind_rows(kind, w, cone, K, bufs=bufs)), u
 
 
 def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
@@ -161,16 +161,16 @@ def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
 def _tail(q: TwoOpQuery, reduced) -> _Tail | None:
     """The tail against a PowerWeight v: C - S*'s for C <= A C*, and 0 past
     row L of a ListWeight u for C* <= A C.  C* <= A C against a PowerWeight
-    u takes only the (C* - S)D floors (``norms._DIVERGES``), not its bound,
-    until that bound closes for alpha <= 1 too (ROADMAP item 3): alone it
-    stops alpha > 1 scans at row 256 and leaves alpha <= 1 ones at n_max, a
-    hundredfold step in cost at alpha = 1."""
+    u takes only the (C* - S)D floors (``norms._DIVERGES``) and zero
+    envelopes (``norms._ZERO``), not its bound, until that bound closes for
+    alpha <= 1 too (ROADMAP item 3): alone it stops alpha > 1 scans at row
+    256 and leaves alpha <= 1 ones at n_max, a hundredfold step in cost."""
     if not isinstance(q.v, PowerWeight):
         return None
     if reduced is not None:
         kind, cone, u = reduced
         tail = norms._tail(kind, cone, NO_FLIP, u, q.v)
-        if q.direction is Direction.C_LE_CSTAR or tail is norms._DIVERGES:
+        if q.direction is Direction.C_LE_CSTAR or tail in (norms._DIVERGES, norms._ZERO):
             return tail
         return None
     L = q.u.length
@@ -180,10 +180,9 @@ def _tail(q: TwoOpQuery, reduced) -> _Tail | None:
 def two_op_row_terms(q: TwoOpQuery, N: int) -> np.ndarray:
     """The first N terms v_n * F(n) of the defining supremum (diagnostics
     and witness selection)."""
-    n = np.arange(1, N + 1, dtype=np.int64)
     rows, u = _row_builder(q, _reduced(q))
     K = max(N + 1, truncation_length(u) or 0)
-    return codomain_values(q.v, N) * rows(u, K)(n)
+    return codomain_values(q.v, N) * rows(u, K, norms._Buffers())(1, N)
 
 
 def witness_ratio(q: TwoOpQuery, n: int) -> float:

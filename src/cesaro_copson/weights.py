@@ -142,20 +142,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# 0, 1, 2, ...: the head that _fill_range doubles, as integers and as floats
-# (a ramp of out's kind adds without a casting loop), read-only.  A scan's
-# first two blocks (rows 1..256 and 257..4096), and their columns one wider
-# on each side, are slices of them (``_range``), with no fill at all.
-_RAMPS = {"i": _read_only(np.arange(8192)), "f": _read_only(np.arange(8192, dtype=float))}
+# 0.0, 1.0, 2.0, ...: the head that _fill_range doubles, read-only.  A
+# scan's first two blocks (rows 1..256 and 257..4096), and their columns one
+# wider on each side, are slices of it (``_range``), with no fill at all.
+_RAMP = _read_only(np.arange(8192, dtype=float))
 
 
 def _fill_range(out: np.ndarray, first: int) -> np.ndarray:
-    """first, first+1, ... written into the 1-D integer or float array out
-    (returned): a ramp plus first, then doubled in place, so no temporary is
-    made.  Exact (below 2**53 for floats)."""
-    ramp = _RAMPS[out.dtype.kind]
-    w = min(out.size, ramp.size)
-    np.add(ramp[:w], first, out=out[:w])
+    """first, first+1, ... written into the 1-D float array out (returned):
+    the ramp plus first, then doubled in place, so no temporary is made.
+    Exact below 2**53."""
+    w = min(out.size, _RAMP.size)
+    np.add(_RAMP[:w], first, out=out[:w])
     while w < out.size:
         m = min(w, out.size - w)
         np.add(out[:m], w, out=out[w:w + m])
@@ -165,11 +163,10 @@ def _fill_range(out: np.ndarray, first: int) -> np.ndarray:
 
 def _range(first: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """The floats first, first+1, ..., first+count-1 (first >= 0): a
-    read-only slice of the float ramp when it holds them, else written into
-    out (a new array when None) by ``_fill_range``."""
-    ramp = _RAMPS["f"]
-    if first + count <= ramp.size:
-        return ramp[first:first + count]
+    read-only slice of the ramp when it holds them, else written into out
+    (a new array when None) by ``_fill_range``."""
+    if first + count <= _RAMP.size:
+        return _RAMP[first:first + count]
     return _fill_range(np.empty(count) if out is None else out, first)
 
 

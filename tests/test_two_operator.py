@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_list_weight
-from cesaro_copson.norms import Status, TruncConfig
+from cesaro_copson.norms import NormResult, Status, TruncConfig
 from cesaro_copson.two_operator import (Direction, TwoOpQuery, best_constant,
                                         two_op_row_terms, w_envelope,
                                         witness_ratio)
@@ -101,13 +101,18 @@ def test_power_rows_match_the_defining_series(a):
 
 
 def test_power_u_scan_reads_the_whole_horizon():
-    # C* <= A C against a PowerWeight u takes no tail, so a > 1 scans cost
-    # what a <= 1 scans cost, though the (C* - S)D tail of norms would meet
-    # the attained certificate at row 256; the answer is the closed form's
+    # C* <= A C against a PowerWeight u takes no tail bound, so a > 1 scans
+    # cost what a <= 1 scans cost, though the (C* - S)D tail of norms would
+    # meet the attained certificate at row 256; the answer is the closed
+    # form's.  On NONNEG past a = 1 the envelope of k u_k is 0: so is every
+    # row, and no row is read
     for a, cone in ((1.2, Cone.ALL), (0.6, Cone.ALL), (1.2, Cone.NONNEG)):
         q = TwoOpQuery(Direction.CSTAR_LE_C, cone, P(a), P(a))
         r = best_constant(q, use_closed_forms=False)
-        assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == 10 ** 6
+        if cone is Cone.NONNEG:
+            assert repr(r) == repr(NormResult(0.0, Status.CLOSED_FORM, 0, 0.0))
+        else:
+            assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == 10 ** 6
         assert r.value == pytest.approx(best_constant(q).value, rel=1e-12, abs=0)
 
 
