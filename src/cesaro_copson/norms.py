@@ -82,7 +82,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial, wraps
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -421,16 +421,16 @@ def _span(sh: RowShape, parts: tuple[str, ...]) -> tuple[int, int] | None:
 
 
 _JOIN = {Cone.ALL: np.add, Cone.NONNEG: np.maximum}   # the monotone cones: none
-_READS: dict[int, tuple] = {}   # by id(sh), with sh: built at its first query
 
 
+@lru_cache(maxsize=64)   # one entry per row shape in use
 def _reads(sh: RowShape) -> tuple:
-    """(sh, reads on ALL and NONNEG, reads on a monotone cone): (parts,
+    """(reads on ALL and NONNEG, reads on a monotone cone): (parts,
     ``_span``) of a block outside the flipped run, inside it and across an
     end of it, both parts on ALL and NONNEG (NO_FLIP: every block outside),
     and the positive part, the negative one and both."""
     both = ("pos",) if sh.neg_scale is None else ("pos", "neg")
-    return sh, ((both, _span(sh, both)),) * 3, tuple(
+    return ((both, _span(sh, both)),) * 3, tuple(
         (p, _span(sh, p)) for p in (("pos",), ("neg",), ("pos", "neg")))
 
 
@@ -446,10 +446,7 @@ def _generic_row_values(sh: RowShape, flip: SignFlip, reads: tuple, join: Callab
         parts, span = reads[1]   # every row flipped
     else:
         parts, span = reads[2]   # the block straddles an end of the run
-    if span is None:
-        sd.load(1, 0)
-    else:
-        sd.load(first + span[0], last + span[1])
+    sd.load(1, 0) if span is None else sd.load(first + span[0], last + span[1])
     if len(parts) == 1:
         return _part_values(sh, parts[0], sd, first, count)
     pos = _part_values(sh, "pos", sd, first, count)
@@ -469,8 +466,7 @@ def _kind_rows(kind: OpKind, u: Weight | _SeqData, cone: Cone, K: int,
     row shape, cone and flip give once, valid only until its next call."""
     sd = u if isinstance(u, _SeqData) else _SeqData(u, _ENV[cone], K, bufs)
     sh, join = ROW_SHAPES[kind], _JOIN.get(cone)
-    reads = _READS.get(id(sh)) or _READS.setdefault(id(sh), _reads(sh))
-    return partial(_generic_row_values, sh, flip, reads[1 + (join is None)], join, sd)
+    return partial(_generic_row_values, sh, flip, _reads(sh)[join is None], join, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +560,17 @@ _DIVERGES = _Tail(lambda N: math.inf, exact=True)   # a floor that grows: _power
 _ZERO = _Tail(lambda N: 0.0, exact=True)   # a zero envelope: every row is 0
 
 
-@np.errstate(over="ignore", invalid="ignore")   # a non-finite row raises instead
+if np.lib.NumpyVersion(np.__version__) >= "2.0.0":   # the state is kept per call
+    _quiet = np.errstate(over="ignore", invalid="ignore")
+else:   # numpy 1 keeps a decorator's state on its one instance, which threads share
+    def _quiet(fn: Callable) -> Callable:
+        def quiet(*args, **kwargs):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fn(*args, **kwargs)
+        return wraps(fn)(quiet)
+
+
+@_quiet   # a non-finite row raises instead
 def _scan_sup(values_fn: Callable[[int, int], np.ndarray], cfg: TruncConfig,
               certificate: power_mod.PowerCaseResult | None,
               tail: _Tail | None = None, bufs: _Buffers | None = None) -> NormResult:
