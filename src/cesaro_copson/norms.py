@@ -51,10 +51,10 @@ shapes).  For a ListWeight u against a PowerWeight v the rows past the
 column horizon are c * n**e, so the tail is exact.  For a power pair, matched
 or not, each part of a row is bounded by a nonincreasing power of n by
 integral comparison, so the tail is a proven bound.  Each best constant of
-``two_operator`` is a norm, with its rows: C <= A C* on ALL and NONNEG is
-C - S* on ALL and NONINCR against u, with its tail, and C* <= A C against
-a PowerWeight u is (C* - S)D on ALL and NONDECR against w_k = k u_k, with
-no tail yet.  C* <= A C against a ListWeight u keeps its own rows.
+``two_operator`` is a norm, with its rows and its tail: C <= A C* on ALL
+and NONNEG is C - S* on ALL and NONINCR against u, and C* <= A C against a
+PowerWeight u is (C* - S)D on ALL and NONDECR against w_k = k u_k.  C* <=
+A C against a ListWeight u keeps its own rows.
 
 Truncation of the outer supremum is reported honestly in ``NormResult``:
 exact finite problems, and list-u / power-v problems closed by their exact
@@ -66,10 +66,13 @@ certificate (most matched pairs do at row 256, the end of the first block).
 A certificate the bound does not meet is checked numerically at the end of
 the scan instead.  Every other scan is TruncatedLowerBound, with the rise of
 the running supremum over its last 10% of rows as the residual.
-Divergent needs an argument: a divergent inner tail or closed-form branch,
-an unbounded exact tail (list u, power v), or, for a power pair, a part of
-the rows that the cone reads at every large row whose proven floor grows
-(``_power_tail``).  The size of a row proves nothing, and overflow is not
+Divergent needs an argument, and a divergent closed-form branch aside,
+``_tail`` is the one place that makes it, before any row is read: a tail
+block whose series diverges and that some row reads, for a list v as for
+a power v; an unbounded exact tail (list u, power v); or, for a power
+pair, a part of the rows that the cone reads at every large row whose
+proven floor grows (``_power_tail``).  It also answers a zero envelope,
+ClosedForm 0.  The size of a row proves nothing, and overflow is not
 divergence: a scanned row that overflows float64 raises ValueError.  Nor
 is a finite problem ever Divergent: rows that overflow are recomputed with
 the domain weight scaled by a power of two, and a norm that does not fit
@@ -95,7 +98,7 @@ from .special_sums import (_BLOCK, _FIRST_BLOCK, _RUN_ANCHOR, _value_run_tails,
                            hurwitz_tail_scaled, shifted_tail_scaled)
 from .weights import (_RAMP, Cone, ListWeight, PowerWeight, Weight, _fill_range,
                       _power_vals, codomain_values, envelope_down, envelope_up,
-                      truncation_length, weight_values)
+                      power_envelope, truncation_length, weight_values)
 
 __all__ = [
     "Status",
@@ -163,8 +166,8 @@ def _unsupported(reason: str) -> NormResult:
     return NormResult(0.0, Status.UNSUPPORTED, 0, math.inf, reason)
 
 
-def _divergent(n_used: int = 0) -> NormResult:
-    return NormResult(math.inf, Status.DIVERGENT, n_used, 0.0)
+def _divergent() -> NormResult:
+    return NormResult(math.inf, Status.DIVERGENT, 0, 0.0)
 
 
 def matched_power_alpha(u: Weight, v: Weight) -> float | None:
@@ -178,10 +181,6 @@ def matched_power_alpha(u: Weight, v: Weight) -> float | None:
 # Domain-weight data with an envelope applied: values, prefix sums, tails
 # ---------------------------------------------------------------------------
 
-class _DivergentTail(Exception):
-    pass
-
-
 _ENV = {Cone.ALL: "id", Cone.NONNEG: "id", Cone.NONINCR: "down", Cone.NONDECR: "up"}
 
 
@@ -190,6 +189,17 @@ def _envelope(u: Weight, env: str, K: int) -> np.ndarray:
     if env == "id":
         return weight_values(u, K)
     return envelope_down(u, K) if env == "down" else envelope_up(u, K)
+
+
+def _power_env(u: PowerWeight, env: str) -> PowerWeight | None:
+    """The power u with the envelope env applied, None when that is 0."""
+    return u if env == "id" else power_envelope(u, up=env == "up")
+
+
+def _diverges(kernel: Callable, alpha: float) -> bool:
+    """Whether sum_k kernel_k * k**-alpha diverges, for the tail kernels
+    INV_K (alpha <= 0) and INV_K_KP1 (alpha <= -1) of ``operators``."""
+    return (alpha if kernel is INV_K else alpha + 1.0) <= 0
 
 
 _SCAN_BLOCK = 2 ** 16   # rows per values_fn call, a multiple of special_sums._BLOCK
@@ -243,11 +253,13 @@ class _SeqData:
     over a run of columns, read by (first column, count), without any table
     of the horizon's length.  Column 0 holds u_0 = 0.
 
-    A ListWeight keeps its tables up to L = min(K, length) (``length``,
-    with ``total`` = P_L): past L the values are 0, the prefix sums keep
-    their last value and the tails are 0.  Power, ones and zeros modes are
-    infinite sequences: their values come from the formula and their tails
-    are analytic.
+    Two modes.  A list keeps its tables up to L = min(K, length)
+    (``length``, with ``total`` = P_L): past L the values are 0, the prefix
+    sums keep their last value and the tails are 0.  A zero envelope is the
+    empty list, L = 0.  A power, u~_k = k**-alpha with the envelope's alpha
+    (``weights.power_envelope``), is an infinite sequence: its values come
+    from the formula and its tails are analytic, +inf where the series
+    diverges.
 
     The engine reads a row block first..first+count-1 as one range of
     columns: ``load(first, last)`` puts the columns first..last that the
@@ -255,38 +267,33 @@ class _SeqData:
     in the first blocks), which give the rows to the scales and v_n and the
     columns to the tails, and in power mode holds their powers, u over
     them, as the block's window, which the value and prefix reads read.  A
-    prefix read
-    continues the sums of the last one, cumsum([carry, terms]), which gives
-    the bits of one long cumsum from column 1; a read that does not start
-    where the last ended sums its head again (correct, but O(first)).  A
-    tail run that the window covers, as extended to row _RUN_ANCHOR - 1,
-    forms its terms from it, kernel(u_k, k): at most one rounding more per
-    term than the formula's, within the cells' 4096 * 2**-53 bound.  Other
-    tail runs, and every run of a block that loads no window, take the
-    formula, over a range (first, last), not an array to be checked.
+    prefix read continues the sums of the last one, cumsum([carry, terms]),
+    which gives the bits of one long cumsum from column 1; a read that does
+    not start where the last ended sums the envelope's head again (correct,
+    but O(first)).  A tail run that the window covers, as extended to row
+    _RUN_ANCHOR - 1, forms its terms from it, kernel(u_k, k): at most one
+    rounding more per term than the formula's, within the cells' 4096 *
+    2**-53 bound.  Other tail runs, and every run of a block that loads no
+    window, take the formula, over a range (first, last), not an array to
+    be checked.
 
     What a read returns is a buffer of ``bufs``, a view of one or of the
     ramp: valid until the next load or read of its kind, not to be written.
     """
 
     def __init__(self, u: Weight, env: str, K: int, bufs: _Buffers | None = None):
-        self._u = u
         self.bufs = _Buffers() if bufs is None else bufs   # part buffers are named apart
         self.columns, self._win = self.bufs.columns, None   # _win: u over them
-        if isinstance(u, PowerWeight):
-            a = u.alpha
-            if env == "id" or (env == "down" and a >= 0) or (env == "up" and a <= 0):
-                self.mode, self.alpha = "power", a
-                self._end, self._carry = 0, 0.0   # the last prefix read's P[_end]
-            elif env == "down":
-                self.mode, self.alpha = "ones", 0.0
-            else:
-                self.mode, self.alpha = "zeros", 0.0
+        env_u = _power_env(u, env) if isinstance(u, PowerWeight) else None
+        if env_u is not None:
+            self.mode, self.alpha, self._u = "power", env_u.alpha, env_u
+            self._end, self._carry = 0, 0.0   # the last prefix read's P[_end]
             return
-        self.mode, self.alpha = "list", 0.0
-        self.length = L = min(K, u.length)
+        L = min(K, u.length) if isinstance(u, ListWeight) else 0   # 0: a zero envelope
+        self.mode, self.alpha, self.length = "list", 0.0, L
         self._vals = np.zeros(L + 1)     # u_0..u_L
-        self._vals[1:] = _envelope(u, env, L)
+        if L:
+            self._vals[1:] = _envelope(u, env, L)
         self._prefix = np.zeros(L + 1)   # P_0..P_L, as np.cumsum
         with np.errstate(over="ignore"):   # an overflowed sum shows in the rows
             np.add.accumulate(self._vals[1:], out=self._prefix[1:])
@@ -325,24 +332,13 @@ class _SeqData:
         """u_first..u_{first+count-1} (first >= 0)."""
         if self.mode == "power":
             return self._window(first, count)
-        out = self.bufs.take("values", count)
-        if self.mode == "list":
-            return _range_read(self._vals, first, out, 0.0)
-        out[...] = 1.0 if self.mode == "ones" else 0.0
-        if first == 0:
-            out[:1] = 0.0   # u_0
-        return out
+        return _range_read(self._vals, first, self.bufs.take("values", count), 0.0)
 
     def prefix(self, first: int, count: int) -> np.ndarray:
         """P_first..P_{first+count-1}, P_c = u_1 + ... + u_c (first >= 0)."""
         out = self.bufs.take("prefix", count)
         if self.mode == "list":
             return _range_read(self._prefix, first, out, self._prefix[-1])
-        if self.mode == "ones":
-            return np.positive(self.columns(first, count), out=out)   # a copy
-        if self.mode == "zeros":
-            out[...] = 0.0
-            return out
         win = self._window(first, count)
         if first - 1 != self._end:   # not the run after the last read
             self._carry = (float(np.cumsum(weight_values(self._u, first - 1))[-1])
@@ -358,7 +354,8 @@ class _SeqData:
              out: np.ndarray | None = None) -> np.ndarray:
         """sum over k >= c of kernel_k * u_k for the columns c = first..
         first+count-1 (first >= 1) and the tail kernels INV_K and INV_K_KP1
-        of ``operators``, written into out when given."""
+        of ``operators``, +inf where it diverges, written into out when
+        given."""
         out = np.empty(count) if out is None else out
         if self.mode == "list":
             table = self._tails.get(kernel)
@@ -367,17 +364,10 @@ class _SeqData:
                 terms = kernel(self._vals[1:], k)
                 table = self._tails[kernel] = np.add.accumulate(terms[::-1])[::-1]
             return _range_read(table, first - 1, out, 0.0)
-        if self.mode == "zeros":
-            out[...] = 0.0
+        a, last, shifted = self.alpha, first + count - 1, kernel is not INV_K
+        if _diverges(kernel, a):
+            out[...] = math.inf
             return out
-        shifted = kernel is not INV_K
-        if self.mode == "ones":
-            if not shifted:
-                raise _DivergentTail
-            return np.divide(1.0, self.columns(first, count), out=out)   # telescoping
-        a, last = self.alpha, first + count - 1
-        if (a + 1.0 if shifted else a) <= 0:
-            raise _DivergentTail
         win, c0 = self._win, self.bufs.c0
         if (win is not None and c0 <= first
                 and max(last, _RUN_ANCHOR - 1) < c0 + win.size):
@@ -473,6 +463,17 @@ def _kind_rows(kind: OpKind, u: Weight | _SeqData, cone: Cone, K: int,
 # Supremum drivers
 # ---------------------------------------------------------------------------
 
+if np.lib.NumpyVersion(np.__version__) >= "2.0.0":   # the state is kept per call
+    _quiet = np.errstate(over="ignore", invalid="ignore")
+else:   # numpy 1 keeps a decorator's state on its one instance, which threads share
+    def _quiet(fn: Callable) -> Callable:
+        def quiet(*args, **kwargs):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fn(*args, **kwargs)
+        return wraps(fn)(quiet)
+
+
+@_quiet   # rows that overflow are recomputed
 def _finite_sup(row_values: Callable[[Weight], np.ndarray], u: Weight,
                 vvals: np.ndarray, analytic_tails: bool) -> NormResult:
     """Supremum of v_n * F(n) over the rows of a truncated problem, where
@@ -481,11 +482,10 @@ def _finite_sup(row_values: Callable[[Weight], np.ndarray], u: Weight,
     A finite problem is never divergent: rows whose float evaluation
     overflows are recomputed with u scaled by an exact power of two, so that
     overflow is handled here and does not warn."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        prods = vvals * row_values(u)
-        val = float(np.max(prods)) if prods.size else 0.0
-        if not math.isfinite(val):
-            val = _rescaled_sup(row_values, u, vvals, prods)
+    prods = vvals * row_values(u)
+    val = float(prods[prods.argmax()]) if prods.size else 0.0   # the max, or a NaN
+    if not math.isfinite(val):
+        val = _rescaled_sup(row_values, u, vvals, prods)
     residual = 1e-12 if analytic_tails else 0.0
     return NormResult(val, Status.CLOSED_FORM, len(prods), residual)
 
@@ -534,8 +534,8 @@ def _scaled_powers(alpha: float, K: int) -> tuple[int, np.ndarray]:
 
     Truncated rows 1..L_v read u at columns 1..L_v + 1 at most (no row
     shape has an offset above +1), and with alpha <= -1 every tail kernel's
-    sum diverges, so rows that returned read no tail: these K = L_v + 1
-    values are all of u the rows read."""
+    sum diverges, so ``_tail`` answered a problem whose rows read a tail
+    before any row: these K = L_v + 1 values are all of u the rows read."""
     a = -alpha
     top = a * math.log2(K)   # log2 of the largest value, u_K
     m = 1 << max(0, math.ceil(math.log2(top / 1000.0))) if top > 1000.0 else 1
@@ -549,25 +549,16 @@ class _Tail(NamedTuple):
     """sup over rows n > N of v_n * F(n), as ``at(N)``: that supremum itself
     when ``exact``, otherwise a proven upper bound on it, or None while N is
     too small for it to say anything.  ``data`` is the ``_SeqData`` a list
-    tail read its constant from, which the rows read too (built once)."""
+    tail read its constant from, which the rows read too (built once).
+    ``_DIVERGES`` and ``_ZERO`` decide the whole supremum, read from no row."""
 
     at: Callable[[int], float | None]
     exact: bool = False
     data: _SeqData | None = None
 
 
-_DIVERGES = _Tail(lambda N: math.inf, exact=True)   # a floor that grows: _power_tail
+_DIVERGES = _Tail(lambda N: math.inf, exact=True)   # an infinite row, or rows that grow
 _ZERO = _Tail(lambda N: 0.0, exact=True)   # a zero envelope: every row is 0
-
-
-if np.lib.NumpyVersion(np.__version__) >= "2.0.0":   # the state is kept per call
-    _quiet = np.errstate(over="ignore", invalid="ignore")
-else:   # numpy 1 keeps a decorator's state on its one instance, which threads share
-    def _quiet(fn: Callable) -> Callable:
-        def quiet(*args, **kwargs):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return fn(*args, **kwargs)
-        return wraps(fn)(quiet)
 
 
 @_quiet   # a non-finite row raises instead
@@ -588,22 +579,17 @@ def _scan_sup(values_fn: Callable[[int, int], np.ndarray], cfg: TruncConfig,
     A row that is not a finite float raises ValueError naming it: overflow
     is not divergence.  After each block ending at row N the tail, if any,
     may end the scan with a proven answer: an exact tail gives ClosedForm
-    max(m, tail) (Divergent when it is infinite), a bound gives
-    TruncatedConverged once it is within tol of the running max m.  With a
-    certificate the bound must also meet it: a "limit" stops, with the
-    answer the end of the scan would give, once the bound is within 1e-9
-    of the limit and the rows read so far verify it; an "attained" value
-    stops once m is within tolerance of it.  A certificate the bound or the
-    rows disagree with never stops a scan early, and at the end of the scan
-    a limit above both m and the last tail bound is refused.  A zero
-    envelope (``_ZERO``) is ClosedForm 0, and an infinite certificate, or a
-    floor that grows (``_DIVERGES``), Divergent, before any row is read.
-    What nothing proves, however large, is TruncatedLowerBound, with
-    residual the rise of m over the rows after the first 90% (0 if N == 1)."""
-    if tail is _ZERO:
-        return NormResult(0.0, Status.CLOSED_FORM, 0, 0.0)
-    if tail is _DIVERGES or (certificate is not None and math.isinf(certificate.value)):
-        return _divergent()
+    max(m, tail), a bound gives TruncatedConverged once it is within tol of
+    the running max m.  With a certificate the bound must also meet it: a
+    "limit" stops, with the answer the end of the scan would give, once the
+    bound is within 1e-9 of the limit and the rows read so far verify it;
+    an "attained" value stops once m is within tolerance of it.  A
+    certificate the bound or the rows disagree with never stops a scan
+    early, and at the end of the scan a limit above both m and the last
+    tail bound is refused.  What nothing proves, however large, is
+    TruncatedLowerBound, with residual the rise of m over the rows after
+    the first 90% (0 if N == 1).  No scan is Divergent: ``_row_sup``
+    answers an infinite supremum before any row."""
     N = cfg.n_max
     cut = max(1, int(0.9 * N))
     steps = certificate is not None and certificate.mode == "limit"
@@ -618,10 +604,7 @@ def _scan_sup(values_fn: Callable[[int, int], np.ndarray], cfg: TruncConfig,
         hi = min(N, _FIRST_BLOCK if lo == 1 else _BLOCK if lo <= _BLOCK
                  else (lo // _SCAN_BLOCK + 1) * _SCAN_BLOCK)
         size = hi - lo + 1
-        try:
-            vals = values_fn(lo, size)
-        except _DivergentTail:
-            return _divergent()
+        vals = values_fn(lo, size)
         top = float(vals[vals.argmax()])   # the max, or the first NaN
         if not math.isfinite(top):   # rows are >= 0: NaN and inf show in the max
             raise ValueError(f"row {lo + int(np.isfinite(vals).argmin())} "
@@ -642,8 +625,6 @@ def _scan_sup(values_fn: Callable[[int, int], np.ndarray], cfg: TruncConfig,
         if t is None:
             continue
         if tail.exact:
-            if math.isinf(t):
-                return _divergent(hi)
             return NormResult(max(m, t), Status.CLOSED_FORM, hi, 0.0)
         if steps:
             # every row past hi is at most t, which meets the certified
@@ -686,21 +667,24 @@ def _row_sup(rows: Callable[..., Callable[[int, int], np.ndarray]],
              tail: _Tail | None = None) -> NormResult:
     """Supremum over rows n of v_n * F(n), where ``rows(w, K, bufs)``
     returns F against the domain weight w on the column horizon K in the
-    scan state bufs, a function of a block (first, count).  A truncated v
-    reads its rows 1..L_v exactly; otherwise rows 1..n_max are scanned, up
-    to the first block the tail closes, with v_n the power of the block's
-    columns, in one scan state (that of a list tail's tables, if any)."""
+    scan state bufs, a function of a block (first, count).  A tail
+    ``_ZERO`` is ClosedForm 0, and ``_DIVERGES`` or an infinite certificate
+    Divergent, before any row is built.  Otherwise a truncated v reads its
+    rows 1..L_v exactly, and a power v has rows 1..n_max scanned, up to the
+    first block the tail closes, with v_n the power of the block's columns,
+    in one scan state (that of a list tail's tables, if any)."""
+    if tail is _ZERO:
+        return NormResult(0.0, Status.CLOSED_FORM, 0, 0.0)
+    if tail is _DIVERGES or (certificate is not None and math.isinf(certificate.value)):
+        return _divergent()
     L_u = truncation_length(u)
     L_v = truncation_length(v)
     K = max(L_v + 1 if L_v is not None else cfg.n_max + 1, L_u or 0)
     data = None if tail is None else tail.data
     bufs = _Buffers() if data is None else data.bufs
     if L_v is not None:
-        try:
-            return _finite_sup(lambda w: rows(w, K, bufs)(1, L_v), u,
-                               codomain_values(v, L_v), L_u is None)
-        except _DivergentTail:
-            return _divergent()
+        return _finite_sup(lambda w: rows(w, K, bufs)(1, L_v), u,
+                           codomain_values(v, L_v), L_u is None)
     row_fn, b = rows(u if data is None else data, K, bufs), v.alpha
 
     def values_fn(first: int, count: int) -> np.ndarray:
@@ -717,27 +701,41 @@ def _row_sup(rows: Callable[..., Callable[[int, int], np.ndarray]],
 
 def _tail(kind: OpKind, cone: Cone, flip: SignFlip, u: Weight,
           v: Weight) -> _Tail | None:
-    """The tail of sup_n v_n F(n) past row N, for a PowerWeight v and the
-    rows flipped by flip: exact for a ListWeight u, an integral-comparison
-    bound for a PowerWeight u (matched or not), ``_DIVERGES`` when its
-    floor grows, or ``_ZERO`` when the envelope is 0; None when v is
-    truncated or no bound is derived."""
+    """The tail of sup_n v_n F(n) past row N for the rows flipped by flip,
+    and the one place that decides the answers that need no row:
+
+    * ``_ZERO`` for a zero envelope, whatever v: every row is 0;
+    * ``_DIVERGES``, whatever v, for a power u whose tail block's series
+      diverges (``_diverges``) when some row reads it: every row on ALL and
+      NONNEG, and on a monotone cone every row outside the flipped run, so
+      some row unless the run is SignFlip(1, None) (a plan for a power u
+      flips no run that ends past row 0);
+    * for a PowerWeight v, the exact tail of a ListWeight u (``_list_tail``,
+      ``_DIVERGES`` when it grows), or an integral-comparison bound for a
+      PowerWeight u, matched or not (``_power_tail``, ``_DIVERGES`` when a
+      floor grows).
+
+    None when no bound is derived, or for a truncated v that nothing
+    decides."""
+    sh, env, join = ROW_SHAPES[kind], _ENV[cone], _JOIN.get(cone)
+    if isinstance(u, ListWeight):
+        if not isinstance(v, PowerWeight):
+            return None
+        return _list_tail(sh, flip, _SeqData(u, env, u.length), v.alpha)
+    env_u = _power_env(u, env)
+    if env_u is None:
+        return _ZERO
+    alpha = env_u.alpha
+    if (sh.block is TAIL and _diverges(sh.scale, alpha)
+            and (join is not None or flip.first > 1 or flip.last is not None)):
+        return _DIVERGES
     if not isinstance(v, PowerWeight):
         return None
-    if isinstance(u, ListWeight):
-        return _list_tail(ROW_SHAPES[kind], flip, _SeqData(u, _ENV[cone], u.length),
-                          v.alpha)
-    env = _ENV[cone]
-    if env == "up" and u.alpha > 0:   # the envelope is 0, and so is every row
-        return _ZERO
-    alpha = max(u.alpha, 0.0) if env == "down" else u.alpha
     # the parts every large row reads: both with a join, else (a monotone
     # cone) the flipped one past the run's start if the run has no end
-    join = _JOIN.get(cone)
     counted = (("pos", "neg") if join is not None
                else ("neg",) if flip.last is None else ("pos",))
-    return _power_tail(ROW_SHAPES[kind], alpha, v.alpha,
-                       sum if join is np.add else max, counted)
+    return _power_tail(sh, alpha, v.alpha, sum if join is np.add else max, counted)
 
 
 def _list_tail(sh: RowShape, flip: SignFlip, sd: _SeqData,
@@ -747,7 +745,8 @@ def _list_tail(sh: RowShape, flip: SignFlip, sd: _SeqData,
     shapes is at least -1), no row reaches a column of u but an unflipped
     prefix, which reads the whole envelope: such rows are c * n**b *
     scale(1, n) = c * n**e, c the prefix table's last entry, and every
-    other row is 0."""
+    other row is 0.  ``_DIVERGES`` when c > 0 and e > 0; otherwise the
+    sup past row N is c * (N + 1)**e, since n**e does not increase."""
     start = max(sd.length + 1, flip.first if flip.last is None else flip.last)
     c, e = 0.0, 0.0
     if sh.block is PREFIX and flip.last is not None:
@@ -755,18 +754,10 @@ def _list_tail(sh: RowShape, flip: SignFlip, sd: _SeqData,
         if not exact:
             return None
         c = sd.total
-        e = b + q
-
-    def at(N: int) -> float | None:
-        if N < start:
-            return None
-        if c == 0.0:
-            return 0.0
-        if e < 0:
-            return c * (N + 1.0) ** e   # n**e decreases: its sup is at N + 1
-        return c if e == 0 else math.inf
-
-    return _Tail(at, exact=True, data=sd)
+        e = b + q if c > 0 else 0.0
+    if e > 0:
+        return _DIVERGES
+    return _Tail(lambda N: None if N < start else c * (N + 1.0) ** e, exact=True, data=sd)
 
 
 # A part of row n >= 2, as (r, a, f), is at most f(n) n**(r - a), r an
@@ -883,9 +874,9 @@ def _norm(kind: OpKind, u: Weight, v: Weight, cone: Cone, cfg: TruncConfig,
     ``rows``: ``_kind_rows`` bound to kind) the matched-pair closed form,
     then the supremum of the engine's rows, or, for ``norm_general`` on a
     fully truncated problem, of the literal matrix rows (``_dense_norm``).
-    A power pair whose tail is ``_DIVERGES`` is Divergent, and one whose
-    tail is ``_ZERO`` ClosedForm 0, before any scan.  A scan may stop at its
-    tail, a matched pair's only where it meets the certificate."""
+    ``_tail`` decides every answer that needs no row, which ``_row_sup``
+    gives before any row.  A scan may stop at its tail, a matched pair's
+    only where it meets the certificate."""
     L_u = truncation_length(u)
     L_v = truncation_length(v)
     plan = cone_plan(kind, cone, L_u, max_row=L_v)

@@ -7,7 +7,7 @@ over all real x and over nonnegative x, for arbitrary weight pairs.
 
 Each constant is a norm of one of the paper's two auxiliary operators, so
 ``best_constant`` maps the query to that norm (``_reduced``) and takes its
-rows and supremum from ``norms``, and the tail of C - S* too (``_tail``):
+rows, supremum and tail from ``norms`` (``_tail``):
 
     C <= A C*  on ALL / NONNEG:  C - S*     on ALL / NONINCR, against u
     C* <= A C  on ALL / NONNEG:  (C* - S)D  on ALL / NONDECR, against w_k = k u_k
@@ -47,8 +47,9 @@ from .operators import NO_FLIP, OpKind, apply
 # binding; it goes with that check (ROADMAP item 2)
 from .special_sums import shifted_tail_scaled  # noqa: F401
 from .weights import (Cone, ListWeight, PowerWeight, SeqWindow, Weight,
-                      codomain_values, envelope_down, quotient_norm_weighted,
-                      sup_norm_weighted, truncation_length, weight_values)
+                      codomain_values, envelope_down, envelope_up,
+                      quotient_norm_weighted, sup_norm_weighted,
+                      truncation_length, weight_values)
 
 __all__ = [
     "Direction",
@@ -81,17 +82,15 @@ class TwoOpQuery:
 def w_envelope(u: Weight, K: int) -> np.ndarray:
     """(w_up)_k = inf_{j>=k} j u_j for k = 1..K, w_k = k u_k.
 
-    For a PowerWeight, w_k = k**(1-alpha) is nondecreasing when alpha <= 1
-    (its own minorant) and tends to 0 when alpha > 1 (zero minorant).  For a
-    ListWeight the infimum runs over the truncated horizon j in k..L.
+    For a PowerWeight, w is the power weight of alpha - 1, and w_up its
+    nondecreasing envelope (``weights.power_envelope``): w itself when
+    alpha <= 1, 0 when alpha > 1.  For a ListWeight the infimum runs over
+    the truncated horizon j in k..L.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if isinstance(u, PowerWeight):
-        if u.alpha > 1:
-            return np.zeros(K)
-        k = np.arange(1, K + 1, dtype=float)
-        return np.power(k, 1.0 - u.alpha)
+        return envelope_up(PowerWeight(u.alpha - 1.0), K)
     L = u.length
     w = np.arange(1, L + 1, dtype=float) * u.array
     suff = np.minimum.accumulate(w[::-1])[::-1]
@@ -159,19 +158,12 @@ def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
 
 
 def _tail(q: TwoOpQuery, reduced) -> _Tail | None:
-    """The tail against a PowerWeight v: C - S*'s for C <= A C*, and 0 past
-    row L of a ListWeight u for C* <= A C.  C* <= A C against a PowerWeight
-    u takes only the (C* - S)D floors (``norms._DIVERGES``) and zero
-    envelopes (``norms._ZERO``), not its bound, until that bound closes for
-    alpha <= 1 too (ROADMAP item 3): alone it stops alpha > 1 scans at row
-    256 and leaves alpha <= 1 ones at n_max, a hundredfold step in cost."""
-    if not isinstance(q.v, PowerWeight):
-        return None
+    """The tail of the norm q's constant reduces to (``norms._tail``), or,
+    for C* <= A C against a ListWeight u, 0 past row L of a PowerWeight v."""
     if reduced is not None:
         kind, cone, u = reduced
-        tail = norms._tail(kind, cone, NO_FLIP, u, q.v)
-        if q.direction is Direction.C_LE_CSTAR or tail in (norms._DIVERGES, norms._ZERO):
-            return tail
+        return norms._tail(kind, cone, NO_FLIP, u, q.v)
+    if not isinstance(q.v, PowerWeight):
         return None
     L = q.u.length
     return _Tail(lambda N: 0.0 if N >= L else None, exact=True)

@@ -44,6 +44,7 @@ __all__ = [
     "codomain_values",
     "envelope_down",
     "envelope_up",
+    "power_envelope",
     "truncation_length",
     "sup_norm_weighted",
     "quotient_norm_weighted",
@@ -230,6 +231,17 @@ def truncation_length(w: Weight) -> int | None:
     return w.length if isinstance(w, ListWeight) else None
 
 
+def power_envelope(u: PowerWeight, up: bool) -> PowerWeight | None:
+    """The greatest nonincreasing (up False) or nondecreasing (up True)
+    minorant of u_k = k**-alpha, as a power weight, None when it is 0.
+    Nonincreasing: k**-max(alpha, 0), since an increasing u has the
+    running minimum u_1 = 1.  Nondecreasing: u itself when alpha <= 0, and
+    0 when alpha > 0, since every tail of u has infimum 0."""
+    if up:
+        return u if u.alpha <= 0 else None
+    return u if u.alpha >= 0 else PowerWeight(0.0)
+
+
 def envelope_down(u: Weight, K: int) -> np.ndarray:
     """Greatest nonincreasing minorant on 1..K: (u_down)_k = min_{j<=k} u_j.
 
@@ -239,9 +251,7 @@ def envelope_down(u: Weight, K: int) -> np.ndarray:
     if K < 1:
         raise ValueError("K must be >= 1")
     if isinstance(u, PowerWeight):
-        if u.alpha >= 0:  # u already nonincreasing
-            return weight_values(u, K)
-        return np.ones(K)  # increasing u: running min is u_1 = 1
+        return weight_values(power_envelope(u, up=False), K)
     return np.minimum.accumulate(weight_values(u, K))
 
 
@@ -249,15 +259,14 @@ def envelope_up(u: Weight, K: int) -> np.ndarray:
     """Greatest nondecreasing minorant on 1..K: (u_up)_k = inf_{j>=k} u_j.
 
     The infimum runs over the weight's own horizon: the infinite tail for a
-    PowerWeight (alpha > 0 forces 0), and j in k..L for a ListWeight in
+    PowerWeight (``power_envelope``), and j in k..L for a ListWeight in
     truncated-problem mode.  Entries past L are 0 (no values there).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if isinstance(u, PowerWeight):
-        if u.alpha > 0:  # tail infimum of k**(-alpha) is 0
-            return np.zeros(K)
-        return weight_values(u, K)  # nondecreasing u is its own minorant
+        env = power_envelope(u, up=True)
+        return np.zeros(K) if env is None else weight_values(env, K)
     L = u.length
     suff = np.minimum.accumulate(u.array[::-1])[::-1]
     out = np.zeros(K)

@@ -8,9 +8,10 @@ import warnings
 
 import pytest
 
-from cesaro_copson import norms, power
+from cesaro_copson import norms, power, two_operator
 from cesaro_copson.norms import (SPECIALIZED_BY_KIND, NormResult, Status, TruncConfig,
-                                 norm_cesaro, norm_copson, norm_general)
+                                 dist_copson_identity, norm_c_minus_sstar, norm_cesaro,
+                                 norm_copson, norm_cstarsd, norm_general)
 from cesaro_copson.operators import (NO_FLIP, PRINCIPAL_KINDS, SINGLE, OpKind, RowShape,
                                      SignFlip, _one, _over)
 from cesaro_copson.two_operator import Direction, TwoOpQuery, best_constant
@@ -47,7 +48,11 @@ def _truth(theorem, *args):
 
 
 def _check(r: NormResult | None, truth, label) -> None:
-    if r is None or truth is None:
+    if r is None:
+        return
+    # every Divergent answer is decided before the first row is read
+    assert r.status is not Status.DIVERGENT or r.n_used == 0, (label, r)
+    if truth is None:
         return
     assert not math.isnan(r.value), label
     if truth is BEYOND:
@@ -107,6 +112,55 @@ def test_status_grid_mismatched_cases():
     # 0, and n**55 overflows only past the horizon here
     q = TwoOpQuery(Direction.CSTAR_LE_C, Cone.NONNEG, P(55), P(55), CFG)
     _check(_answer(lambda: best_constant(q, use_closed_forms=False)), 0.0, "C* <= A C")
+
+
+L2 = ListWeight((1.0, 1.0))
+DIVERGENT = NormResult(math.inf, Status.DIVERGENT, 0, 0.0)
+ZERO = NormResult(0.0, Status.CLOSED_FORM, 0, 0.0)
+C_LE = Direction.CSTAR_LE_C
+
+
+def _two_op(cone, u, v):
+    return best_constant(TwoOpQuery(C_LE, cone, u, v), use_closed_forms=False)
+
+
+NO_ROW_CELLS = {
+    # an exact list tail that grows: past the horizon the rows are 2 n**0.5
+    "list-tail-C": (lambda: norm_cesaro(L2, P(1.5), Cone.ALL), DIVERGENT),
+    "list-tail-general": (lambda: norm_general(OpKind.C, L2, P(1.5), Cone.ALL), DIVERGENT),
+    "list-tail-C-S*": (lambda: norm_c_minus_sstar(L2, P(1.5), Cone.NONNEG), DIVERGENT),
+    # a zero envelope against a list v: every row is 0
+    "zero-C-list-v": (lambda: norm_cesaro(P(0.5), L2, Cone.NONDECR), ZERO),
+    "zero-general-list-v": (lambda: norm_general(OpKind.C, P(0.5), L2, Cone.NONDECR), ZERO),
+    "zero-(C*-S)D-list-v": (lambda: norm_cstarsd(P(0.5), L2, Cone.NONDECR), ZERO),
+    "zero-two-op-list-v": (lambda: _two_op(Cone.NONNEG, P(1.2), L2), ZERO),
+    # a divergent inner tail against a power v: sum u_k / k at alpha <= 0,
+    # sum u_k / (k(k+1)) at alpha <= -1
+    "tail-C*": (lambda: norm_copson(P(0.0), P(0.5), Cone.ALL), DIVERGENT),
+    "tail-C*-I": (lambda: dist_copson_identity(P(-0.5), P(0.3), Cone.NONNEG), DIVERGENT),
+    "tail-(C*-S)D": (lambda: norm_cstarsd(P(-1.0), P(-0.5), Cone.ALL), DIVERGENT),
+    "tail-(C*-S)D-up": (lambda: norm_cstarsd(P(-1.0), P(-0.5), Cone.NONDECR), DIVERGENT),
+    "tail-two-op": (lambda: _two_op(Cone.ALL, P(-0.5), P(0.2)), DIVERGENT),
+    # ... and against a list v
+    "tail-C*-list-v": (lambda: norm_copson(P(-0.5), L2, Cone.ALL), DIVERGENT),
+    "tail-general-list-v": (lambda: norm_general(OpKind.CSTAR, P(-0.5), L2, Cone.NONNEG),
+                            DIVERGENT),
+    "tail-(C*-S)D-list-v": (lambda: norm_cstarsd(P(-1.0), L2, Cone.NONDECR), DIVERGENT),
+    "tail-two-op-list-v": (lambda: _two_op(Cone.ALL, P(-0.5), L2), DIVERGENT),
+}
+
+
+@pytest.mark.parametrize("cell", list(NO_ROW_CELLS))
+def test_answers_that_need_no_row_read_none(cell, monkeypatch):
+    # Divergent and a zero envelope's 0 are decided in norms._tail, before
+    # the first row: with the row functionals refusing, the answer stands
+    def refuse(*args):
+        raise AssertionError("a row was read")
+
+    monkeypatch.setattr(norms, "_generic_row_values", refuse)
+    monkeypatch.setattr(two_operator, "_rows_cstar_le_c", refuse)
+    call, want = NO_ROW_CELLS[cell]
+    assert repr(call()) == repr(want)
 
 
 def test_large_finite_constant_is_not_divergent():

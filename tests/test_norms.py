@@ -345,6 +345,8 @@ RANGE_SEQS = {   # mode: (u, envelope, u~ over columns 1..RANGE_K + 2)
     "ones": (P(-0.5), "down", np.ones(RANGE_K + 2)),
     "zeros": (P(0.5), "up", np.zeros(RANGE_K + 2)),
 }
+# u~ = 1 is the power alpha = 0, and the zero envelope u~ = 0 the empty list
+RANGE_MODES = {"ones": "power", "zeros": "list"}
 
 
 def _entry_rows(kind, cols):
@@ -358,8 +360,10 @@ def test_range_reads_match_dense_rows(mode):
     # count) at the horizon's edges (column 0, last column K and K + 1),
     # against dense rows of entry applied to u~: I for values, E for
     # prefix sums, C* for tails under 1/k and the positive part of (C* - S)D
-    # for tails under 1/(k(k+1)).  u_0 = 0.  The infinite modes' tails are
-    # checked against the formula, on its scattered path, instead.
+    # for tails under 1/(k(k+1)).  u_0 = 0.  The power modes' tails are
+    # checked against the formula, on its scattered path, instead: u~ = 1
+    # against 1/k, a divergent series, reads +inf, and against 1/(k(k+1))
+    # the telescoped 1/c.
     u, env, ut = RANGE_SEQS[mode]
     K, cols = RANGE_K, RANGE_K + 2
     values = np.r_[0.0, _entry_rows(OpKind.I, cols) @ ut]   # column 0 first
@@ -368,7 +372,7 @@ def test_range_reads_match_dense_rows(mode):
              INV_K_KP1: np.r_[np.nan, np.clip(_entry_rows(OpKind.CSTARSD, cols), 0.0,
                                               None) @ ut]}
     sd = _SeqData(u, env, K)
-    assert sd.mode == mode.split("-")[0]
+    assert sd.mode == RANGE_MODES.get(mode, mode.split("-")[0])
     for first, count in ((0, K + 2), (0, 1), (1, K), (K - 1, 2), (K, 2), (K + 1, 1)):
         last = first + count - 1
         sd.load(first, last)
@@ -383,14 +387,24 @@ def test_range_reads_match_dense_rows(mode):
                 formula = (norms.hurwitz_tail_scaled if kernel is INV_K
                            else norms.shifted_tail_scaled)
                 want = formula(1.6, c[::-1])[::-1]
-            elif mode == "ones" and kernel is INV_K:
-                with pytest.raises(norms._DivergentTail):
-                    sd.tail(kernel, first, count)
-                continue
+            elif mode == "ones":
+                want = np.full(count, np.inf) if kernel is INV_K else 1.0 / c
             else:
-                want = 1.0 / c if mode == "ones" else dense[first:last + 1]
+                want = dense[first:last + 1]
             np.testing.assert_allclose(sd.tail(kernel, first, count), want,
                                        rtol=1e-12, atol=0)
+
+
+def test_out_of_order_prefix_read_sums_the_envelope():
+    # NONINCR at P(-0.5): u~ = 1, the power alpha = 0, while u_k = k**0.5.
+    # A prefix read that does not continue the last one sums the head again,
+    # and that head is u~'s, not u's
+    sd = _SeqData(P(-0.5), "down", 200)
+    want = np.cumsum(np.ones(200))   # P_c = c for c = 1..200
+    for first, count in ((1, 10), (60, 20), (5, 3), (150, 51)):
+        sd.load(first, first + count - 1)
+        np.testing.assert_array_equal(sd.prefix(first, count),
+                                      want[first - 1:first - 1 + count])
 
 
 def dense_entry_norm(kind, u, v, cone):

@@ -45,6 +45,22 @@ def test_w_envelope_examples():
     assert np.allclose(w_envelope(P(0.5), 3), [1.0, math.sqrt(2), math.sqrt(3)])
     assert np.allclose(w_envelope(P(2.0), 3), [0.0, 0.0, 0.0])
     assert np.allclose(w_envelope(ListWeight((3, 1, 2)), 3), [2.0, 2.0, 6.0])
+    # a power u's envelope is k**(1 - alpha) itself, to the bit, up to alpha = 1
+    k = np.arange(1.0, 101.0)
+    for a in (-2.5, -0.1, 0.0, 0.3, 1.0 - 2 ** -52, 1.0):
+        np.testing.assert_array_equal(w_envelope(P(a), 100), k ** (1.0 - a))
+    np.testing.assert_array_equal(w_envelope(P(1.0 + 2 ** -52), 100), np.zeros(100))
+
+
+@pytest.mark.parametrize("cone, a", [(Cone.ALL, -0.5), (Cone.NONNEG, 0.0)])
+def test_row_terms_of_a_divergent_inner_tail_are_inf(cone, a):
+    # C* <= A C reduces to (C* - S)D against k**(1 - a), whose tail under
+    # 1/(k(k+1)) diverges here: every row's term is +inf (a private
+    # exception with an empty message escaped before)
+    q = TwoOpQuery(Direction.CSTAR_LE_C, cone, P(a), P(a))
+    terms = two_op_row_terms(q, 5)
+    np.testing.assert_array_equal(terms, np.full(5, np.inf))
+    assert best_constant(q, use_closed_forms=False).status is Status.DIVERGENT
 
 
 @pytest.mark.parametrize("alpha", [-2, -1, -0.5, 0, 0.3, 0.7, 0.99])
@@ -101,18 +117,19 @@ def test_power_rows_match_the_defining_series(a):
 
 
 def test_power_u_scan_reads_the_whole_horizon():
-    # C* <= A C against a PowerWeight u takes no tail bound, so a > 1 scans
-    # cost what a <= 1 scans cost, though the (C* - S)D tail of norms would
-    # meet the attained certificate at row 256; the answer is the closed
-    # form's.  On NONNEG past a = 1 the envelope of k u_k is 0: so is every
-    # row, and no row is read
-    for a, cone in ((1.2, Cone.ALL), (0.6, Cone.ALL), (1.2, Cone.NONNEG)):
+    # C* <= A C against a PowerWeight u takes the (C* - S)D tail of norms:
+    # past a = 1 on ALL it meets the attained certificate at row 256, and at
+    # a = 0.6 it does not meet the limit, so that scan reads the whole
+    # horizon; the answer is the closed form's.  On NONNEG past a = 1 the
+    # envelope of k u_k is 0: so is every row, and no row is read
+    for a, cone, n_used in ((1.2, Cone.ALL, 256), (0.6, Cone.ALL, 10 ** 6),
+                            (1.2, Cone.NONNEG, 0)):
         q = TwoOpQuery(Direction.CSTAR_LE_C, cone, P(a), P(a))
         r = best_constant(q, use_closed_forms=False)
         if cone is Cone.NONNEG:
             assert repr(r) == repr(NormResult(0.0, Status.CLOSED_FORM, 0, 0.0))
         else:
-            assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == 10 ** 6
+            assert r.status is Status.TRUNCATED_CONVERGED and r.n_used == n_used
         assert r.value == pytest.approx(best_constant(q).value, rel=1e-12, abs=0)
 
 
