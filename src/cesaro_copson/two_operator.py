@@ -7,7 +7,8 @@ over all real x and over nonnegative x, for arbitrary weight pairs.
 
 Each constant is a norm of one of the paper's two auxiliary operators, so
 ``best_constant`` maps the query to that norm (``_reduced``) and takes its
-rows, supremum and tail from ``norms`` (``_tail``):
+rows, supremum and no-row answers from ``norms``, and the tail bound of
+C - S* too (``_tail``):
 
     C <= A C*  on ALL / NONNEG:  C - S*     on ALL / NONINCR, against u
     C* <= A C  on ALL / NONNEG:  (C* - S)D  on ALL / NONDECR, against w_k = k u_k
@@ -159,10 +160,16 @@ def best_constant(q: TwoOpQuery, use_closed_forms: bool = True) -> NormResult:
 
 def _tail(q: TwoOpQuery, reduced) -> _Tail | None:
     """The tail of the norm q's constant reduces to (``norms._tail``), or,
-    for C* <= A C against a ListWeight u, 0 past row L of a PowerWeight v."""
+    for C* <= A C against a ListWeight u, 0 past row L of a PowerWeight v.
+    C* <= A C against a PowerWeight u takes only the no-row answers, not the
+    (C* - S)D bound: alone it would stop alpha > 1 scans at row 256 and leave
+    alpha <= 1 ones at n_max, a hundredfold step in cost (ROADMAP item 3)."""
     if reduced is not None:
         kind, cone, u = reduced
-        return norms._tail(kind, cone, NO_FLIP, u, q.v)
+        tail = norms._tail(kind, cone, NO_FLIP, u, q.v)
+        if q.direction is Direction.C_LE_CSTAR or tail in (norms._DIVERGES, norms._ZERO):
+            return tail
+        return None
     if not isinstance(q.v, PowerWeight):
         return None
     L = q.u.length

@@ -117,12 +117,12 @@ def test_power_rows_match_the_defining_series(a):
 
 
 def test_power_u_scan_reads_the_whole_horizon():
-    # C* <= A C against a PowerWeight u takes the (C* - S)D tail of norms:
-    # past a = 1 on ALL it meets the attained certificate at row 256, and at
-    # a = 0.6 it does not meet the limit, so that scan reads the whole
-    # horizon; the answer is the closed form's.  On NONNEG past a = 1 the
-    # envelope of k u_k is 0: so is every row, and no row is read
-    for a, cone, n_used in ((1.2, Cone.ALL, 256), (0.6, Cone.ALL, 10 ** 6),
+    # C* <= A C against a PowerWeight u takes no tail bound, so a > 1 scans
+    # cost what a <= 1 scans cost, though the (C* - S)D tail of norms would
+    # meet the attained certificate at row 256; the answer is the closed
+    # form's.  On NONNEG past a = 1 the envelope of k u_k is 0: so is every
+    # row, and no row is read
+    for a, cone, n_used in ((1.2, Cone.ALL, 10 ** 6), (0.6, Cone.ALL, 10 ** 6),
                             (1.2, Cone.NONNEG, 0)):
         q = TwoOpQuery(Direction.CSTAR_LE_C, cone, P(a), P(a))
         r = best_constant(q, use_closed_forms=False)
